@@ -9,6 +9,7 @@ correct match lands in the top k. Distance ties break by gallery index.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,19 +52,45 @@ class RerankParams:
             raise ValueError("k1 and k2 must be >= 1")
 
 
+# Elements in one block of differences: 512 KiB of float64, which stays in
+# a per-core L2 cache while the block is squared and reduced.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distances, computed from explicit differences
-    (not the quadratic expansion) for accuracy; rows are chunked to bound
-    memory."""
+    """Exact Euclidean distances between the rows of ``q`` and ``g``.
+
+    Distances come from explicit differences, not the quadratic expansion,
+    for accuracy. Both row sets are tiled so that one (rows_q, rows_g, d)
+    block of differences holds about ``_BLOCK_ELEMENTS`` values; the block
+    is squared in place and summed over d the way the unblocked
+    ``np.sqrt(((q[:, None] - g[None]) ** 2).sum(axis=2))`` sums it, so the
+    result is bitwise equal to that formula while no temporary grows past
+    one block. When ``q`` and ``g`` are the same object only the blocks on
+    and above the diagonal are computed and the others mirrored, which is
+    exact because (a - b)**2 == (b - a)**2 in IEEE arithmetic.
+    """
+    symmetric = q is g
     q = np.asarray(q, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    g = q if symmetric else np.asarray(g, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape} vs {g.shape}")
-    out = np.empty((q.shape[0], g.shape[0]))
-    chunk = max(1, int(4e7) // max(1, g.shape[0] * g.shape[1]))
-    for i in range(0, q.shape[0], chunk):
-        diff = q[i : i + chunk, None, :] - g[None, :, :]
-        out[i : i + chunk] = np.sqrt((diff**2).sum(axis=2))
+    n_q, n_g, d = q.shape[0], g.shape[0], q.shape[1]
+    out = np.empty((n_q, n_g))
+    cols = max(1, min(n_g, math.isqrt(_BLOCK_ELEMENTS // max(1, d))))
+    rows = cols if symmetric else max(1, _BLOCK_ELEMENTS // (cols * max(1, d)))
+    buf = np.empty(rows * cols * d)
+    for i in range(0, n_q, rows):
+        qi = q[i : i + rows, None, :]
+        for j in range(i if symmetric else 0, n_g, cols):
+            gj = g[None, j : j + cols, :]
+            block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
+            np.subtract(qi, gj, out=block)
+            np.multiply(block, block, out=block)
+            tile = np.sqrt(block.sum(axis=2))
+            out[i : i + rows, j : j + cols] = tile
+            if symmetric and j != i:
+                out[j : j + cols, i : i + rows] = tile.T
     return out
 
 
@@ -115,14 +142,81 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _k_neighbors(order: np.ndarray, i: int, k: int) -> np.ndarray:
-    return order[i, : k + 1]  # the point itself is its own nearest neighbor
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over the (start, count) pairs."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())
 
 
-def _k_reciprocal(order: np.ndarray, i: int, k: int) -> np.ndarray:
-    forward = _k_neighbors(order, i, k)
-    keep = [j for j in forward if i in order[j, : k + 1]]
-    return np.asarray(keep, dtype=np.int64)
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first k + 1 columns of ``np.argsort(dist, axis=1, kind="stable")``
+    (ties go to the lower column index), sorting only the entries up to
+    each row's (k + 1)-th smallest value rather than whole rows."""
+    kth = np.partition(dist, k, axis=1)[:, k : k + 1]
+    rows, cols = np.nonzero(dist <= kth)  # columns ascend within each row
+    cols = cols[np.lexsort((dist[rows, cols], rows))]  # lexsort is stable
+    counts = np.bincount(rows, minlength=dist.shape[0])
+    return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
+
+
+def _reciprocal_table(order: np.ndarray, k: int) -> np.ndarray:
+    """The k-nearest-neighbour table ``order[:, :k + 1]`` (each point is its
+    own nearest neighbour) with each entry whose own table does not hold
+    the row's point replaced by -1."""
+    nb = order[:, : k + 1]
+    mutual = (nb[nb] == np.arange(nb.shape[0])[:, None, None]).any(axis=2)
+    return np.where(mutual, nb, -1)
+
+
+def _expanded_sets(order: np.ndarray, k1: int):
+    """Each point's k1-reciprocal set, grown by the half-k1 reciprocal set
+    of every member that shares at least 2/3 of it with the point's own
+    set. Returns (rows, cols) of the sets, sorted by row then column."""
+    n = order.shape[0]
+    reciprocal = _reciprocal_table(order, k1)  # (N, k1 + 1)
+    half_reciprocal = _reciprocal_table(order, int(np.floor(k1 / 2.0 + 0.5)))
+    valid = reciprocal >= 0
+    candidates = half_reciprocal[np.where(valid, reciprocal, 0)]  # (N, k1 + 1, half + 1)
+    in_candidate = candidates >= 0
+    # Membership in reciprocal[i]: one searchsorted over every row's sorted
+    # set, each row offset past the previous one's values.
+    offsets = np.arange(n)[:, None] * (n + 1)
+    members = (np.sort(np.where(valid, reciprocal, n), axis=1) + offsets).ravel()
+    probes = candidates + offsets[:, :, None]
+    found = members[np.minimum(np.searchsorted(members, probes), members.size - 1)] == probes
+    overlap = (found & in_candidate).sum(axis=2)
+    accepted = valid & (overlap >= (2.0 / 3.0) * in_candidate.sum(axis=2))
+    grown = np.where(accepted[:, :, None] & in_candidate, candidates, -1).reshape(n, -1)
+    union = np.sort(np.concatenate([reciprocal, grown], axis=1), axis=1)
+    keep = union >= 0
+    keep[:, 1:] &= union[:, 1:] != union[:, :-1]
+    if not keep.any(axis=1).all():
+        raise ValueError("a point has more than k1 exact duplicates, so its k-reciprocal set is empty")
+    return np.nonzero(keep)[0], union[keep]
+
+
+def _jaccard(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n_q: int, n: int) -> np.ndarray:
+    """Jaccard distance 1 - sum(min) / sum(max) between each query row
+    (< n_q) and each gallery row (n_q..n-1) of a sparse encoding sorted by
+    row.
+
+    sum(min) joins every query entry with the gallery entries of its
+    column through an inverted index; sum(max) = sum(a) + sum(b) - sum(min).
+    Reciprocity caps how many rows hold any one column, so the join grows
+    linearly with N.
+    """
+    n_g = n - n_q
+    split = np.searchsorted(rows, n_q)  # query entries come first
+    by_col = split + np.argsort(cols[split:], kind="stable")  # gallery entries by column
+    col_count = np.bincount(cols[by_col], minlength=n)
+    pairs = col_count[cols[:split]]
+    entry = np.repeat(np.arange(split), pairs)
+    partner = by_col[_ranges((np.cumsum(col_count) - col_count)[cols[:split]], pairs)]
+    mins = np.minimum(values[entry], values[partner])
+    min_sum = np.bincount(rows[entry] * n_g + rows[partner] - n_q, weights=mins, minlength=n_q * n_g)
+    min_sum = min_sum.reshape(n_q, n_g)
+    row_sums = np.bincount(rows, weights=values, minlength=n)
+    return 1.0 - min_sum / (row_sums[:n_q, None] + row_sums[None, n_q:] - min_sum)
 
 
 def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = RerankParams()) -> np.ndarray:
@@ -136,6 +230,14 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     and measure Jaccard distance 1 - sum(min) / sum(max) between query
     and gallery encodings. The result blends with the original distance:
     (1 - lambda) * jaccard + lambda * original.
+
+    As in Zhong et al.'s reference code (CVPR 2017), the encodings are
+    sparse: (row, column, value) arrays sorted by row then column, and
+    Jaccard goes through an inverted index over gallery rows. Reciprocity
+    and expansion are tested on padded (N, k1 + 1) and
+    (N, k1 + 1, k1/2 + 1) neighbour tables. Besides the N x N distances,
+    one partitioned copy of them while neighbours are found, and the
+    (n_q, n_g) result, the working arrays grow linearly with N.
     """
     q_feats = np.asarray(q_feats, dtype=np.float64)
     g_feats = np.asarray(g_feats, dtype=np.float64)
@@ -143,39 +245,31 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     total = n_q + n_g
     if params.k1 >= total:
         raise ValueError(f"k1 ({params.k1}) must be < number of points ({total})")
-
     feats = np.vstack([q_feats, g_feats])
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
+
     original = pairwise_euclidean(feats, feats)
-    order = np.argsort(original, axis=1, kind="stable")
+    order = _nearest(original, params.k1)  # (N, k1 + 1), nearest first
 
-    half_k = int(np.floor(params.k1 / 2.0 + 0.5))
-    reciprocal = [_k_reciprocal(order, i, params.k1) for i in range(total)]
-    half_reciprocal = [_k_reciprocal(order, i, half_k) for i in range(total)]
-
-    encoding = np.zeros((total, total))
-    for i in range(total):
-        expanded = set(reciprocal[i].tolist())
-        for candidate in reciprocal[i]:
-            candidate_set = half_reciprocal[candidate]
-            overlap = np.intersect1d(candidate_set, reciprocal[i], assume_unique=True).size
-            if overlap >= (2.0 / 3.0) * candidate_set.size:
-                expanded.update(candidate_set.tolist())
-        idx = np.fromiter(sorted(expanded), dtype=np.int64)
-        weights = np.exp(-(original[i, idx] - original[i, idx].min()))
-        encoding[i, idx] = weights / weights.sum()
+    rows, cols = _expanded_sets(order, params.k1)
+    row_len = np.bincount(rows, minlength=total)
+    starts = np.cumsum(row_len) - row_len
+    dists = original[rows, cols]
+    weights = np.exp(-(dists - np.minimum.reduceat(dists, starts)[rows]))
+    values = weights / np.bincount(rows, weights=weights, minlength=total)[rows]
 
     if params.k2 > 1:
-        encoding = np.stack([encoding[order[i, : params.k2]].mean(axis=0) for i in range(total)])
+        # Mean over the k2 nearest neighbours' rows: gather their entries
+        # in neighbour order, then merge equal (row, column) keys.
+        group = order[:, : params.k2].ravel()
+        src = _ranges(starts[group], row_len[group])
+        keys = np.repeat(np.arange(total).repeat(params.k2), row_len[group]) * total + cols[src]
+        keys, inverse = np.unique(keys, return_inverse=True)
+        values = np.bincount(inverse, weights=values[src]) / params.k2
+        rows, cols = keys // total, keys % total
 
-    v_query = encoding[:n_q]
-    v_gallery = encoding[n_q:]
-    jaccard = np.empty((n_q, n_g))
-    for i in range(n_q):
-        minimum = np.minimum(v_query[i][None, :], v_gallery).sum(axis=1)
-        maximum = np.maximum(v_query[i][None, :], v_gallery).sum(axis=1)
-        jaccard[i] = 1.0 - minimum / maximum
-
-    return (1.0 - params.lam) * jaccard + params.lam * original[:n_q, n_q:]
+    return (1.0 - params.lam) * _jaccard(rows, cols, values, n_q, total) + params.lam * original[:n_q, n_q:]
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +321,31 @@ def save_embeddings(path, embeddings: EmbeddingSet) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
+    """Read a file written by ``save_embeddings``.
+
+    Raises ValueError for an empty file, a header without feature columns,
+    a row of the wrong width or with a non-numeric field, a file without
+    rows, and a NaN or infinite feature, which would poison every distance.
+    """
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None or header[:2] != ["person_id", "camera_id"] or len(header) < 3:
+            raise ValueError(f"{path}: expected a person_id,camera_id,f0,... header")
         d = len(header) - 2
         pids, cams, rows = [], [], []
         for row in reader:
+            if len(row) != d + 2:
+                raise ValueError(f"{path}:{reader.line_num}: expected {d + 2} fields, got {len(row)}")
             pids.append(int(row[0]))
             cams.append(int(row[1]))
-            rows.append([float(v) for v in row[2 : 2 + d]])
-    return EmbeddingSet(np.array(rows, dtype=np.float64), np.array(pids), np.array(cams))
+            rows.append([float(v) for v in row[2:]])
+    if not rows:
+        raise ValueError(f"{path}: no embeddings")
+    features = np.array(rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise ValueError(f"{path}: non-finite feature value")
+    return EmbeddingSet(features, np.array(pids), np.array(cams))
 
 
 def save_results(path, result: EvalResult) -> None:

@@ -1,5 +1,7 @@
 """Retrieval metrics and k-reciprocal re-ranking against naive oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,34 @@ class TestPairwiseEuclidean:
         )
 
     def test_zero_diagonal_and_symmetry(self):
-        x = np.random.default_rng(0).normal(size=(6, 4))
-        d = evaluation.pairwise_euclidean(x, x)
-        np.testing.assert_array_equal(np.diag(d), np.zeros(6))
-        np.testing.assert_allclose(d, d.T, atol=0)
+        rng = np.random.default_rng(0)
+        for n, dim in [(6, 4), (300, 64)]:  # one block, then many
+            x = rng.normal(size=(n, dim))
+            d = evaluation.pairwise_euclidean(x, x)
+            np.testing.assert_array_equal(np.diag(d), np.zeros(n))
+            np.testing.assert_array_equal(d, d.T)
+
+    @pytest.mark.parametrize(
+        "n_q, n_g, dim, same",
+        [(300, 700, 37, False), (400, 400, 256, True), (0, 5, 3, False), (5, 0, 3, False), (33, 50, 1, False)],
+    )
+    def test_bitwise_equal_to_unblocked_formula(self, n_q, n_g, dim, same):
+        rng = np.random.default_rng(n_q + n_g + dim)
+        q = rng.normal(size=(n_q, dim))
+        g = q if same else rng.normal(size=(n_g, dim))
+        want = np.sqrt(((q[:, None] - g[None]) ** 2).sum(axis=2))
+        np.testing.assert_array_equal(evaluation.pairwise_euclidean(q, g), want)
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        rng = np.random.default_rng(2)
+        q, g = rng.normal(size=(1000, 64)), rng.normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            out = evaluation.pairwise_euclidean(q, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -148,19 +174,52 @@ class TestRerank:
         want = rerank_transcription(q, g, k1=4, k2=2, lam=0.3)
         assert np.max(np.abs(got - want)) < 1e-8
 
+    # (n_q, n_g, d, identities, k1, k2, lambda) per seed.
+    ORACLE_INSTANCES = [
+        (4, 9, 3, 3, 5, 3, 0.4),
+        (20, 60, 4, 10, 6, 3, 0.4),
+        (30, 90, 8, 15, 10, 1, 0.0),
+        (50, 150, 6, 25, 20, 6, 0.3),
+        (40, 160, 5, 20, 12, 12, 0.9),
+    ]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_transcription_oracle_more_instances(self, seed):
+        n_q, n_g, d, n_ids, k1, k2, lam = self.ORACLE_INSTANCES[seed]
         rng = np.random.default_rng(100 + seed)
-        q = rng.normal(size=(4, 3))
-        g = rng.normal(size=(9, 3))
-        got = evaluation.rerank(q, g, evaluation.RerankParams(k1=5, k2=3, lam=0.4))
-        want = rerank_transcription(q, g, k1=5, k2=3, lam=0.4)
+        # Clustered points, so that neighbour sets overlap and get expanded,
+        # with a tenth of them copied onto others to force distance ties.
+        centers = rng.normal(size=(n_ids, d))
+        feats = centers[rng.integers(0, n_ids, n_q + n_g)] + 0.4 * rng.normal(size=(n_q + n_g, d))
+        src, dst = rng.choice(n_q + n_g, size=(2, (n_q + n_g) // 10), replace=False)
+        feats[dst] = feats[src]
+        q, g = feats[:n_q], feats[n_q:]
+        got = evaluation.rerank(q, g, evaluation.RerankParams(k1=k1, k2=k2, lam=lam))
+        want = rerank_transcription(q, g, k1=k1, k2=k2, lam=lam)
         assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_peak_memory_within_a_few_distance_matrices(self):
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(125, 64))
+        feats = centers[np.repeat(np.arange(125), 8)] + 0.3 * rng.normal(size=(1000, 64))
+        tracemalloc.start()
+        try:
+            evaluation.rerank(feats[:250], feats[250:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1000**2 * 8
 
     def test_k1_bound_checked(self):
         q, g = self._toy()
         with pytest.raises(ValueError):
             evaluation.rerank(q, g, evaluation.RerankParams(k1=11, k2=2, lam=0.3))
+
+    def test_non_finite_features_rejected(self):
+        q, g = self._toy()
+        g[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            evaluation.rerank(q, g, evaluation.RerankParams(k1=4, k2=2, lam=0.3))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -199,6 +258,18 @@ class TestEmbeddingFiles:
         np.testing.assert_array_equal(loaded.features, emb.features)
         np.testing.assert_array_equal(loaded.person_ids, emb.person_ids)
         np.testing.assert_array_equal(loaded.camera_ids, emb.camera_ids)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("")
+        with pytest.raises(ValueError):
+            evaluation.load_embeddings(path)
+
+    def test_non_finite_feature_rejected(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("person_id,camera_id,f0,f1\n0,1,0.5,1.0\n1,1,nan,1.0\n")
+        with pytest.raises(ValueError):
+            evaluation.load_embeddings(path)
 
     def test_results_file_layout(self, tmp_path):
         result = evaluation.EvalResult(0.5, np.array([0.25, 0.5, 1.0]), np.array([0.5]), 1)

@@ -8,6 +8,7 @@ its --out directory.
 """
 
 import argparse
+import csv
 import os
 import shutil
 import sys
@@ -256,8 +257,6 @@ def cmd_train(cfg: dict) -> None:
         result = _run_training(cfg, dataset, variant, seed, os.path.join(out, f"seed{seed}"))
         finals.append(result.history[-1])
         print(f"seed {seed}: final loss {result.history[-1]['loss_total']:.4f}")
-    import csv
-
     with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["metric", "mean", "std"])
@@ -353,11 +352,10 @@ def cmd_activations(cfg: dict) -> None:
         ppm.write_ppm(os.path.join(out, f"{base}_overlay.ppm"), np.clip(np.rint(overlay), 0, 255).astype(np.uint8))
 
         if cfg["show-dropmask"]:
-            drop_cfg = topdrop.DropConfig(cfg["height-ratio"], cfg["power"], "top")
-            mask = topdrop.top_drop_mask(topdrop.stripe_relevance(act), drop_cfg, features.shape)
-            rows = mask.expand()[0]  # (h, w), identical across channels
-            mask_up = _upscale_nearest(rows, h, w)
-            ppm.write_pgm(os.path.join(out, f"{base}_dropmask.pgm"), (mask_up * 255).astype(np.uint8))
+            drop_cfg = topdrop.DropConfig(cfg["height-ratio"], cfg["power"])
+            dropped = topdrop.top_drop_mask(topdrop.stripe_relevance(act), drop_cfg)
+            keep = _upscale_nearest(np.broadcast_to(~dropped[:, None], act.shape), h, w)
+            ppm.write_pgm(os.path.join(out, f"{base}_dropmask.pgm"), keep.astype(np.uint8) * 255)
     print(f"wrote activation exports for {len(cfg['images'])} images under {out}")
 
 
@@ -389,8 +387,6 @@ def cmd_ablation(cfg: dict) -> None:
                 repr(float(np.std(rank1s))),
             ]
         )
-    import csv
-
     with open(os.path.join(out, "ablation.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "map_mean", "map_std", "rank1_mean", "rank1_std"])

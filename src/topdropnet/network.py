@@ -273,10 +273,10 @@ class ReidModel(tc.Module):
         pooled = tc.global_avg_pool(features)
         return self.global_head(self.global_reduce(pooled))
 
-    def topdrop_stream(self, g: tc.Tensor, masks=None) -> StreamOutputs:
+    def topdrop_stream(self, g: tc.Tensor, dropped=None) -> StreamOutputs:
         """Masked max-pooled drop-stream feature; eval mode never masks."""
-        if self.training and masks is not None:
-            g = topdrop.apply_mask(g, masks)
+        if self.training and dropped is not None:
+            g = topdrop.apply_mask(g, dropped)
         pooled = tc.global_max_pool(g)
         return self.drop_head(self.drop_reduce(pooled))
 
@@ -285,18 +285,28 @@ class ReidModel(tc.Module):
 
     # -- orchestration ------------------------------------------------------
 
-    def forward_train(self, images: tc.Tensor, masks=None) -> dict:
-        """All active streams; masks come from the trainer (built from the
-        backbone output, applied to the refined tensor)."""
-        streams = active_streams(self.variant)
+    def _run_streams(self, images: tc.Tensor, streams: tuple, mask_fn=None) -> dict:
         features = self.backbone_forward(images)
+        dropped = mask_fn(features) if mask_fn is not None else None
         refined = self.bottleneck_pair(features)
-        out = {"global": self.global_stream(features)}
-        if "drop" in streams:
-            out["drop"] = self.topdrop_stream(refined, masks)
-        if "reg" in streams:
-            out["reg"] = self.reg_stream(refined)
+        out = {}
+        for stream in streams:
+            if stream == "global":
+                out[stream] = self.global_stream(features)
+            elif stream == "drop":
+                out[stream] = self.topdrop_stream(refined, dropped)
+            else:
+                out[stream] = self.reg_stream(refined)
         return out
+
+    def forward_train(self, images: tc.Tensor, mask_fn=None) -> dict:
+        """All active streams.
+
+        ``mask_fn`` maps the backbone features to the drop stream's
+        dropped rows ((n, h), or (h,) shared by the batch), which are
+        applied to the refined tensor; without it nothing is dropped.
+        """
+        return self._run_streams(images, active_streams(self.variant), mask_fn)
 
     def embed_dim(self) -> int:
         dims = {"global": self.cfg.d_global, "drop": self.cfg.d_drop, "reg": self.cfg.backbone.feature_channels()}
@@ -310,17 +320,8 @@ class ReidModel(tc.Module):
         """
         if self.training:
             raise tc.TensorError("inference_embed requires eval mode")
-        features = self.backbone_forward(images)
-        refined = self.bottleneck_pair(features)
-        parts = []
-        for stream in embed_streams(self.variant):
-            if stream == "global":
-                parts.append(self.global_stream(features).neck_feature.data)
-            elif stream == "drop":
-                parts.append(self.topdrop_stream(refined).neck_feature.data)
-            else:
-                parts.append(self.reg_stream(refined).neck_feature.data)
-        return np.concatenate(parts, axis=1)
+        out = self._run_streams(images, embed_streams(self.variant))
+        return np.concatenate([s.neck_feature.data for s in out.values()], axis=1)
 
 
 def normalize_images(images: np.ndarray, dtype=np.float64) -> tc.Tensor:

@@ -15,6 +15,9 @@ operations require exactly equal shapes (the only broadcast is the
 documented channel bias add).
 """
 
+import math
+import os
+import re
 import threading
 
 import numpy as np
@@ -602,11 +605,18 @@ _DTYPE_TOKENS = {
     "u1": np.dtype("|u1"),
 }
 _TOKEN_FOR_KIND = {v.str: k for k, v in _DTYPE_TOKENS.items()}
+# name, comma-separated extents, dtype token, payload offset
+_HEADER_LINE = re.compile(r"(\S+) (\d+(?:,\d+)*) (\S+) (\d+)", re.ASCII)
 
 
 def save_arrays(path, arrays: dict) -> None:
     """Write named arrays: UTF-8 header ``name shape dtype offset`` lines,
-    a blank line, then the raw little-endian payloads in header order."""
+    a blank line, then the raw little-endian payloads in header order.
+
+    The file is written to a temporary name in the same directory, synced
+    and renamed over ``path``, so a failed write leaves any previous file
+    intact.
+    """
     header = [CHECKPOINT_MAGIC]
     payload = bytearray()
     for name, arr in arrays.items():
@@ -620,12 +630,22 @@ def save_arrays(path, arrays: dict) -> None:
         shape = ",".join(str(s) for s in (arr.shape or (1,)))
         header.append(f"{name} {shape} {token} {len(payload)}")
         payload.extend(arr.tobytes())
-    with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n\n").encode("utf-8"))
-        f.write(bytes(payload))
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(("\n".join(header) + "\n\n").encode("utf-8"))
+            f.write(bytes(payload))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_arrays(path) -> dict:
+    """Read a :func:`save_arrays` file; any malformed content raises ValueError."""
     with open(path, "rb") as f:
         blob = f.read()
     head, sep, payload = blob.partition(b"\n\n")
@@ -636,11 +656,20 @@ def load_arrays(path) -> dict:
         raise ValueError(f"bad checkpoint version tag {lines[0]!r}")
     arrays = {}
     for line in lines[1:]:
-        name, shape_s, token, offset_s = line.split(" ")
+        match = _HEADER_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"malformed checkpoint header line {line!r}")
+        name, shape_s, token, offset_s = match.groups()
+        if token not in _DTYPE_TOKENS:
+            raise ValueError(f"unknown dtype token {token!r} for {name!r}")
         shape = tuple(int(s) for s in shape_s.split(","))
-        dtype = _DTYPE_TOKENS[token]
         offset = int(offset_s)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        dtype = _DTYPE_TOKENS[token]
+        nbytes = math.prod(shape) * dtype.itemsize
+        if offset + nbytes > len(payload):
+            raise ValueError(
+                f"array {name!r} needs bytes [{offset}, {offset + nbytes}) of a {len(payload)}-byte payload"
+            )
         arrays[name] = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
     return arrays
 
@@ -717,6 +746,9 @@ class Module:
         return state
 
     def load_state_arrays(self, state: dict) -> None:
+        missing = [k for k in self.state_arrays() if k not in state]
+        if missing:
+            raise ValueError(f"state is missing {len(missing)} arrays, first {missing[0]!r}")
         for n, t in self.named_parameters():
             arr = state[f"param.{n}"]
             if tuple(arr.shape) != t.shape:

@@ -2,10 +2,11 @@
 
 A feature map is collapsed into a spatial activation map (channel sum of
 |F|^p), the activation map into per-row stripe relevances (row means), and
-the rows with the largest relevance are zeroed through a binary mask that
-spans all channels and the full width. The mask is built per image from
-the backbone output and applied to the post-bottleneck tensor, with
-gradients flowing only through kept entries.
+the rows with the largest relevance are dropped. A drop mask is a boolean
+array of dropped rows: (n, h) with one row set per image, or (h,) for one
+set shared by the batch. It is built from the backbone output and applied
+to the post-bottleneck tensor, zeroing each dropped row across all
+channels and the full width; gradients flow only through kept entries.
 
 A random contiguous-stripe mask shared by the whole batch is provided as
 the ablation baseline.
@@ -25,86 +26,65 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class DropConfig:
-    """How stripes are selected.
-
-    mode "top" ranks rows by relevance per image, "random" drops one
-    contiguous block shared by the batch, "none" disables dropping.
-    """
+    """Share of rows to drop and the activation-map exponent."""
 
     height_ratio: float = 0.3
     p: float = 2.0
-    mode: str = "top"
 
     def __post_init__(self):
         if not 0.0 < self.height_ratio <= 1.0:
             raise ValueError(f"height_ratio must be in (0, 1], got {self.height_ratio}")
         if self.p < 1.0:
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.mode not in ("top", "random", "none"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class TopDropMask:
-    """A dropped-row set plus the (c, h, w) shape it expands to."""
-
-    dropped_rows: frozenset
-    shape: tuple
-
-    def expand(self) -> np.ndarray:
-        c, h, w = self.shape
-        mask = np.ones((c, h, w))
-        for row in self.dropped_rows:
-            mask[:, row, :] = 0.0
-        return mask
 
 
 def activation_map(feature_map: np.ndarray, p: float = 2.0) -> np.ndarray:
-    """Collapse (c, h, w) into the (h, w) map of channel sums of |F|^p."""
+    """Collapse (..., c, h, w) into the (..., h, w) map of channel sums of |F|^p."""
     feature_map = np.asarray(feature_map, dtype=np.float64)
-    if feature_map.ndim != 3:
-        raise ValueError(f"expected (c, h, w), got shape {feature_map.shape}")
+    if feature_map.ndim < 3:
+        raise ValueError(f"expected (..., c, h, w), got shape {feature_map.shape}")
     if not np.all(np.isfinite(feature_map)):
         raise ValueError("non-finite feature map")
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    return (np.abs(feature_map) ** p).sum(axis=0)
+    return (np.abs(feature_map) ** p).sum(axis=-3)
 
 
 def stripe_relevance(act: np.ndarray) -> np.ndarray:
-    """Per-row mean of an (h, w) activation map."""
+    """Per-row mean of an (..., h, w) activation map."""
     act = np.asarray(act, dtype=np.float64)
-    if act.ndim != 2:
-        raise ValueError(f"expected (h, w), got shape {act.shape}")
-    return act.mean(axis=1)
+    if act.ndim < 2:
+        raise ValueError(f"expected (..., h, w), got shape {act.shape}")
+    return act.mean(axis=-1)
 
 
 def num_drop_rows(h: int, height_ratio: float) -> int:
     return max(1, round_half_up(h * height_ratio))
 
 
-def top_drop_mask(relevance: np.ndarray, cfg: DropConfig, shape: tuple) -> TopDropMask:
-    """Mask dropping the num_drop rows with largest relevance.
+def top_drop_mask(relevance: np.ndarray, cfg: DropConfig) -> np.ndarray:
+    """Dropped rows of an (..., h) relevance array: the num_drop largest.
 
     num_drop = max(1, round-half-up(h * height_ratio)); ties are broken by
-    dropping the lower row index first. Built per image, never shared.
+    dropping the lower row index first. Each leading index (image) gets
+    its own row set.
     """
     relevance = np.asarray(relevance, dtype=np.float64)
-    c, h, w = shape
-    if relevance.shape != (h,):
-        raise ValueError(f"relevance length {relevance.shape} does not match height {h}")
+    h = relevance.shape[-1]
     ndrop = num_drop_rows(h, cfg.height_ratio)
     if ndrop >= h:
         raise ValueError(f"would drop all rows: num_drop={ndrop}, h={h}")
     # Stable sort of -relevance keeps original order among ties, so the
     # lower row index is dropped first.
-    order = np.argsort(-relevance, kind="stable")
-    return TopDropMask(frozenset(int(i) for i in order[:ndrop]), (c, h, w))
+    order = np.argsort(-relevance, axis=-1, kind="stable")
+    dropped = np.zeros(relevance.shape, dtype=bool)
+    np.put_along_axis(dropped, order[..., :ndrop], True, axis=-1)
+    return dropped
 
 
-def batch_drop_mask(h: int, w: int, height_ratio: float, rng, channels: int) -> TopDropMask:
+def batch_drop_mask(h: int, height_ratio: float, rng) -> np.ndarray:
     """Baseline mask: a contiguous block of floor(h * ratio) rows at a
-    uniformly random start, shared by the whole batch.
+    uniformly random start, shared by the whole batch; returned as (h,).
 
     ``rng`` is a caller-owned numpy Generator or an integer seed for the
     documented stream.
@@ -117,37 +97,29 @@ def batch_drop_mask(h: int, w: int, height_ratio: float, rng, channels: int) -> 
     if block >= h:
         raise ValueError(f"block of {block} rows would drop all of h={h}")
     start = int(rng.integers(0, h - block + 1))
-    return TopDropMask(frozenset(range(start, start + block)), (channels, h, w))
+    dropped = np.zeros(h, dtype=bool)
+    dropped[start : start + block] = True
+    return dropped
 
 
-def masks_from_features(features: np.ndarray, cfg: DropConfig) -> list:
-    """Per-image top masks for a (n, c, h, w) feature batch."""
+def masks_from_features(features: np.ndarray, cfg: DropConfig) -> np.ndarray:
+    """Per-image (n, h) top masks for a (n, c, h, w) feature batch."""
     features = np.asarray(features)
     if features.ndim != 4:
         raise ValueError(f"expected (n, c, h, w), got {features.shape}")
-    shape = features.shape[1:]
-    masks = []
-    for image_features in features:
-        act = activation_map(image_features, cfg.p)
-        masks.append(top_drop_mask(stripe_relevance(act), cfg, shape))
-    return masks
+    return top_drop_mask(stripe_relevance(activation_map(features, cfg.p)), cfg)
 
 
-def apply_mask(g: tc.Tensor, masks) -> tc.Tensor:
+def apply_mask(g: tc.Tensor, dropped: np.ndarray) -> tc.Tensor:
     """Zero dropped rows of a (n, c, h, w) tensor.
 
-    ``masks`` is one TopDropMask per image or a single mask shared by the
-    batch. The mask is a constant: gradient flows only through kept
-    entries.
+    ``dropped`` is an (n, h) boolean array with one row set per image or
+    an (h,) array shared by the batch. The mask is a constant: gradient
+    flows only through kept entries.
     """
-    n = g.shape[0]
-    if isinstance(masks, TopDropMask):
-        masks = [masks] * n
-    if len(masks) != n:
-        raise ValueError(f"{len(masks)} masks for batch of {n}")
-    expanded = np.empty(g.shape, dtype=g.data.dtype)
-    for i, mask in enumerate(masks):
-        if tuple(mask.shape) != tuple(g.shape[1:]):
-            raise ValueError(f"mask shape {mask.shape} does not match {g.shape[1:]}")
-        expanded[i] = mask.expand()
-    return tc.mul(g, tc.Tensor(expanded, dtype=g.data.dtype))
+    n, _, h, _ = g.shape
+    dropped = np.asarray(dropped, dtype=bool)
+    if dropped.shape not in ((n, h), (h,)):
+        raise ValueError(f"mask shape {dropped.shape} matches neither ({n}, {h}) nor ({h},)")
+    keep = (~dropped).astype(g.data.dtype)[..., None, :, None]
+    return tc.mul(g, tc.Tensor(np.broadcast_to(keep, g.shape), dtype=g.data.dtype))

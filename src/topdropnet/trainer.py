@@ -11,6 +11,7 @@ bitwise identical to an uninterrupted run and keeps augmentation draws
 identical across model variants for paired comparisons.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -140,16 +141,6 @@ def build_model(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> network.R
     return network.ReidModel(num_classes, model_cfg, seed=cfg.seed)
 
 
-def _batch_masks(mode: str, features: tc.Tensor, cfg: TrainConfig, mask_gen):
-    if mode == "none":
-        return None
-    if mode == "top":
-        drop_cfg = topdrop.DropConfig(cfg.height_ratio, cfg.activation_power, "top")
-        return topdrop.masks_from_features(features.data, drop_cfg)
-    n, c, h, w = features.shape
-    return topdrop.batch_drop_mask(h, w, cfg.height_ratio, mask_gen, channels=c)
-
-
 def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) -> dict:
     """One pass over the PK batches of an epoch; returns mean losses."""
     model.train()
@@ -157,8 +148,13 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
     label_map = dataset.train_label_map()
     aug_gen = rng_mod.generator(cfg.seed, "augment", epoch)
     mask_gen = rng_mod.generator(cfg.seed, "mask", epoch)
-    mode = network.mask_mode(cfg.variant)
-    streams = network.active_streams(cfg.variant)
+    mask_fn = {
+        "top": lambda f: topdrop.masks_from_features(
+            f.data, topdrop.DropConfig(cfg.height_ratio, cfg.activation_power)
+        ),
+        "random": lambda f: topdrop.batch_drop_mask(f.shape[2], cfg.height_ratio, mask_gen),
+        "none": None,
+    }[network.mask_mode(cfg.variant)]
 
     sums = {}
     batches = synthdata.epoch_batches(dataset.records, cfg.batch, cfg.seed, epoch)
@@ -169,14 +165,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
         labels = np.array([label_map[dataset.records[i].person_id] for i in batch])
 
         with tc.Tape() as tape:
-            features = model.backbone_forward(x)
-            masks = _batch_masks(mode, features, cfg, mask_gen)
-            refined = model.bottleneck_pair(features)
-            outputs = {"global": model.global_stream(features)}
-            if "drop" in streams:
-                outputs["drop"] = model.topdrop_stream(refined, masks)
-            if "reg" in streams:
-                outputs["reg"] = model.reg_stream(refined)
+            outputs = model.forward_train(x, mask_fn)
             loss, metrics = network.total_loss(outputs, labels, cfg.margin, cfg.label_epsilon)
             if not np.isfinite(loss.item()):
                 raise RuntimeError(
@@ -268,14 +257,22 @@ def save_checkpoint(path, result: FitResult) -> None:
     tc.save_arrays(path, arrays)
 
 
+def _meta(arrays, key: str) -> np.ndarray:
+    value = arrays.get(f"meta.{key}")
+    if value is None or value.size == 0 or value.dtype.kind not in "iu":
+        raise ValueError(f"checkpoint meta.{key} is missing or malformed")
+    return value
+
+
 def load_checkpoint(path):
+    """Arrays and metadata of a checkpoint; a malformed file raises ValueError."""
     arrays = tc.load_arrays(path)
     meta = {
-        "epoch": int(arrays["meta.epoch"][0]),
-        "adam_t": int(arrays["meta.adam_t"][0]),
-        "seed": int(arrays["meta.seed"][0]),
-        "config_hash": arrays["meta.config_hash"].tobytes().decode(),
-        "model": json.loads(arrays["meta.model_json"].tobytes().decode()),
+        "epoch": int(_meta(arrays, "epoch")[0]),
+        "adam_t": int(_meta(arrays, "adam_t")[0]),
+        "seed": int(_meta(arrays, "seed")[0]),
+        "config_hash": _meta(arrays, "config_hash").tobytes().decode(),
+        "model": json.loads(_meta(arrays, "model_json").tobytes().decode()),
     }
     return arrays, meta
 
@@ -307,8 +304,6 @@ def model_from_checkpoint(path) -> network.ReidModel:
 
 
 def write_history(path, history) -> None:
-    import csv
-
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(HISTORY_COLUMNS)

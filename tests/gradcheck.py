@@ -203,7 +203,7 @@ def tiny_model_setup(seed):
     labels = np.array([0, 0, 1, 1])
     model.train()
     features = model.backbone_forward(images)
-    drop_cfg = topdrop.DropConfig(height_ratio=0.3, p=2.0, mode="top")
+    drop_cfg = topdrop.DropConfig(height_ratio=0.3, p=2.0)
     masks = topdrop.masks_from_features(features.data, drop_cfg)
     return model, images, labels, masks
 
@@ -222,7 +222,7 @@ def full_loss_grad_check(seed):
     named = list(model.named_parameters())
 
     def loss_value():
-        outputs = model.forward_train(images, masks)
+        outputs = model.forward_train(images, lambda _: masks)
         loss, _ = network.total_loss(outputs, labels, margin=0.3, epsilon=0.1)
         return loss
 

@@ -110,25 +110,21 @@ def test_mechanism_oracles():
         ndrop = topdrop.num_drop_rows(h, cfg.height_ratio)
         if ndrop >= h:
             continue
-        mask = topdrop.top_drop_mask(rel, cfg, (c, h, w))
-        assert mask.dropped_rows == top_rows_sorted(rel, ndrop)
+        mask = topdrop.top_drop_mask(rel, cfg)
+        assert set(np.flatnonzero(mask)) == top_rows_sorted(rel, ndrop)
 
     f = rng.normal(size=(4, 8, 5))
-    base = topdrop.top_drop_mask(
-        topdrop.stripe_relevance(topdrop.activation_map(f, 2.0)), cfg, f.shape
-    ).dropped_rows
+    base = topdrop.top_drop_mask(topdrop.stripe_relevance(topdrop.activation_map(f, 2.0)), cfg)
     for scale in (1e-3, 1.0, 1e3):
-        scaled = topdrop.top_drop_mask(
-            topdrop.stripe_relevance(topdrop.activation_map(scale * f, 2.0)), cfg, f.shape
-        ).dropped_rows
-        assert scaled == base
+        scaled = topdrop.top_drop_mask(topdrop.stripe_relevance(topdrop.activation_map(scale * f, 2.0)), cfg)
+        assert np.array_equal(scaled, base)
 
     g = tc.astensor(rng.normal(size=(4, 3, 8, 5)))
     masks = topdrop.masks_from_features(g.data, cfg)
     masked = topdrop.apply_mask(g, masks)
     for i, mask in enumerate(masks):
         rel = topdrop.stripe_relevance(topdrop.activation_map(masked.data[i], 2.0))
-        assert all(rel[row] == 0.0 for row in mask.dropped_rows)
+        assert all(rel[row] == 0.0 for row in np.flatnonzero(mask))
     _criterion("mechanism oracles", "1000 instances exact; scale-invariant; masked rows at 0")
 
 

@@ -108,8 +108,8 @@ class TestStreams:
     def test_drop_stream_eval_ignores_masks(self):
         model = small_model().eval()
         g = tc.Tensor(np.random.default_rng(1).normal(size=(2, 16, 4, 2)))
-        mask = topdrop.TopDropMask(frozenset({0}), (16, 4, 2))
-        with_mask = model.topdrop_stream(g, [mask, mask]).triplet_feature.data
+        mask = np.array([[True, False, False, False]] * 2)
+        with_mask = model.topdrop_stream(g, mask).triplet_feature.data
         without = model.topdrop_stream(g).triplet_feature.data
         np.testing.assert_array_equal(with_mask, without)
 
@@ -117,8 +117,8 @@ class TestStreams:
         model = small_model()
         g = tc.Tensor(np.random.default_rng(2).normal(size=(2, 16, 4, 2)))
         model.train()
-        ones = topdrop.TopDropMask(frozenset(), (16, 4, 2))
-        train_feature = model.topdrop_stream(g, [ones, ones]).triplet_feature.data
+        ones = np.zeros((2, 4), dtype=bool)
+        train_feature = model.topdrop_stream(g, ones).triplet_feature.data
         model.eval()
         eval_feature = model.topdrop_stream(g).triplet_feature.data
         np.testing.assert_array_equal(train_feature, eval_feature)
@@ -130,8 +130,9 @@ class TestStreams:
         g = np.abs(rng.normal(size=(3, 16, 4, 2)))  # ReLU-positive case
         full_pool = tc.global_max_pool(tc.Tensor(g)).data
         for row in range(4):
-            mask = topdrop.TopDropMask(frozenset({row}), (16, 4, 2))
-            masked = tc.global_max_pool(topdrop.apply_mask(tc.Tensor(g), [mask] * 3)).data
+            mask = np.zeros((3, 4), dtype=bool)
+            mask[:, row] = True
+            masked = tc.global_max_pool(topdrop.apply_mask(tc.Tensor(g), mask)).data
             assert np.all(masked <= full_pool + 1e-15)
 
     def test_reg_stream_train_only_and_constant_pooling(self):
@@ -231,11 +232,10 @@ class TestTotalLoss:
     def _outputs(self, model, variant, seed=0):
         model.train()
         x = toy_images(seed=seed)
-        masks = None
+        mask_fn = None
         if network.mask_mode(variant) != "none":
-            features = model.backbone_forward(x)
-            masks = topdrop.masks_from_features(features.data, topdrop.DropConfig(0.3))
-        return model.forward_train(x, masks)
+            mask_fn = lambda features: topdrop.masks_from_features(features.data, topdrop.DropConfig(0.3))
+        return model.forward_train(x, mask_fn)
 
     def test_full_variant_has_three_streams_of_two_terms(self):
         model = small_model("full")

@@ -363,3 +363,34 @@ class TestCheckpointFile:
         assert head[0] == tc.CHECKPOINT_MAGIC
         assert head[1] == "a 2 f8 0"
         assert head[2] == "b 3 f8 16"
+
+    @pytest.mark.parametrize(
+        "header, payload, message",
+        [
+            pytest.param("a 2 f9 0", bytes(16), "unknown dtype token", id="unknown_dtype_token"),
+            pytest.param("a 2,3 f8 0", bytes(40), "byte payload", id="truncated_payload"),
+            pytest.param("a 2 f8 -8", bytes(16), "malformed", id="negative_offset"),
+            pytest.param("a 2 f8", bytes(16), "malformed", id="three_fields"),
+            pytest.param("a -2 f8 0", bytes(16), "malformed", id="negative_extent"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, payload, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(f"{tc.CHECKPOINT_MAGIC}\n{header}\n\n".encode() + payload)
+        with pytest.raises(ValueError, match=message):
+            tc.load_arrays(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        tc.save_arrays(path, {"a": np.arange(3.0)})
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tc.os, "fsync", fail)
+        with pytest.raises(OSError):
+            tc.save_arrays(path, {"a": np.arange(5.0), "b": np.ones(2)})
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(tc.load_arrays(path)["a"], np.arange(3.0))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -50,24 +50,36 @@ class TestStripeRelevance:
         np.testing.assert_allclose(topdrop.stripe_relevance(act), row_means_loops(act), atol=1e-12)
 
 
+def rows(mask):
+    """Dropped row indices of an (h,) mask as a set."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def row_mask(h, dropped):
+    mask = np.zeros(h, dtype=bool)
+    mask[list(dropped)] = True
+    return mask
+
+
 class TestTopDropMask:
     def test_round_half_up_single_drop(self):
-        mask = topdrop.top_drop_mask([2.5, 4.5], topdrop.DropConfig(0.3), (1, 2, 2))
-        assert mask.dropped_rows == {1}
+        mask = topdrop.top_drop_mask([2.5, 4.5], topdrop.DropConfig(0.3))
+        assert mask.shape == (2,) and mask.dtype == bool
+        assert rows(mask) == {1}
 
     def test_tie_drops_lower_index(self):
-        mask = topdrop.top_drop_mask([5.0, 5.0, 1.0], topdrop.DropConfig(0.34), (1, 3, 2))
-        assert mask.dropped_rows == {0}
+        mask = topdrop.top_drop_mask([5.0, 5.0, 1.0], topdrop.DropConfig(0.34))
+        assert rows(mask) == {0}
 
     def test_matches_sort_oracle_h24(self):
         r = np.random.default_rng(3).uniform(size=24)
-        mask = topdrop.top_drop_mask(r, topdrop.DropConfig(0.3), (2, 24, 8))
-        assert len(mask.dropped_rows) == 7  # round-half-up(7.2)
-        assert mask.dropped_rows == top_rows_sorted(r, 7)
+        mask = topdrop.top_drop_mask(r, topdrop.DropConfig(0.3))
+        assert mask.sum() == 7  # round-half-up(7.2)
+        assert rows(mask) == top_rows_sorted(r, 7)
 
     def test_drop_everything_rejected(self):
         with pytest.raises(ValueError):
-            topdrop.top_drop_mask([1.0, 2.0], topdrop.DropConfig(1.0), (1, 2, 2))
+            topdrop.top_drop_mask([1.0, 2.0], topdrop.DropConfig(1.0))
 
     def test_drop_count_exhaustive(self):
         # |dropped| == max(1, round-half-up(h * ratio)) for h in [2, 64].
@@ -77,12 +89,12 @@ class TestTopDropMask:
                 if expected >= h:
                     continue
                 r = np.random.default_rng(h * 100 + int(ratio * 10)).uniform(size=h)
-                mask = topdrop.top_drop_mask(r, topdrop.DropConfig(ratio), (1, h, 3))
-                assert len(mask.dropped_rows) == expected
+                mask = topdrop.top_drop_mask(r, topdrop.DropConfig(ratio))
+                assert mask.sum() == expected
 
     def test_expanded_mask_spans_channels_and_width(self):
-        mask = topdrop.TopDropMask(frozenset({1}), (3, 4, 5))
-        dense = mask.expand()
+        g = tc.astensor(np.ones((1, 3, 4, 5)))
+        dense = topdrop.apply_mask(g, row_mask(4, {1})[None]).data[0]
         assert dense.shape == (3, 4, 5)
         assert np.all(dense[:, 1, :] == 0)
         keep = np.ones(4, dtype=bool)
@@ -96,24 +108,30 @@ class TestScaleInvariance:
     def test_positive_scaling_keeps_row_set(self, scale, p):
         f = np.random.default_rng(7).normal(size=(4, 8, 5))
         cfg = topdrop.DropConfig(0.3, p)
-        base = topdrop.top_drop_mask(topdrop.stripe_relevance(topdrop.activation_map(f, p)), cfg, f.shape)
-        scaled = topdrop.top_drop_mask(
-            topdrop.stripe_relevance(topdrop.activation_map(scale * f, p)), cfg, f.shape
-        )
-        assert base.dropped_rows == scaled.dropped_rows
+        base = topdrop.top_drop_mask(topdrop.stripe_relevance(topdrop.activation_map(f, p)), cfg)
+        scaled = topdrop.top_drop_mask(topdrop.stripe_relevance(topdrop.activation_map(scale * f, p)), cfg)
+        np.testing.assert_array_equal(base, scaled)
 
 
 class TestApplyMask:
     def test_drops_row(self):
         g = tc.astensor([[[[1.0, 2.0], [3.0, 4.0]]]])
-        mask = topdrop.TopDropMask(frozenset({1}), (1, 2, 2))
-        out = topdrop.apply_mask(g, [mask])
+        out = topdrop.apply_mask(g, row_mask(2, {1})[None])
         np.testing.assert_array_equal(out.data, [[[[1.0, 2.0], [0.0, 0.0]]]])
 
     def test_all_ones_mask_is_identity(self):
         g = tc.astensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)))
-        mask = topdrop.TopDropMask(frozenset(), (3, 4, 4))
-        np.testing.assert_array_equal(topdrop.apply_mask(g, [mask, mask]).data, g.data)
+        for shape in ((2, 4), (4,)):
+            np.testing.assert_array_equal(topdrop.apply_mask(g, np.zeros(shape, dtype=bool)).data, g.data)
+
+    def test_shared_mask_equals_per_image_application(self):
+        g = tc.astensor(np.random.default_rng(6).normal(size=(3, 2, 6, 4)))
+        shared = row_mask(6, {2, 3})
+        batched = topdrop.apply_mask(g, shared).data
+        np.testing.assert_array_equal(batched, topdrop.apply_mask(g, np.tile(shared, (3, 1))).data)
+        for i in range(3):
+            alone = topdrop.apply_mask(tc.astensor(g.data[i : i + 1]), shared).data[0]
+            np.testing.assert_array_equal(batched[i], alone)
 
     def test_dropped_rows_have_zero_relevance_after_masking(self):
         g = tc.astensor(np.random.default_rng(1).normal(size=(3, 4, 8, 5)))
@@ -122,22 +140,24 @@ class TestApplyMask:
         masked = topdrop.apply_mask(g, masks)
         for i, mask in enumerate(masks):
             relevance = topdrop.stripe_relevance(topdrop.activation_map(masked.data[i]))
-            for row in mask.dropped_rows:
-                assert relevance[row] == 0.0
+            assert np.all(relevance[mask] == 0.0)
 
     def test_gradient_blocked_on_dropped_rows(self):
-        g = tc.parameter(np.random.default_rng(2).normal(size=(1, 2, 4, 3)))
-        mask = topdrop.TopDropMask(frozenset({0, 2}), (2, 4, 3))
-        with tc.Tape() as tape:
-            loss = tc.sum_all(topdrop.apply_mask(g, [mask]))
-        tc.backward(loss, tape)
-        assert np.all(g.grad[0, :, [0, 2], :] == 0)
-        assert np.all(g.grad[0, :, [1, 3], :] == 1)
+        mask = row_mask(4, {0, 2})
+        for dropped in (mask[None], mask):
+            g = tc.parameter(np.random.default_rng(2).normal(size=(1, 2, 4, 3)))
+            with tc.Tape() as tape:
+                loss = tc.sum_all(topdrop.apply_mask(g, dropped))
+            tc.backward(loss, tape)
+            assert np.all(g.grad[0, :, [0, 2], :] == 0)
+            assert np.all(g.grad[0, :, [1, 3], :] == 1)
 
     def test_mask_shape_mismatch_rejected(self):
         g = tc.astensor(np.zeros((1, 2, 4, 3)))
-        with pytest.raises(ValueError):
-            topdrop.apply_mask(g, [topdrop.TopDropMask(frozenset(), (2, 5, 3))])
+        # wrong h (per-image and shared), wrong n, extra axis
+        for shape in ((1, 5), (5,), (2, 4), (3,), (1, 1, 4)):
+            with pytest.raises(ValueError):
+                topdrop.apply_mask(g, np.zeros(shape, dtype=bool))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31))
@@ -148,50 +168,62 @@ class TestApplyMask:
         masks = topdrop.masks_from_features(g, cfg)
         pooled = tc.global_max_pool(topdrop.apply_mask(tc.astensor(g), masks)).data
         for i, mask in enumerate(masks):
-            kept = [r for r in range(6) if r not in mask.dropped_rows]
-            np.testing.assert_array_equal(pooled[i], g[i][:, kept, :].max(axis=(1, 2)))
+            np.testing.assert_array_equal(pooled[i], g[i][:, ~mask, :].max(axis=(1, 2)))
 
-    def test_per_image_independence_under_permutation(self):
-        f = np.random.default_rng(5).normal(size=(6, 3, 8, 4))
-        cfg = topdrop.DropConfig(0.3)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(2, 12), st.sampled_from([1.0, 2.0, 3.0]))
+    def test_per_image_independence_under_permutation(self, seed, n, h, p):
+        # Duplicated rows and images force ties, which must drop the lower
+        # row index first in every image; a permuted batch permutes masks.
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(n, 3, h, 4))
+        f[:, :, h // 2] = f[:, :, 0]
+        f[-1] = f[0]
+        cfg = topdrop.DropConfig(0.3, p)
         masks = topdrop.masks_from_features(f, cfg)
-        perm = np.array([4, 2, 0, 5, 1, 3])
-        permuted = topdrop.masks_from_features(f[perm], cfg)
-        for i, j in enumerate(perm):
-            assert permuted[i].dropped_rows == masks[j].dropped_rows
+        assert masks.shape == (n, h) and masks.dtype == bool
+        act = topdrop.activation_map(f, p)
+        for i in range(n):
+            np.testing.assert_array_equal(act[i], topdrop.activation_map(f[i], p))
+            relevance = topdrop.stripe_relevance(act[i])
+            np.testing.assert_array_equal(masks[i], topdrop.top_drop_mask(relevance, cfg))
+            assert rows(masks[i]) == top_rows_sorted(relevance, topdrop.num_drop_rows(h, 0.3))
+        perm = rng.permutation(n)
+        np.testing.assert_array_equal(topdrop.masks_from_features(f[perm], cfg), masks[perm])
 
 
 class TestBatchDropMask:
     def test_h3_third_drops_one_contiguous_row(self):
-        mask = topdrop.batch_drop_mask(3, 4, 1 / 3, rng_mod.generator(0, "t"), channels=2)
-        assert len(mask.dropped_rows) == 1
+        mask = topdrop.batch_drop_mask(3, 1 / 3, rng_mod.generator(0, "t"))
+        assert mask.shape == (3,) and mask.dtype == bool
+        assert mask.sum() == 1
 
     def test_h24_block_and_start_range(self):
         for seed in range(50):
-            mask = topdrop.batch_drop_mask(24, 8, 0.3, rng_mod.generator(seed, "t"), channels=1)
-            rows = sorted(mask.dropped_rows)
-            assert len(rows) == 7  # floor(7.2)
-            assert rows == list(range(rows[0], rows[0] + 7))
-            assert 0 <= rows[0] <= 17
+            mask = topdrop.batch_drop_mask(24, 0.3, rng_mod.generator(seed, "t"))
+            dropped = sorted(rows(mask))
+            assert len(dropped) == 7  # floor(7.2)
+            assert dropped == list(range(dropped[0], dropped[0] + 7))
+            assert 0 <= dropped[0] <= 17
 
     def test_block_taller_than_map_rejected(self):
         with pytest.raises(ValueError):
-            topdrop.batch_drop_mask(3, 4, 1.0, rng_mod.generator(0, "t"), channels=1)
+            topdrop.batch_drop_mask(3, 1.0, rng_mod.generator(0, "t"))
 
     def test_start_positions_uniform(self):
         # 18 valid starts for h=24, ratio 0.3; 10000 draws; 3 sigma band.
         counts = np.zeros(18)
         for seed in range(10000):
-            mask = topdrop.batch_drop_mask(24, 8, 0.3, rng_mod.generator(seed, "u"), channels=1)
-            counts[min(mask.dropped_rows)] += 1
+            mask = topdrop.batch_drop_mask(24, 0.3, rng_mod.generator(seed, "u"))
+            counts[np.argmax(mask)] += 1
         expected = 10000 / 18
         sigma = np.sqrt(10000 * (1 / 18) * (17 / 18))
         assert np.all(np.abs(counts - expected) <= 3 * sigma + 1)
 
     def test_integer_seed_accepted(self):
-        a = topdrop.batch_drop_mask(10, 4, 0.3, 123, channels=1)
-        b = topdrop.batch_drop_mask(10, 4, 0.3, 123, channels=1)
-        assert a.dropped_rows == b.dropped_rows
+        a = topdrop.batch_drop_mask(10, 0.3, 123)
+        b = topdrop.batch_drop_mask(10, 0.3, 123)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestDropConfig:
@@ -203,7 +235,3 @@ class TestDropConfig:
     def test_bad_power(self):
         with pytest.raises(ValueError):
             topdrop.DropConfig(p=0.5)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            topdrop.DropConfig(mode="sometimes")

@@ -1,7 +1,12 @@
 """Schedule, Adam, epoch orchestration, checkpoint resume."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topdropnet import network, synthdata, tensorcore as tc, topdrop, trainer
 
@@ -230,3 +235,56 @@ class TestFitAndCheckpoints:
         assert lines[0] == "epoch,lr,loss_global,loss_drop,loss_reg,loss_total"
         assert len(lines) == 3
         assert lines[1].split(",")[3] == ""  # empty loss_drop column
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """Bytes of a valid checkpoint of an untrained 8x8-input model."""
+    backbone = network.BackboneConfig(
+        stem_channels=4, stage_channels=(4, 4, 8), strides=(1, 1, 1), input_size=(8, 8)
+    )
+    cfg = network.ModelConfig(d_global=4, d_drop=4, backbone=backbone)
+    result = trainer.FitResult(network.ReidModel(3, cfg), [], trainer.AdamState(), 0, trainer.TrainConfig())
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    trainer.save_checkpoint(path, result)
+    return path.read_bytes()
+
+
+class TestMalformedCheckpoints:
+    def _without(self, small_checkpoint, tmp_path, prefix):
+        src = tmp_path / "src.ckpt"
+        src.write_bytes(small_checkpoint)
+        arrays = tc.load_arrays(src)
+        dropped = next(k for k in arrays if k.startswith(prefix))
+        del arrays[dropped]
+        path = tmp_path / "bad.ckpt"
+        tc.save_arrays(path, arrays)
+        return path
+
+    def test_missing_meta_entry_rejected(self, small_checkpoint, tmp_path):
+        path = self._without(small_checkpoint, tmp_path, "meta.")
+        with pytest.raises(ValueError, match="meta"):
+            trainer.load_checkpoint(path)
+
+    def test_missing_param_entry_rejected(self, small_checkpoint, tmp_path):
+        path = self._without(small_checkpoint, tmp_path, "param.")
+        with pytest.raises(ValueError, match="missing"):
+            trainer.model_from_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncated_or_flipped_byte_loads_or_raises_value_error(self, small_checkpoint, data):
+        blob = bytearray(small_checkpoint)
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            i = data.draw(st.integers(0, len(blob) - 1), label="index")
+            blob[i] ^= data.draw(st.integers(1, 255), label="xor")
+        with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects tmp_path
+            path = os.path.join(tmp, "fuzz.ckpt")
+            with open(path, "wb") as f:
+                f.write(blob)
+            try:
+                trainer.load_checkpoint(path)
+            except ValueError:
+                pass

@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values live in numpy arrays (float64 by default, float32 as an optional
-speed mode); every differentiable operation records a backward closure on
-the active :class:`Tape`. Calling :func:`backward` on a scalar loss replays
-the tape in exact reverse execution order and accumulates gradients into
-every ``requires_grad`` tensor reachable from the loss.
+Values live in float64 numpy arrays (a float32 array can be stored, but
+every operation returns float64); every differentiable operation records
+a backward closure on the active :class:`Tape`. Calling
+:func:`backward` on a scalar loss replays the tape in exact reverse
+execution order and accumulates gradients into every ``requires_grad``
+tensor reachable from the loss. Replay frees each record as it goes, so
+afterwards only leaf tensors (parameters and inputs) and the loss keep
+``.grad``; the gradients of intermediate results are dropped.
 
 Outside a ``with Tape():`` block nothing is recorded, so evaluation-mode
 code pays no graph cost and is trivially side-effect free.
@@ -41,7 +44,7 @@ class TensorError(ValueError):
 class Tensor:
     """A dense n-dimensional array with an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
@@ -158,7 +161,12 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Populate gradients of the leaves reachable from a scalar loss.
+
+    Each record is popped before its closure runs, and the output's
+    gradient is dropped after it, so the forward arrays a closure captured
+    are freed as soon as they are used. The tape is empty afterwards.
+    """
     if loss.data.size != 1:
         raise TensorError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape.consumed:
@@ -167,9 +175,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise TensorError("loss was not produced on this tape")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape._records):
+    records = tape._records
+    while records:
+        out, fn = records.pop()
         if out.grad is not None:
             fn(out.grad)
+            if out is not loss:
+                out.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +269,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def back(g):
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
+        if a.requires_grad:
+            accumulate_grad(a, g * b.data)
+        if b.requires_grad:
+            accumulate_grad(b, g * a.data)
 
     return record_op(out, (a, b), back)
 
@@ -369,15 +383,6 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def _conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
-    # Strided window view: (n, cin, ho, wo, kh, kw). Read-only; tensordot copies.
-    n, cin = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    shape = (n, cin, ho, wo, kh, kw)
-    strides = (sn, sc, sh * stride, sw * stride, sh, sw)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
-
-
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding, no bias.
 
@@ -400,17 +405,24 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise TensorError(f"conv2d: non-positive output extent for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, pad {pad}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _conv_cols(xp, kh, kw, stride, ho, wo)
-    # (n, cin, ho, wo, kh, kw) x (cout, cin, kh, kw) -> (n, ho, wo, cout)
-    val = np.tensordot(cols, k.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = Tensor(np.ascontiguousarray(val.transpose(0, 3, 1, 2)))
+    # im2col: the (n*ho*wo, cin*kh*kw) column matrix, built from a strided
+    # window view with the same transpose and C-order reshape that
+    # np.tensordot would use, so np.dot sees the same operands.
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, ho, wo, cin, kh, kw), strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False
+    )
+    cols = windows.reshape(n * ho * wo, cin * kh * kw)
+    val = np.dot(cols, k.data.transpose(1, 2, 3, 0).reshape(cin * kh * kw, cout))
+    out = Tensor(np.ascontiguousarray(val.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)))
 
     def back(g):
         if k.requires_grad:
-            gk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 2, 3]))
-            accumulate_grad(k, gk)
+            gk = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo), cols)
+            accumulate_grad(k, gk.reshape(cout, cin, kh, kw))
         if x.requires_grad:
-            # (n, cout, ho, wo) x (cout, cin, kh, kw) -> (n, ho, wo, cin, kh, kw)
+            # (n, cout, ho, wo) x (cout, cin, kh, kw) -> (n, ho, wo, cin, kh, kw);
+            # the scatter order below fixes the bits of gx.
             gcols = np.tensordot(g, k.data, axes=([1], [0]))
             gxp = np.zeros_like(xp)
             for i in range(kh):
@@ -425,7 +437,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    """Max pooling; gradient goes to the lowest linear index among ties."""
+    """Max pooling; gradient goes to the lowest linear index among ties.
+
+    Works on one strided plane per window offset: a running maximum that
+    moves only on a strictly greater value keeps the first (lowest linear
+    index) of tied maxima.
+    """
     if x.data.ndim != 4:
         raise TensorError("maxpool2d expects 4-d input")
     wh = ww = int(window)
@@ -437,18 +454,25 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         raise TensorError("maxpool2d: stride must be >= 1")
     ho = (h - wh) // stride + 1
     wo = (w - ww) // stride + 1
-    cols = _conv_cols(x.data, wh, ww, stride, ho, wo)
-    flat = cols.reshape(n, c, ho, wo, wh * ww)
-    idx = flat.argmax(axis=-1)  # first occurrence = lowest linear index
-    val = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def plane(arr, k):  # window offset k = i * ww + j, cropped to (ho, wo)
+        i, j = divmod(k, ww)
+        return arr[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
+
+    val = plane(x.data, 0).copy()
+    idx = np.zeros(val.shape, dtype=np.min_scalar_type(wh * ww - 1))
+    for k in range(1, wh * ww):
+        p = plane(x.data, k)
+        greater = p > val
+        val = np.where(greater, p, val)
+        # k exceeds every index stored so far, so a max is a branch-free select.
+        np.maximum(idx, np.multiply(greater, k, dtype=idx.dtype), out=idx)
     out = Tensor(val)
 
     def back(g):
         gx = np.zeros_like(x.data)
-        ni, ci, hi, wi = np.indices((n, c, ho, wo))
-        rows = hi * stride + idx // ww
-        colsx = wi * stride + idx % ww
-        np.add.at(gx, (ni, ci, rows, colsx), g)
+        for k in range(wh * ww):
+            plane(gx, k)[...] += np.where(idx == k, g, 0.0)
         accumulate_grad(x, gx)
 
     return record_op(out, (x,), back)
@@ -524,26 +548,38 @@ def batchnorm(
     if training:
         if x.shape[0] < 2:
             raise TensorError("batchnorm train mode needs batch extent >= 2")
+        count = x.data.size // cdim
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # One x - mean pass serves the variance and xhat. Summing its
+        # square and dividing by the count is what np.var does, bit for bit.
+        xhat = np.subtract(x.data, mean.reshape(bshape))
+        var = np.true_divide(np.add.reduce(np.square(xhat), axis=axes), count)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
         ivar = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean.reshape(bshape)) * ivar.reshape(bshape)
-        out = Tensor(xhat * gview + bview)
-        count = x.data.size // cdim
+        np.multiply(xhat, ivar.reshape(bshape), out=xhat)
+        y = np.multiply(xhat, gview)
+        out = Tensor(np.add(y, bview, out=y))
 
         def back(g):
+            # One scratch buffer holds g * xhat, dxhat * xhat and
+            # xhat * s2 / count in turn; each product keeps the operand
+            # order of gx = (dxhat - s1 / count - xhat * s2 / count) * ivar.
+            scratch = np.multiply(g, xhat)
             accumulate_grad(beta, g.sum(axis=axes))
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
+            accumulate_grad(gamma, scratch.sum(axis=axes))
             if x.requires_grad:
                 dxhat = g * gview
                 s1 = dxhat.sum(axis=axes).reshape(bshape)
-                s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-                gx = (dxhat - s1 / count - xhat * s2 / count) * ivar.reshape(bshape)
-                accumulate_grad(x, gx)
+                s2 = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes).reshape(bshape)
+                dxhat -= s1 / count
+                np.multiply(xhat, s2, out=scratch)
+                scratch /= count
+                dxhat -= scratch
+                dxhat *= ivar.reshape(bshape)
+                accumulate_grad(x, dxhat)
 
     else:
         ivar = 1.0 / np.sqrt(running_var + eps)

@@ -264,6 +264,34 @@ def _meta(arrays, key: str) -> np.ndarray:
     return value
 
 
+_MODEL_INTS = ("num_classes", "d_global", "d_drop", "stem_channels")
+_MODEL_LISTS = ("stage_channels", "strides", "input_size")
+
+
+def _model_json(arrays) -> dict:
+    """The model description stored by :func:`_model_meta`, checked for
+    exactly its keys, positive integer extents and a known variant."""
+    try:
+        m = json.loads(_meta(arrays, "model_json").tobytes().decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"checkpoint meta.model_json is not valid JSON: {exc}") from None
+
+    def extent(v):
+        return type(v) is int and v >= 1
+
+    valid = (
+        isinstance(m, dict)
+        and set(m) == {"variant", *_MODEL_INTS, *_MODEL_LISTS}
+        and m["variant"] in network.VARIANTS
+        and all(extent(m[k]) for k in _MODEL_INTS)
+        and all(isinstance(m[k], list) and m[k] and all(extent(v) for v in m[k]) for k in _MODEL_LISTS)
+        and len(m["input_size"]) == 2
+    )
+    if not valid:
+        raise ValueError(f"checkpoint meta.model_json does not describe a model: {m!r}")
+    return m
+
+
 def load_checkpoint(path):
     """Arrays and metadata of a checkpoint; a malformed file raises ValueError."""
     arrays = tc.load_arrays(path)
@@ -272,7 +300,7 @@ def load_checkpoint(path):
         "adam_t": int(_meta(arrays, "adam_t")[0]),
         "seed": int(_meta(arrays, "seed")[0]),
         "config_hash": _meta(arrays, "config_hash").tobytes().decode(),
-        "model": json.loads(_meta(arrays, "model_json").tobytes().decode()),
+        "model": _model_json(arrays),
     }
     return arrays, meta
 

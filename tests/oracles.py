@@ -1,8 +1,11 @@
 """Independent oracles for the test suite.
 
-Everything here is written as plain scalar loops straight from the
+Most of what is here is written as plain scalar loops straight from the
 definitions, deliberately ignoring how the package implements the same
-quantities, so the two sides can disagree.
+quantities, so the two sides can disagree. The exception is the section of
+byte-level references: the earlier vectorised conv2d, maxpool2d and
+train-mode batchnorm, kept so that their faster replacements can be
+required to produce the same bytes.
 """
 
 import math
@@ -193,3 +196,92 @@ def rerank_transcription(q_feats, g_feats, k1, k2, lam):
             jaccard = 1.0 - min_sum / max_sum
             final[i, j - n_q] = (1.0 - lam) * jaccard + lam * dist[i][j]
     return final
+
+
+# ---------------------------------------------------------------------------
+# Byte-level references for the rewritten tensor ops
+# ---------------------------------------------------------------------------
+# Each returns the forward output and a function mapping the upstream
+# gradient to the input gradients, computed exactly as tensorcore did before
+# its plane-wise max-pool, single-pass batchnorm and reused im2col matrix.
+
+
+def _windows(xp, kh, kw, stride, ho, wo):
+    """Strided window view: (n, cin, ho, wo, kh, kw)."""
+    n, cin = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    shape = (n, cin, ho, wo, kh, kw)
+    strides = (sn, sc, sh * stride, sw * stride, sh, sw)
+    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
+
+
+def conv2d_reference(x, k, stride, pad):
+    """Output and ``back(g) -> (gx, gk)`` through ``np.tensordot``."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = _windows(xp, kh, kw, stride, ho, wo)
+    val = np.tensordot(cols, k, axes=([1, 4, 5], [1, 2, 3]))
+    out = np.ascontiguousarray(val.transpose(0, 3, 1, 2))
+
+    def back(g):
+        gk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 2, 3]))
+        gcols = np.tensordot(g, k, axes=([1], [0]))
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gcols[
+                    :, :, :, :, i, j
+                ].transpose(0, 3, 1, 2)
+        gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+        return gx, gk
+
+    return out, back
+
+
+def maxpool2d_reference(x, window, stride):
+    """Output and ``back(g) -> gx`` through a window copy, ``argmax``
+    (first occurrence among ties) and ``np.add.at``."""
+    n, c, h, w = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    flat = _windows(x, window, window, stride, ho, wo).reshape(n, c, ho, wo, window * window)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        gx = np.zeros_like(x)
+        ni, ci, hi, wi = np.indices((n, c, ho, wo))
+        np.add.at(gx, (ni, ci, hi * stride + idx // window, wi * stride + idx % window), g)
+        return gx
+
+    return out, back
+
+
+def batchnorm_train_reference(x, gamma, beta, running_mean, running_var, momentum, eps):
+    """Train-mode output (statistics from ``np.var``; the running stats
+    are updated in place) and ``back(g) -> (gx, ggamma, gbeta)``."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    bshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    gview = gamma.reshape(bshape)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean.reshape(bshape)) * ivar.reshape(bshape)
+    out = xhat * gview + beta.reshape(bshape)
+    count = x.size // x.shape[1]
+
+    def back(g):
+        dxhat = g * gview
+        s1 = dxhat.sum(axis=axes).reshape(bshape)
+        s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
+        gx = (dxhat - s1 / count - xhat * s2 / count) * ivar.reshape(bshape)
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return out, back

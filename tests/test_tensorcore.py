@@ -1,5 +1,7 @@
 """Tensor engine: construction, op semantics, backward, checkpoint file."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from topdropnet import tensorcore as tc
 
 import gradcheck
+import oracles
 from oracles import finite_difference_grads, grads_agree
 
 
@@ -211,6 +214,137 @@ class TestBatchnorm:
         assert gradcheck.check(f, [x, gamma, beta])
 
 
+def assert_same_bytes(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def run_with_upstream(op, inputs, g):
+    """Forward ``op(*inputs)`` and backward with upstream gradient ``g``:
+    d/d out of sum(out * g) is exactly g."""
+    with tc.Tape() as tape:
+        out = op(*inputs)
+        loss = tc.sum_all(tc.mul(out, tc.Tensor(g)))
+    tc.backward(loss, tape)
+    return out.data, [t.grad for t in inputs]
+
+
+def pool_input(rng, shape, kind):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "relu":  # about half exact zeros
+        return np.maximum(rng.normal(size=shape), 0.0)
+    if kind == "equal":  # every window all-equal
+        return np.full(shape, rng.normal())
+    if kind == "signed_zeros":  # ties between 0.0 and -0.0
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0) * (rng.random(shape) < 0.8)
+    return rng.integers(-1, 2, size=shape).astype(np.float64)  # "ints": dense ties
+
+
+class TestRewrittenOpsMatchReferences:
+    """The plane-wise max-pool, single-pass batchnorm and im2col conv give
+    the bytes of the earlier implementations kept in ``oracles``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        window=st.integers(1, 3),
+        extra_stride=st.integers(0, 1),
+        h=st.integers(0, 6),
+        w=st.integers(0, 6),
+        kind=st.sampled_from(["normal", "relu", "equal", "signed_zeros", "ints"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_maxpool_non_overlapping_is_byte_equal(self, n, c, window, extra_stride, h, w, kind, seed):
+        rng = np.random.default_rng(seed)
+        stride = window + extra_stride
+        x = pool_input(rng, (n, c, window + h, window + w), kind)
+        ref_out, ref_back = oracles.maxpool2d_reference(x, window, stride)
+        g = rng.normal(size=ref_out.shape)
+        out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window, stride), [tc.Tensor(x, requires_grad=True)], g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(gx, ref_back(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        window=st.integers(2, 3),
+        h=st.integers(0, 6),
+        w=st.integers(0, 6),
+        kind=st.sampled_from(["normal", "relu", "equal", "ints"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_maxpool_overlapping_agrees(self, window, h, w, kind, seed):
+        # Overlapping windows sum into gx in another order, so only the
+        # forward bytes must match; gx agrees to float64 rounding.
+        rng = np.random.default_rng(seed)
+        stride = window - 1
+        x = pool_input(rng, (2, 2, window + h, window + w), kind)
+        ref_out, ref_back = oracles.maxpool2d_reference(x, window, stride)
+        g = rng.normal(size=ref_out.shape)
+        out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window, stride), [tc.Tensor(x, requires_grad=True)], g)
+        assert_same_bytes(out, ref_out)
+        np.testing.assert_allclose(gx, ref_back(g), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        four_d=st.booleans(),
+        n=st.integers(2, 5),
+        c=st.integers(1, 4),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        momentum=st.sampled_from([0.1, 0.25]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batchnorm_train_is_byte_equal(self, four_d, n, c, h, w, momentum, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, c, h, w) if four_d else (n, c)
+        x = rng.normal(1.0, 2.0, size=shape)
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        stats = rng.uniform(0.5, 2.0, size=(2, c))
+        ref_mean, ref_var = stats[0].copy(), stats[1].copy()
+        ref_out, ref_back = oracles.batchnorm_train_reference(x, gamma, beta, ref_mean, ref_var, momentum, 1e-5)
+        g = rng.normal(size=shape)
+        run_mean, run_var = stats[0].copy(), stats[1].copy()
+        inputs = [tc.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+
+        def op(xt, gt, bt):
+            return tc.batchnorm(xt, gt, bt, run_mean, run_var, training=True, momentum=momentum)
+
+        out, grads = run_with_upstream(op, inputs, g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(run_mean, ref_mean)
+        assert_same_bytes(run_var, ref_var)
+        for actual, expected in zip(grads, ref_back(g)):
+            assert_same_bytes(actual, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ksize=st.sampled_from([1, 3]),
+        stride=st.integers(1, 2),
+        pad=st.integers(0, 1),
+        n=st.integers(1, 3),
+        cin=st.integers(1, 3),
+        cout=st.integers(1, 3),
+        h=st.integers(0, 4),
+        w=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_conv2d_is_byte_equal(self, ksize, stride, pad, n, cin, cout, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, cin, ksize + h, ksize + w))
+        k = rng.normal(size=(cout, cin, ksize, ksize))
+        ref_out, ref_back = oracles.conv2d_reference(x, k, stride, pad)
+        g = rng.normal(size=ref_out.shape)
+        inputs = [tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True)]
+        out, (gx, gk) = run_with_upstream(lambda a, b: tc.conv2d(a, b, stride, pad), inputs, g)
+        ref_gx, ref_gk = ref_back(g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(gx, ref_gx)
+        assert_same_bytes(gk, ref_gk)
+
+
 class TestSoftmaxAndNorms:
     def test_log_softmax_symmetry(self):
         out = tc.log_softmax(tc.astensor([[0.0, 0.0]]))
@@ -293,6 +427,29 @@ class TestBackward:
         with tc.Tape() as tape:
             tc.add(x, x)
         loss = tc.sum_all(x)  # built off-tape
+        with pytest.raises(tc.TensorError):
+            tc.backward(loss, tape)
+
+    def test_replay_frees_tape_and_intermediate_grads(self):
+        rng = np.random.default_rng(5)
+        x = tc.parameter(rng.normal(size=(2, 2, 5, 4)))
+        k = tc.parameter(rng.normal(size=(3, 2, 3, 3)))
+        with tc.Tape() as tape:
+            conv = tc.conv2d(x, k, 1, 1)
+            hidden = tc.relu(conv)
+            loss = tc.sum_all(hidden)
+        assert len(tape) == 3
+        ref_out, ref_back = oracles.conv2d_reference(x.data, k.data, 1, 1)
+        ref_gx, ref_gk = ref_back((ref_out > 0).astype(np.float64))
+        probe = weakref.ref(hidden)
+        tc.backward(loss, tape)
+        assert len(tape) == 0
+        assert conv.grad is None and hidden.grad is None
+        assert loss.grad is not None
+        assert_same_bytes(x.grad, ref_gx)
+        assert_same_bytes(k.grad, ref_gk)
+        del hidden
+        assert probe() is None
         with pytest.raises(tc.TensorError):
             tc.backward(loss, tape)
 

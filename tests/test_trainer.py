@@ -271,9 +271,36 @@ class TestMalformedCheckpoints:
         with pytest.raises(ValueError, match="missing"):
             trainer.model_from_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda j: j.replace(b'"num_classes"', b'"nul_classes"'), id="renamed_key"),
+            pytest.param(lambda j: j.replace(b'"d_drop": 4', b'"d_drop": "4"'), id="string_extent"),
+            pytest.param(lambda j: j.replace(b'"d_drop": 4', b'"d_drop": -4'), id="negative_extent"),
+            pytest.param(lambda j: j.replace(b'"input_size": [8, 8]', b'"input_size": [8]'), id="short_input_size"),
+            pytest.param(lambda j: j.replace(b'"full"', b'"fulm"'), id="unknown_variant"),
+            pytest.param(lambda j: j[:-1], id="invalid_json"),
+            pytest.param(lambda j: b"[" + j + b"]", id="not_an_object"),
+        ],
+    )
+    def test_bad_model_json_rejected(self, small_checkpoint, tmp_path, edit):
+        src = tmp_path / "src.ckpt"
+        src.write_bytes(small_checkpoint)
+        arrays = tc.load_arrays(src)
+        blob = arrays["meta.model_json"].tobytes()
+        edited = edit(blob)
+        assert edited != blob
+        arrays["meta.model_json"] = np.frombuffer(edited, dtype=np.uint8)
+        path = tmp_path / "bad.ckpt"
+        tc.save_arrays(path, arrays)
+        with pytest.raises(ValueError, match="model_json"):
+            trainer.model_from_checkpoint(path)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_truncated_or_flipped_byte_loads_or_raises_value_error(self, small_checkpoint, data):
+        # Both readers: load_checkpoint, and model_from_checkpoint, which
+        # also builds a model from the stored description.
         blob = bytearray(small_checkpoint)
         if data.draw(st.booleans(), label="truncate"):
             blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -284,7 +311,8 @@ class TestMalformedCheckpoints:
             path = os.path.join(tmp, "fuzz.ckpt")
             with open(path, "wb") as f:
                 f.write(blob)
-            try:
-                trainer.load_checkpoint(path)
-            except ValueError:
-                pass
+            for reader in (trainer.load_checkpoint, trainer.model_from_checkpoint):
+                try:
+                    reader(path)
+                except ValueError:
+                    pass

@@ -335,7 +335,7 @@ def cmd_activations(cfg: dict) -> None:
     for path in cfg["images"]:
         img = ppm.read_ppm(path)
         h, w = img.shape[:2]
-        features = model.backbone_forward(network.normalize_images(img[None])).data[0]
+        features = model.backbone_forward(network.normalize_images(img[None], model.dtype)).data[0]
         act = topdrop.activation_map(features, cfg["power"])
         base = os.path.splitext(os.path.basename(path))[0]
 
@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in schema:
             flag = f"--{opt.key}"
             if opt.kind == "bool":
-                sub.add_argument(flag, action="store_true", default=None, help=opt.help)
+                sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=opt.help)
             else:
                 sub.add_argument(flag, default=None, help=opt.help)
     return parser

@@ -288,10 +288,10 @@ def embed_split(model, dataset, split: str) -> EmbeddingSet:
     feats = []
     for start in range(0, idxs.size, 64):
         batch = idxs[start : start + 64]
-        feats.append(model.inference_embed(network.normalize_images(dataset.images[batch])))
+        feats.append(model.inference_embed(network.normalize_images(dataset.images[batch], model.dtype)))
     records = [dataset.records[i] for i in idxs]
     return EmbeddingSet(
-        np.vstack(feats),
+        np.vstack(feats, dtype=np.float64),  # metrics are computed in float64
         np.array([r.person_id for r in records]),
         np.array([r.camera_id for r in records]),
     )

@@ -22,6 +22,9 @@ from . import tensorcore as tc
 from . import topdrop
 
 VARIANTS = ("full", "no_drop", "no_reg", "baseline_bdb")
+# Precision a model trains and embeds in unless its config says otherwise.
+MODEL_DTYPE = "float32"
+MODEL_DTYPES = ("float32", "float64")
 
 
 def active_streams(variant: str) -> tuple:
@@ -93,10 +96,20 @@ class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
+    dtype: str = MODEL_DTYPE
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        object.__setattr__(self, "dtype", dtype_name(self.dtype))
+
+
+def dtype_name(dtype) -> str:
+    """The name of a model precision, from any numpy dtype spelling."""
+    name = np.dtype(dtype).name
+    if name not in MODEL_DTYPES:
+        raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {name!r}")
+    return name
 
 
 @dataclass
@@ -237,6 +250,9 @@ class BNNeckHead(tc.Module):
 
 
 class ReidModel(tc.Module):
+    """Initial weights are drawn in float64 from the ``init`` stream, then
+    rounded once to ``cfg.dtype``, as are the batch-norm buffers."""
+
     def __init__(self, num_classes: int, cfg: ModelConfig = ModelConfig(), seed: int = 0):
         init_rng = rng_mod.generator(seed, "init")
         bb = cfg.backbone
@@ -254,9 +270,12 @@ class ReidModel(tc.Module):
         self.drop_head = BNNeckHead(cfg.d_drop, num_classes, init_rng, mom, eps)
         self.reg_head = BNNeckHead(c, num_classes, init_rng, mom, eps)
 
+        self.cast(cfg.dtype)
+
         self.cfg = cfg
         self.num_classes = num_classes
         self.variant = cfg.variant
+        self.dtype = np.dtype(cfg.dtype)
 
     # -- streams ----------------------------------------------------------
 
@@ -324,11 +343,14 @@ class ReidModel(tc.Module):
         return np.concatenate([s.neck_feature.data for s in out.values()], axis=1)
 
 
-def normalize_images(images: np.ndarray, dtype=np.float64) -> tc.Tensor:
-    """uint8 (n, h, w, 3) pixels -> (n, 3, h, w) floats in [-1, 1]."""
-    x = np.asarray(images, dtype=dtype) / 255.0
+def normalize_images(images: np.ndarray, dtype=MODEL_DTYPE) -> tc.Tensor:
+    """uint8 (n, h, w, 3) pixels -> (n, 3, h, w) floats in [-1, 1].
+
+    Computed in float64 and rounded once to ``dtype``, the model's.
+    """
+    x = np.asarray(images, dtype=np.float64) / 255.0
     x = (x - 0.5) / 0.5
-    return tc.Tensor(x.transpose(0, 3, 1, 2).copy(), dtype=dtype)
+    return tc.Tensor(np.ascontiguousarray(x.transpose(0, 3, 1, 2), dtype=dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ zoom, erase) and PK batch sampling live here too.
 """
 
 import csv
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -252,6 +253,12 @@ class LoadedDataset:
     @property
     def image_size(self):
         return self.images.shape[1:3]
+
+    def fingerprint(self) -> str:
+        """Hash of the manifest rows and the image size."""
+        rows = [(r.person_id, r.camera_id, r.split, r.image_path) for r in self.records]
+        blob = repr((tuple(self.image_size), rows)).encode("utf-8")
+        return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
 def load_dataset(root) -> LoadedDataset:

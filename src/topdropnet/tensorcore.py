@@ -1,8 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values live in float64 numpy arrays (a float32 array can be stored, but
-every operation returns float64); every differentiable operation records
-a backward closure on the active :class:`Tape`. Calling
+Values live in float32 or float64 numpy arrays; any other input is cast
+to float64. Every operation returns the dtype of its operands, and so
+does every gradient it passes back; operands of different dtypes raise
+:class:`TensorError`, as mismatched shapes do, so a stray float64 array
+never silently promotes a float32 graph. Every differentiable operation
+records a backward closure on the active :class:`Tape`. Calling
 :func:`backward` on a scalar loss replays the tape in exact reverse
 execution order and accumulates gradients into every ``requires_grad``
 tensor reachable from the loss. Replay frees each record as it goes, so
@@ -47,7 +50,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=dtype)
         if arr.dtype.type not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -154,8 +157,10 @@ def record_op(out: Tensor, parents, backward_fn) -> Tensor:
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    if g.dtype != t.data.dtype:
+        raise TensorError(f"gradient dtype {g.dtype} does not match tensor dtype {t.data.dtype}")
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.array(g, copy=True)
     else:
         t.grad += g
 
@@ -237,9 +242,18 @@ def parameter(data, dtype=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _same_dtype(op: str, *operands):
+    """Tensors and buffers of one operation must share one dtype."""
+    dtype = operands[0].dtype
+    for other in operands[1:]:
+        if other.dtype != dtype:
+            raise TensorError(f"{op}: dtype mismatch {dtype} vs {other.dtype}")
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise TensorError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+    _same_dtype(op, a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -292,6 +306,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     ``x`` may be (n, d) with bias (d,) or (n, c, h, w) with bias (c,).
     """
+    _same_dtype("add_bias", x, b)
     if x.data.ndim == 2 and b.shape == (x.shape[1],):
         out = Tensor(x.data + b.data[None, :])
         axes = (0,)
@@ -370,6 +385,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise TensorError("matmul expects 2-d tensors")
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: inner extents {a.shape} x {b.shape}")
+    _same_dtype("matmul", a, b)
     out = Tensor(a.data @ b.data)
 
     def back(g):
@@ -395,6 +411,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     cout, kcin, kh, kw = k.shape
     if kcin != cin:
         raise TensorError(f"conv2d: channel mismatch {cin} vs {kcin}")
+    _same_dtype("conv2d", x, k)
     stride = int(stride)
     pad = int(pad)
     if stride < 1 or pad < 0:
@@ -541,6 +558,7 @@ def batchnorm(
     cdim = x.shape[1]
     if gamma.shape != (cdim,) or beta.shape != (cdim,):
         raise TensorError("batchnorm: gamma/beta shape mismatch")
+    _same_dtype("batchnorm", x, gamma, beta, running_mean, running_var)
 
     gview = gamma.data.reshape(bshape)
     bview = beta.data.reshape(bshape)
@@ -732,27 +750,33 @@ class Module:
                 continue
             yield name, value
 
-    def named_parameters(self, prefix: str = ""):
+    def _leaves(self, prefix: str = ""):
+        """(qualified name, owner, attribute, value) of every entry that is
+        not a Module, children included, in attribute order."""
         for name, value in self._entries():
-            if isinstance(value, Tensor):
-                yield prefix + name, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}{name}.")
+            if isinstance(value, Module):
+                yield from value._leaves(f"{prefix}{name}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
+                        yield from item._leaves(f"{prefix}{name}.{i}.")
+            else:
+                yield prefix + name, self, name, value
+
+    def named_parameters(self, prefix: str = ""):
+        return ((n, v) for n, _, _, v in self._leaves(prefix) if isinstance(v, Tensor))
 
     def named_buffers(self, prefix: str = ""):
-        for name, value in self._entries():
-            if isinstance(value, np.ndarray):
-                yield prefix + name, value
-            elif isinstance(value, Module):
-                yield from value.named_buffers(f"{prefix}{name}.")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(f"{prefix}{name}.{i}.")
+        return ((n, v) for n, _, _, v in self._leaves(prefix) if isinstance(v, np.ndarray))
+
+    def cast(self, dtype):
+        """Round every parameter and buffer to ``dtype`` once, in place."""
+        for _, owner, attr, value in self._leaves():
+            if isinstance(value, Tensor):
+                value.data = value.data.astype(dtype, copy=False)
+            elif isinstance(value, np.ndarray):
+                setattr(owner, attr, value.astype(dtype, copy=False))
+        return self
 
     def parameters(self):
         for _, p in self.named_parameters():
@@ -782,16 +806,21 @@ class Module:
         return state
 
     def load_state_arrays(self, state: dict) -> None:
-        missing = [k for k in self.state_arrays() if k not in state]
-        if missing:
-            raise ValueError(f"state is missing {len(missing)} arrays, first {missing[0]!r}")
-        for n, t in self.named_parameters():
-            arr = state[f"param.{n}"]
-            if tuple(arr.shape) != t.shape:
-                raise ValueError(f"shape mismatch for {n}: {arr.shape} vs {t.shape}")
-            t.data = arr.astype(t.data.dtype, copy=True)
-        for n, b in self.named_buffers():
-            arr = state[f"buffer.{n}"]
-            if tuple(arr.shape) != b.shape:
-                raise ValueError(f"shape mismatch for buffer {n}")
+        # Check everything before changing anything.
+        params = [(t, stored_like(state, f"param.{n}", t.data)) for n, t in self.named_parameters()]
+        buffers = [(b, stored_like(state, f"buffer.{n}", b)) for n, b in self.named_buffers()]
+        for t, arr in params:
+            t.data = arr.copy()
+        for b, arr in buffers:
             b[...] = arr
+
+
+def stored_like(state: dict, key: str, current: np.ndarray) -> np.ndarray:
+    """``state[key]``, which must exist and have the shape and dtype of
+    ``current``; loading never rounds."""
+    arr = state.get(key)
+    if arr is None:
+        raise ValueError(f"state is missing {key}")
+    if tuple(arr.shape) != current.shape or arr.dtype != current.dtype:
+        raise ValueError(f"{key} is {arr.dtype} {tuple(arr.shape)}, the model holds {current.dtype} {current.shape}")
+    return arr

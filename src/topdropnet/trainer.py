@@ -40,10 +40,12 @@ class TrainConfig:
     d_drop: int = 128
     augment: synthdata.AugmentationConfig = field(default_factory=synthdata.AugmentationConfig)
     seed: int = 1
+    dtype: str = network.MODEL_DTYPE
 
     def __post_init__(self):
         if self.variant not in network.VARIANTS:
             raise ValueError(f"variant must be one of {network.VARIANTS}")
+        object.__setattr__(self, "dtype", network.dtype_name(self.dtype))
         ms = self.decay_milestones
         if not 0.0 < self.warmup_fraction < min(ms):
             raise ValueError("warmup must end before the first milestone")
@@ -53,8 +55,9 @@ class TrainConfig:
             raise ValueError("total_epochs must be >= 1")
 
 
-def config_hash(cfg: TrainConfig) -> str:
-    blob = repr(dataclasses.asdict(cfg)).encode("utf-8")
+def config_hash(cfg: TrainConfig, dataset_fingerprint: str) -> str:
+    """Hash of every training setting and of the dataset trained on."""
+    blob = repr((dataclasses.asdict(cfg), dataset_fingerprint)).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
@@ -136,7 +139,7 @@ def build_model(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> network.R
         raise ValueError("training needs at least two identities")
     backbone = network.BackboneConfig(input_size=tuple(dataset.image_size))
     model_cfg = network.ModelConfig(
-        variant=cfg.variant, d_global=cfg.d_global, d_drop=cfg.d_drop, backbone=backbone
+        variant=cfg.variant, d_global=cfg.d_global, d_drop=cfg.d_drop, backbone=backbone, dtype=cfg.dtype
     )
     return network.ReidModel(num_classes, model_cfg, seed=cfg.seed)
 
@@ -161,7 +164,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
     for batch_no, batch in enumerate(batches):
         raw = dataset.images[batch].astype(np.float64)
         augmented = np.stack([synthdata.augment(img, cfg.augment, aug_gen) for img in raw])
-        x = network.normalize_images(augmented)
+        x = network.normalize_images(augmented, model.dtype)
         labels = np.array([label_map[dataset.records[i].person_id] for i in batch])
 
         with tc.Tape() as tape:
@@ -192,6 +195,7 @@ class FitResult:
     adam: AdamState
     next_epoch: int
     config: TrainConfig
+    dataset_fingerprint: str = ""  # of the dataset fitted to, for config_hash
 
 
 def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_after=None) -> FitResult:
@@ -202,10 +206,11 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
     """
     state = AdamState()
     start_epoch = 0
+    fingerprint = dataset.fingerprint()
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
-        if meta["config_hash"] != config_hash(cfg):
-            raise ValueError("checkpoint was written by a different configuration")
+        if meta["config_hash"] != config_hash(cfg, fingerprint):
+            raise ValueError("checkpoint was written by a different configuration or for a different dataset")
         model = build_model(cfg, dataset)
         model.load_state_arrays(arrays)
         _load_adam(arrays, state, model)
@@ -218,7 +223,7 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
     history = []
     for epoch in range(start_epoch, end):
         history.append(train_epoch(model, dataset, cfg, state, epoch))
-    return FitResult(model, history, state, end, cfg)
+    return FitResult(model, history, state, end, cfg, fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +255,7 @@ def save_checkpoint(path, result: FitResult) -> None:
     arrays["meta.epoch"] = np.array([result.next_epoch], dtype=np.int64)
     arrays["meta.adam_t"] = np.array([state.t], dtype=np.int64)
     arrays["meta.seed"] = np.array([cfg.seed], dtype=np.int64)
-    arrays["meta.config_hash"] = np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8)
+    arrays["meta.config_hash"] = np.frombuffer(config_hash(cfg, result.dataset_fingerprint).encode(), dtype=np.uint8)
     arrays["meta.model_json"] = np.frombuffer(
         json.dumps(_model_meta(model), sort_keys=True).encode(), dtype=np.uint8
     )
@@ -307,16 +312,19 @@ def load_checkpoint(path):
 
 def _load_adam(arrays, state: AdamState, model) -> None:
     for name, p in model.named_parameters():
-        mkey = f"adam.m.{name}"
-        if mkey in arrays:
-            state.m[name] = arrays[mkey].astype(p.data.dtype)
-            state.v[name] = arrays[f"adam.v.{name}"].astype(p.data.dtype)
+        if f"adam.m.{name}" in arrays:
+            state.m[name] = tc.stored_like(arrays, f"adam.m.{name}", p.data)
+            state.v[name] = tc.stored_like(arrays, f"adam.v.{name}", p.data)
 
 
 def model_from_checkpoint(path) -> network.ReidModel:
-    """Rebuild a model purely from a checkpoint's stored configuration."""
+    """Rebuild a model purely from a checkpoint's stored configuration,
+    in the dtype of its stored parameters."""
     arrays, meta = load_checkpoint(path)
     m = meta["model"]
+    dtypes = {arr.dtype.name for key, arr in arrays.items() if key.startswith("param.")}
+    if len(dtypes) != 1:
+        raise ValueError(f"checkpoint parameters must share one dtype, got {sorted(dtypes)}")
     backbone = network.BackboneConfig(
         stem_channels=m["stem_channels"],
         stage_channels=tuple(m["stage_channels"]),
@@ -324,7 +332,7 @@ def model_from_checkpoint(path) -> network.ReidModel:
         input_size=tuple(m["input_size"]),
     )
     model_cfg = network.ModelConfig(
-        variant=m["variant"], d_global=m["d_global"], d_drop=m["d_drop"], backbone=backbone
+        variant=m["variant"], d_global=m["d_global"], d_drop=m["d_drop"], backbone=backbone, dtype=dtypes.pop()
     )
     model = network.ReidModel(m["num_classes"], model_cfg, seed=meta["seed"])
     model.load_state_arrays(arrays)

@@ -193,7 +193,7 @@ def tiny_model_setup(seed):
     backbone = network.BackboneConfig(
         stem_channels=4, stage_channels=(4, 4, 8), strides=(1, 1, 1), input_size=(8, 8)
     )
-    cfg = network.ModelConfig(variant="full", d_global=8, d_drop=8, backbone=backbone)
+    cfg = network.ModelConfig(variant="full", d_global=8, d_drop=8, backbone=backbone, dtype="float64")
     model = network.ReidModel(num_classes=2, cfg=cfg, seed=seed)
     for _, p in model.named_parameters():
         p.data += rng.uniform(0.02, 0.1, size=p.data.shape) * np.where(

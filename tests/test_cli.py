@@ -148,6 +148,26 @@ class TestEval:
         rr = (out / "metrics_rerank.csv").read_text()
         assert raw == rr
 
+    def test_no_flag_overrides_config_file(self, trained, tmp_path):
+        data, ckpt, _ = trained
+        cfgfile = tmp_path / "rerank.cfg"
+        cfgfile.write_text("rerank = true\n")
+        out = tmp_path / "nr"
+        assert run_cli("eval", "--data", data, "--checkpoint", ckpt, "--out", out,
+                       "--config", cfgfile, "--no-rerank") == 0
+        assert (out / "metrics_raw.csv").exists()
+        assert not (out / "metrics_rerank.csv").exists()
+        assert "rerank = false" in (out / "resolved.cfg").read_text().split("\n")
+        # The echo reproduces the run.
+        again = tmp_path / "again"
+        assert run_cli("eval", "--config", out / "resolved.cfg", "--out", again) == 0
+        assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+        assert (again / "metrics_raw.csv").read_bytes() == (out / "metrics_raw.csv").read_bytes()
+        # The positive form still turns it on over a file that says false.
+        on = tmp_path / "on"
+        assert run_cli("eval", "--config", out / "resolved.cfg", "--out", on, "--rerank") == 0
+        assert (on / "metrics_rerank.csv").exists()
+
     def test_missing_checkpoint_exits_nonzero_without_artifacts(self, trained, tmp_path):
         data, _, _ = trained
         out = tmp_path / "missing"

@@ -13,7 +13,7 @@ def small_model(variant="full", seed=0, num_classes=4):
     backbone = network.BackboneConfig(
         stem_channels=8, stage_channels=(8, 16, 16), strides=(2, 2, 1), input_size=(32, 16)
     )
-    cfg = network.ModelConfig(variant=variant, d_global=16, d_drop=16, backbone=backbone)
+    cfg = network.ModelConfig(variant=variant, d_global=16, d_drop=16, backbone=backbone, dtype="float64")
     return network.ReidModel(num_classes, cfg, seed=seed)
 
 
@@ -22,11 +22,33 @@ def toy_images(n=4, size=(32, 16), seed=0):
     return tc.Tensor(rng.uniform(-1, 1, size=(n, 3, *size)))
 
 
+class TestModelDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_images_normalized_in_float64_and_rounded_once(self, dtype):
+        pixels = np.repeat(np.arange(256, dtype=np.uint8).reshape(4, 8, 8, 1), 3, axis=3)
+        x = network.normalize_images(pixels, dtype)
+        expected = ((pixels.astype(np.float64) / 255.0 - 0.5) / 0.5).transpose(0, 3, 1, 2).astype(dtype)
+        assert x.dtype == dtype and x.data.flags.c_contiguous
+        assert x.data.tobytes() == expected.tobytes()
+
+    def test_float32_is_the_default(self):
+        assert network.normalize_images(np.zeros((1, 2, 2, 3), np.uint8)).dtype == np.float32
+        model = network.ReidModel(4, network.ModelConfig(), seed=0)
+        assert model.dtype == np.float32
+        assert {p.data.dtype for p in model.parameters()} | {b.dtype for _, b in model.named_buffers()} == {
+            np.dtype(np.float32)
+        }
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            network.ModelConfig(dtype=np.int32)
+
+
 class TestBackbone:
     def test_default_shape_contract(self):
         cfg = network.BackboneConfig()
         assert (cfg.feature_channels(), cfg.feature_height(), cfg.feature_width()) == (64, 8, 4)
-        model = network.ReidModel(4, network.ModelConfig(), seed=0)
+        model = network.ReidModel(4, network.ModelConfig(dtype="float64"), seed=0)
         rng = np.random.default_rng(0)
         out = model.backbone_forward(tc.Tensor(rng.uniform(-1, 1, size=(2, 3, 64, 32))))
         assert out.shape == (2, 64, 8, 4)
@@ -280,7 +302,7 @@ class TestTotalLoss:
 
 class TestInferenceEmbed:
     def test_default_dims_concatenate_to_256(self):
-        model = network.ReidModel(4, network.ModelConfig(), seed=0).eval()
+        model = network.ReidModel(4, network.ModelConfig(dtype="float64"), seed=0).eval()
         rng = np.random.default_rng(0)
         x = tc.Tensor(rng.uniform(-1, 1, size=(2, 3, 64, 32)))
         assert model.inference_embed(x).shape == (2, 256)

@@ -1,13 +1,14 @@
 """Tensor engine: construction, op semantics, backward, checkpoint file."""
 
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topdropnet import tensorcore as tc
+from topdropnet import network, tensorcore as tc
 
 import gradcheck
 import oracles
@@ -551,3 +552,138 @@ class TestCheckpointFile:
         assert path.read_bytes() == before
         np.testing.assert_array_equal(tc.load_arrays(path)["a"], np.arange(3.0))
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def traced_ops():
+    """Every tensorcore op the benchmark's tracer wraps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import spans
+
+        return spans.OPS + spans.OTHER_OPS
+
+
+def op_cases(rng, dtype):
+    """name -> (op on a list of tensors, input arrays in ``dtype``).
+
+    Batch-norm buffers are created in ``dtype`` too; a name's suffix in
+    brackets tells cases of one op apart.
+    """
+
+    def arr(*shape, positive=False):
+        a = rng.normal(size=shape)
+        return (np.abs(a) + 0.5 if positive else a).astype(dtype)
+
+    def bn(training):
+        stats = [np.zeros(3, dtype), np.ones(3, dtype)]
+        return lambda t: tc.batchnorm(t[0], t[1], t[2], *stats, training=training)
+
+    return {
+        "conv2d": (lambda t: tc.conv2d(t[0], t[1], 2, 1), [arr(2, 2, 5, 4), arr(3, 2, 3, 3)]),
+        "conv2d[1x1]": (lambda t: tc.conv2d(t[0], t[1]), [arr(2, 2, 3, 3), arr(4, 2, 1, 1)]),
+        "batchnorm": (bn(True), [arr(4, 3, 2, 2), arr(3), arr(3)]),
+        "batchnorm[2d]": (bn(True), [arr(5, 3), arr(3), arr(3)]),
+        "batchnorm[eval]": (bn(False), [arr(4, 3, 2, 2), arr(3), arr(3)]),
+        "maxpool2d": (lambda t: tc.maxpool2d(t[0], 2, 2), [arr(2, 2, 4, 6)]),
+        "relu": (lambda t: tc.relu(t[0]), [arr(3, 4)]),
+        "add": (lambda t: tc.add(t[0], t[1]), [arr(3, 4), arr(3, 4)]),
+        "mul": (lambda t: tc.mul(t[0], t[1]), [arr(3, 4), arr(3, 4)]),
+        "matmul": (lambda t: tc.matmul(t[0], t[1]), [arr(3, 4), arr(4, 2)]),
+        "global_avg_pool": (lambda t: tc.global_avg_pool(t[0]), [arr(2, 3, 4, 2)]),
+        "global_max_pool": (lambda t: tc.global_max_pool(t[0]), [arr(2, 3, 4, 2)]),
+        "log_softmax": (lambda t: tc.log_softmax(t[0]), [arr(3, 5)]),
+        "sub": (lambda t: tc.sub(t[0], t[1]), [arr(3, 4), arr(3, 4)]),
+        # A float64 numpy scalar must not promote a float32 result.
+        "scalar_mul": (lambda t: tc.scalar_mul(t[0], np.float64(1.7)), [arr(3, 4)]),
+        "add_bias": (lambda t: tc.add_bias(t[0], t[1]), [arr(4, 3), arr(3)]),
+        "add_bias[4d]": (lambda t: tc.add_bias(t[0], t[1]), [arr(2, 3, 2, 2), arr(3)]),
+        "absolute": (lambda t: tc.absolute(t[0]), [arr(3, 4)]),
+        "pow_scalar": (lambda t: tc.pow_scalar(t[0], 2.5), [arr(3, 4, positive=True)]),
+        "sum_all": (lambda t: tc.sum_all(t[0]), [arr(3, 4)]),
+        "mean_all": (lambda t: tc.mean_all(t[0]), [arr(3, 4)]),
+        "l2_normalize": (lambda t: tc.l2_normalize(t[0]), [arr(3, 4, positive=True)]),
+    }
+
+
+class TestDtypePropagation:
+    """Every op keeps its operands' dtype in its output and in every
+    gradient, and refuses operands of different dtypes."""
+
+    DTYPES = (np.float32, np.float64)
+
+    def test_cases_cover_every_traced_op(self, traced_ops):
+        names = {name.split("[")[0] for name in op_cases(np.random.default_rng(0), np.float64)}
+        assert names == set(traced_ops)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
+    def test_output_and_gradients_keep_the_dtype(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        for name, (op, arrays) in op_cases(rng, dtype).items():
+            inputs = [tc.Tensor(a, requires_grad=True) for a in arrays]
+            with tc.Tape() as tape:
+                out = op(inputs)
+                upstream = tc.Tensor(rng.normal(size=out.shape).astype(dtype))
+                loss = tc.sum_all(tc.mul(out, upstream))
+            tc.backward(loss, tape)
+            assert out.dtype == dtype, name
+            assert loss.dtype == dtype, name
+            for i, t in enumerate(inputs):
+                assert t.grad is not None and t.grad.dtype == dtype, f"{name} input {i}"
+
+    @settings(max_examples=10, deadline=None)
+    @given(dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
+    def test_mixed_operands_rejected(self, dtype, seed):
+        other = np.float64 if dtype == np.float32 else np.float32
+        rng = np.random.default_rng(seed)
+        for name, (op, arrays) in op_cases(rng, dtype).items():
+            for i in range(len(arrays) if len(arrays) > 1 else 0):
+                mixed = [tc.Tensor(a.astype(other) if j == i else a) for j, a in enumerate(arrays)]
+                with pytest.raises(tc.TensorError, match="dtype mismatch"):
+                    op(mixed)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_buffer_of_another_dtype_rejected(self, training):
+        x = tc.Tensor(np.ones((2, 3), np.float32))
+        gamma, beta = tc.ones([3], np.float32), tc.zeros([3], np.float32)
+        with pytest.raises(tc.TensorError, match="dtype mismatch"):
+            tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3, np.float32), training=training)
+
+    def test_construction_keeps_float_dtypes_and_casts_the_rest(self):
+        assert tc.Tensor(np.ones(2, np.float32)).dtype == np.float32
+        assert tc.Tensor(np.ones(2)).dtype == np.float64
+        assert tc.Tensor([1, 2]).dtype == np.float64
+        assert tc.Tensor(np.ones(2, np.float16)).dtype == np.float64
+        assert tc.Tensor(np.float32(2.0)).dtype == np.float32
+
+    def test_gradient_of_another_dtype_rejected(self):
+        x = tc.parameter(np.ones(2, np.float32))
+        with pytest.raises(tc.TensorError, match="gradient dtype"):
+            tc.accumulate_grad(x, np.ones(2))
+        assert x.grad is None
+
+
+class TestModuleDtype:
+    def test_load_state_arrays_refuses_to_round(self):
+        backbone = network.BackboneConfig(
+            stem_channels=4, stage_channels=(4, 4, 8), strides=(1, 1, 1), input_size=(8, 8)
+        )
+        f64 = network.ReidModel(3, network.ModelConfig(d_global=4, d_drop=4, backbone=backbone, dtype="float64"))
+        f32 = network.ReidModel(3, network.ModelConfig(d_global=4, d_drop=4, backbone=backbone))
+        assert {p.data.dtype for p in f32.parameters()} == {np.dtype(np.float32)}
+        before = {n: a.copy() for n, a in f32.state_arrays().items()}
+        with pytest.raises(ValueError, match="float64"):
+            f32.load_state_arrays(f64.state_arrays())
+        # A single mismatched array, the last one, also changes nothing.
+        state = {k: (v + 1.0).astype(np.float32) for k, v in f64.state_arrays().items()}
+        last = list(state)[-1]
+        state[last] = state[last].astype(np.float64)
+        with pytest.raises(ValueError, match=last):
+            f32.load_state_arrays(state)
+        for n, a in f32.state_arrays().items():
+            assert_same_bytes(a, before[n])
+        # Rounded once from the same float64 draws.
+        for (n, a), (_, b) in zip(f64.named_parameters(), f32.named_parameters()):
+            assert_same_bytes(b.data, a.data.astype(np.float32))
+        f32.load_state_arrays({k: v.astype(np.float32) for k, v in f64.state_arrays().items()})

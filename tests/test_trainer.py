@@ -1,6 +1,7 @@
 """Schedule, Adam, epoch orchestration, checkpoint resume."""
 
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -235,6 +236,113 @@ class TestFitAndCheckpoints:
         assert lines[0] == "epoch,lr,loss_global,loss_drop,loss_reg,loss_total"
         assert len(lines) == 3
         assert lines[1].split(",")[3] == ""  # empty loss_drop column
+
+
+class TestFloat32Training:
+    def test_default_step_holds_no_float64(self, tiny_dataset, monkeypatch):
+        cfg = quick_config(total_epochs=1)
+        assert cfg.dtype == "float32"
+        outputs, grads = [], []
+        record_op, adam_step = tc.record_op, trainer.adam_step
+
+        def spy_record(out, parents, backward_fn):
+            outputs.append(out.data.dtype)
+            return record_op(out, parents, backward_fn)
+
+        def spy_adam(named_params, state, lr):
+            grads.extend(p.grad.dtype for _, p in named_params)
+            return adam_step(named_params, state, lr)
+
+        monkeypatch.setattr(tc, "record_op", spy_record)
+        monkeypatch.setattr(trainer, "adam_step", spy_adam)
+        model = trainer.build_model(cfg, tiny_dataset)
+        state = trainer.AdamState()
+        trainer.train_epoch(model, tiny_dataset, cfg, state, 0)
+        f32 = {np.dtype(np.float32)}
+        assert outputs and set(outputs) == f32
+        assert grads and set(grads) == f32
+        assert {p.data.dtype for p in model.parameters()} == f32
+        assert {b.dtype for _, b in model.named_buffers()} == f32
+        assert state.m and {a.dtype for a in [*state.m.values(), *state.v.values()]} == f32
+
+    def test_default_checkpoint_stores_float32(self, tiny_dataset, tmp_path):
+        result = trainer.fit(quick_config(total_epochs=1), tiny_dataset)
+        ckpt = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(ckpt, result)
+        arrays = tc.load_arrays(ckpt)
+        stored = {a.dtype for k, a in arrays.items() if k.split(".")[0] in ("param", "buffer", "adam")}
+        assert stored == {np.dtype(np.float32)}
+        assert any(k.startswith("adam.") for k in arrays)
+
+
+class TestCheckpointDtype:
+    def test_float64_checkpoint_rebuilds_in_float64(self, tiny_dataset, tmp_path):
+        result = trainer.fit(quick_config(total_epochs=1, dtype=np.float64), tiny_dataset)
+        assert result.config.dtype == "float64"
+        ckpt = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(ckpt, result)
+        rebuilt = trainer.model_from_checkpoint(ckpt)
+        assert rebuilt.dtype == np.float64
+        assert {p.data.dtype for p in rebuilt.parameters()} == {np.dtype(np.float64)}
+        x = network.normalize_images(tiny_dataset.images[:4], np.float64)
+        rebuilt.eval()
+        result.model.eval()
+        np.testing.assert_array_equal(rebuilt.inference_embed(x), result.model.inference_embed(x))
+        with pytest.raises(tc.TensorError, match="dtype mismatch"):
+            rebuilt.inference_embed(network.normalize_images(tiny_dataset.images[:4]))
+
+    def test_mixed_parameter_dtypes_rejected(self, tiny_dataset, tmp_path):
+        result = trainer.fit(quick_config(total_epochs=1), tiny_dataset)
+        ckpt = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(ckpt, result)
+        arrays = tc.load_arrays(ckpt)
+        first = next(k for k in arrays if k.startswith("param."))
+        arrays[first] = arrays[first].astype(np.float64)
+        tc.save_arrays(ckpt, arrays)
+        with pytest.raises(ValueError, match="share one"):
+            trainer.model_from_checkpoint(ckpt)
+
+    def test_resume_float64_checkpoint_into_float32_config_refused(self, tiny_dataset, tmp_path):
+        result = trainer.fit(quick_config(total_epochs=2, dtype="float64"), tiny_dataset, stop_after=1)
+        ckpt = tmp_path / "mid.ckpt"
+        trainer.save_checkpoint(ckpt, result)
+        with pytest.raises(ValueError, match="different configuration"):
+            trainer.fit(quick_config(total_epochs=2), tiny_dataset, resume=ckpt)
+        resumed = trainer.fit(quick_config(total_epochs=2, dtype="float64"), tiny_dataset, resume=ckpt)
+        assert {p.data.dtype for p in resumed.model.parameters()} == {np.dtype(np.float64)}
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            quick_config(dtype="float16")
+
+
+class TestDatasetFingerprint:
+    def test_resume_against_edited_manifest_refused(self, tiny_dataset_dir, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(tiny_dataset_dir, root)
+        cfg = quick_config(total_epochs=2)
+        result = trainer.fit(cfg, synthdata.load_dataset(root), stop_after=1)
+        ckpt = tmp_path / "mid.ckpt"
+        trainer.save_checkpoint(ckpt, result)
+        trainer.fit(cfg, synthdata.load_dataset(root), resume=ckpt)  # same data resumes
+
+        manifest = root / "manifest.csv"
+        lines = manifest.read_text().split("\n")
+        row = next(i for i, line in enumerate(lines) if ",gallery," in line)
+        pid, cam, split, path = lines[row].split(",")
+        lines[row] = ",".join([pid, str(1 - int(cam)), split, path])  # one camera id
+        manifest.write_text("\n".join(lines))
+        edited = synthdata.load_dataset(root)
+        assert edited.fingerprint() != result.dataset_fingerprint
+        with pytest.raises(ValueError, match="different dataset"):
+            trainer.fit(cfg, edited, resume=ckpt)
+
+    def test_fingerprint_covers_image_size(self, tiny_dataset):
+        smaller = synthdata.LoadedDataset(tiny_dataset.records, tiny_dataset.images[:, :16], tiny_dataset.root)
+        assert smaller.fingerprint() != tiny_dataset.fingerprint()
+        assert tiny_dataset.fingerprint() == synthdata.LoadedDataset(
+            list(tiny_dataset.records), tiny_dataset.images.copy(), "elsewhere"
+        ).fingerprint()
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ its --out directory.
 """
 
 import argparse
-import csv
 import os
 import shutil
 import sys
@@ -81,18 +80,13 @@ def _read_config_file(path, schema):
     return values
 
 
-def _resolve(schema, args) -> dict:
-    file_values = _read_config_file(args.config, schema) if args.config else {}
+def _resolve(schema, flags: dict, config_path) -> dict:
+    """Each setting from its flag, else the config file, else its default."""
+    file_values = _read_config_file(config_path, schema) if config_path else {}
     resolved = {}
     for opt in schema:
-        dest = opt.key.replace("-", "_")
-        cli_value = getattr(args, dest, None)
-        if cli_value is not None:
-            resolved[opt.key] = cli_value
-        elif opt.key in file_values:
-            resolved[opt.key] = file_values[opt.key]
-        else:
-            resolved[opt.key] = opt.default
+        value = flags.get(opt.key)
+        resolved[opt.key] = value if value is not None else file_values.get(opt.key, opt.default)
         if opt.required and resolved[opt.key] is None:
             raise ValueError(f"missing required setting {opt.key!r}")
     return resolved
@@ -121,19 +115,24 @@ def _variant_public(name: str) -> str:
 # Schemas
 # ---------------------------------------------------------------------------
 
+# Defaults come from the config classes, so each is written once.
+_TRAIN = trainer.TrainConfig()
+_RERANK = evaluation.RerankParams()
+_DROP = topdrop.DropConfig()
+
 _TRAIN_COMMON = [
-    Opt("base-lr", "float", 1e-3, "plateau learning rate"),
-    Opt("warmup-fraction", "float", 0.125, "fraction of epochs spent warming up"),
-    Opt("milestones", "floats", (0.5, 0.75), "decay milestones as fractions"),
-    Opt("decay-factor", "float", 0.1, "learning-rate decay per milestone"),
-    Opt("batch-p", "int", 8, "identities per batch"),
-    Opt("batch-k", "int", 4, "instances per identity"),
-    Opt("margin", "float", 0.3, "triplet margin"),
-    Opt("epsilon", "float", 0.1, "label smoothing"),
-    Opt("height-ratio", "float", 0.3, "fraction of rows to drop"),
-    Opt("power", "float", 2.0, "activation-map exponent"),
-    Opt("d-global", "int", 128, "global stream feature size"),
-    Opt("d-drop", "int", 128, "drop stream feature size"),
+    Opt("base-lr", "float", _TRAIN.base_lr, "plateau learning rate"),
+    Opt("warmup-fraction", "float", _TRAIN.warmup_fraction, "fraction of epochs spent warming up"),
+    Opt("milestones", "floats", _TRAIN.decay_milestones, "decay milestones as fractions"),
+    Opt("decay-factor", "float", _TRAIN.decay_factor, "learning-rate decay per milestone"),
+    Opt("batch-p", "int", _TRAIN.batch.p, "identities per batch"),
+    Opt("batch-k", "int", _TRAIN.batch.k, "instances per identity"),
+    Opt("margin", "float", _TRAIN.margin, "triplet margin"),
+    Opt("epsilon", "float", _TRAIN.label_epsilon, "label smoothing"),
+    Opt("height-ratio", "float", _TRAIN.height_ratio, "fraction of rows to drop"),
+    Opt("power", "float", _TRAIN.activation_power, "activation-map exponent"),
+    Opt("d-global", "int", _TRAIN.d_global, "global stream feature size"),
+    Opt("d-drop", "int", _TRAIN.d_drop, "drop stream feature size"),
 ]
 
 SCHEMAS = {
@@ -151,9 +150,9 @@ SCHEMAS = {
     "train": [
         Opt("out", "str", None, "output directory", required=True),
         Opt("data", "str", None, "dataset directory", required=True),
-        Opt("variant", "str", "full", "full | no-drop | no-reg | baseline-bdb"),
-        Opt("epochs", "int", 40, "total epochs"),
-        Opt("seed", "int", 1, "master seed"),
+        Opt("variant", "str", _variant_public(_TRAIN.variant), " | ".join(map(_variant_public, network.VARIANTS))),
+        Opt("epochs", "int", _TRAIN.total_epochs, "total epochs"),
+        Opt("seed", "int", _TRAIN.seed, "master seed"),
         Opt("seeds", "ints", None, "run the repeat protocol over these seeds"),
     ]
     + _TRAIN_COMMON,
@@ -162,9 +161,9 @@ SCHEMAS = {
         Opt("data", "str", None, "dataset directory", required=True),
         Opt("checkpoint", "str", None, "trained checkpoint", required=True),
         Opt("rerank", "bool", False, "also report k-reciprocal re-ranked metrics"),
-        Opt("k1", "int", 20, "re-ranking neighborhood"),
-        Opt("k2", "int", 6, "local expansion neighborhood"),
-        Opt("lambda", "float", 0.3, "blend toward the original distance"),
+        Opt("k1", "int", _RERANK.k1, "re-ranking neighborhood"),
+        Opt("k2", "int", _RERANK.k2, "local expansion neighborhood"),
+        Opt("lambda", "float", _RERANK.lam, "blend toward the original distance"),
         Opt("max-rank", "int", 50, "CMC curve length"),
         Opt("save-embeddings", "bool", False, "write query/gallery embedding CSVs"),
     ],
@@ -174,23 +173,23 @@ SCHEMAS = {
         Opt("images", "strs", None, "input PPM images", required=True),
         Opt("tau", "float", 0.5, "threshold as a fraction of the activation max"),
         Opt("alpha", "float", 0.5, "overlay blend weight"),
-        Opt("power", "float", 2.0, "activation-map exponent"),
-        Opt("height-ratio", "float", 0.3, "fraction of rows to drop"),
+        Opt("power", "float", _DROP.p, "activation-map exponent"),
+        Opt("height-ratio", "float", _DROP.height_ratio, "fraction of rows to drop"),
         Opt("show-dropmask", "bool", False, "also render the drop mask"),
     ],
     "ablation": [
         Opt("out", "str", None, "output directory", required=True),
         Opt("data", "str", None, "dataset directory", required=True),
         Opt("seeds", "ints", (1, 2, 3, 4, 5), "paired seeds for every variant"),
-        Opt("epochs", "int", 40, "total epochs per run"),
+        Opt("epochs", "int", _TRAIN.total_epochs, "total epochs per run"),
     ]
     + _TRAIN_COMMON,
 }
 
 
-def _train_config(cfg: dict, variant: str, seed: int, epochs=None) -> trainer.TrainConfig:
+def _train_config(cfg: dict, variant: str, seed: int) -> trainer.TrainConfig:
     return trainer.TrainConfig(
-        total_epochs=epochs if epochs is not None else cfg["epochs"],
+        total_epochs=cfg["epochs"],
         base_lr=cfg["base-lr"],
         warmup_fraction=cfg["warmup-fraction"],
         decay_milestones=tuple(cfg["milestones"]),
@@ -232,9 +231,9 @@ def cmd_gendata(cfg: dict) -> None:
     print(f"wrote {len(records)} images under {out}")
 
 
-def _run_training(cfg: dict, dataset, variant: str, seed: int, run_dir: str, epochs=None):
+def _run_training(cfg: dict, dataset, variant: str, seed: int, run_dir: str):
     os.makedirs(run_dir, exist_ok=True)
-    train_cfg = _train_config(cfg, variant, seed, epochs)
+    train_cfg = _train_config(cfg, variant, seed)
     result = trainer.fit(train_cfg, dataset)
     trainer.save_checkpoint(os.path.join(run_dir, "checkpoint.ckpt"), result)
     trainer.write_history(os.path.join(run_dir, "history.csv"), result.history)
@@ -257,13 +256,12 @@ def cmd_train(cfg: dict) -> None:
         result = _run_training(cfg, dataset, variant, seed, os.path.join(out, f"seed{seed}"))
         finals.append(result.history[-1])
         print(f"seed {seed}: final loss {result.history[-1]['loss_total']:.4f}")
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "mean", "std"])
-        for key in ("loss_global", "loss_drop", "loss_reg", "loss_total"):
-            values = [row[key] for row in finals if row[key] is not None]
-            if values:
-                writer.writerow([key, repr(float(np.mean(values))), repr(float(np.std(values)))])
+    rows = []
+    for key in network.LOSS_KEYS:
+        values = [row[key] for row in finals if row[key] is not None]
+        if values:
+            rows.append([key, np.mean(values), np.std(values)])
+    evaluation.write_csv(os.path.join(out, "summary.csv"), ["metric", "mean", "std"], rows)
 
 
 def _rerank_params(cfg: dict, n_gallery: int) -> evaluation.RerankParams:
@@ -370,7 +368,7 @@ def cmd_ablation(cfg: dict) -> None:
         maps, rank1s = [], []
         for seed in cfg["seeds"]:
             run_dir = os.path.join(out, _variant_public(variant), f"seed{seed}")
-            result = _run_training(cfg, dataset, variant, seed, run_dir, epochs=cfg["epochs"])
+            result = _run_training(cfg, dataset, variant, seed, run_dir)
             query = evaluation.embed_split(result.model, dataset, "query")
             gallery = evaluation.embed_split(result.model, dataset, "gallery")
             raw, _ = evaluation.evaluate_run(query, gallery)
@@ -378,19 +376,9 @@ def cmd_ablation(cfg: dict) -> None:
             maps.append(raw.mAP)
             rank1s.append(float(raw.cmc[0]))
             print(f"{_variant_public(variant)} seed {seed}: mAP {raw.mAP:.4f} rank-1 {raw.cmc[0]:.4f}")
-        rows.append(
-            [
-                _variant_public(variant),
-                repr(float(np.mean(maps))),
-                repr(float(np.std(maps))),
-                repr(float(np.mean(rank1s))),
-                repr(float(np.std(rank1s))),
-            ]
-        )
-    with open(os.path.join(out, "ablation.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant", "map_mean", "map_std", "rank1_mean", "rank1_std"])
-        writer.writerows(rows)
+        rows.append([_variant_public(variant), np.mean(maps), np.std(maps), np.mean(rank1s), np.std(rank1s)])
+    header = ["variant", "map_mean", "map_std", "rank1_mean", "rank1_std"]
+    evaluation.write_csv(os.path.join(out, "ablation.csv"), header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +410,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    schema = SCHEMAS[args.command]
+    args = vars(_build_parser().parse_args(argv))
+    schema = SCHEMAS[args["command"]]
     try:
-        raw = {}
+        flags = {}
         for opt in schema:
-            value = getattr(args, opt.key.replace("-", "_"))
-            if value is not None and opt.kind != "bool":
-                value = _parse_value(opt.kind, value)
-            raw[opt.key.replace("-", "_")] = value
-        ns = argparse.Namespace(config=args.config, **raw)
-        cfg = _resolve(schema, ns)
-        _COMMANDS[args.command](cfg)
+            value = args[opt.key.replace("-", "_")]
+            flags[opt.key] = value if value is None or opt.kind == "bool" else _parse_value(opt.kind, value)
+        cfg = _resolve(schema, flags, args["config"])
+        _COMMANDS[args["command"]](cfg)
         return 0
     except Exception as exc:  # surface a clean message, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -149,12 +149,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """The first k + 1 columns of ``np.argsort(dist, axis=1, kind="stable")``
-    (ties go to the lower column index), sorting only the entries up to
-    each row's (k + 1)-th smallest value rather than whole rows."""
+    """The k + 1 nearest columns of each row of the square ``dist``,
+    nearest first. Among equal distances a point ranks itself first and
+    then the lower column index, so every point is its own nearest
+    neighbour even among exact copies. Only the entries up to each row's
+    (k + 1)-th smallest value are sorted, not whole rows."""
     kth = np.partition(dist, k, axis=1)[:, k : k + 1]
     rows, cols = np.nonzero(dist <= kth)  # columns ascend within each row
-    cols = cols[np.lexsort((dist[rows, cols], rows))]  # lexsort is stable
+    cols = cols[np.lexsort((cols != rows, dist[rows, cols], rows))]  # lexsort is stable
     counts = np.bincount(rows, minlength=dist.shape[0])
     return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
 
@@ -190,8 +192,6 @@ def _expanded_sets(order: np.ndarray, k1: int):
     union = np.sort(np.concatenate([reciprocal, grown], axis=1), axis=1)
     keep = union >= 0
     keep[:, 1:] &= union[:, 1:] != union[:, :-1]
-    if not keep.any(axis=1).all():
-        raise ValueError("a point has more than k1 exact duplicates, so its k-reciprocal set is empty")
     return np.nonzero(keep)[0], union[keep]
 
 
@@ -311,13 +311,31 @@ def evaluate_run(query: EmbeddingSet, gallery: EmbeddingSet, with_rerank: bool =
     return raw, reranked
 
 
-def save_embeddings(path, embeddings: EmbeddingSet) -> None:
-    d = embeddings.features.shape[1]
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV format every file the package writes uses: floats as
+    ``repr(float(v))``, which reads back exactly, ``None`` as an empty
+    field, anything else through ``str``, and ``\\r\\n`` line ends."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["person_id", "camera_id"] + [f"f{i}" for i in range(d)])
-        for pid, cam, row in zip(embeddings.person_ids, embeddings.camera_ids, embeddings.features):
-            writer.writerow([int(pid), int(cam)] + [repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows([_csv_field(v) for v in row] for row in rows)
+
+
+def save_embeddings(path, embeddings: EmbeddingSet) -> None:
+    d = embeddings.features.shape[1]
+    rows = (
+        [int(pid), int(cam), *row]
+        for pid, cam, row in zip(embeddings.person_ids, embeddings.camera_ids, embeddings.features.tolist())
+    )
+    write_csv(path, ["person_id", "camera_id"] + [f"f{i}" for i in range(d)], rows)
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -349,13 +367,8 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def save_results(path, result: EvalResult) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["mAP", repr(result.mAP)])
-        for rank in (1, 5, 10):
-            if rank <= result.cmc.size:
-                writer.writerow([f"rank-{rank}", repr(float(result.cmc[rank - 1]))])
-        writer.writerow(["num_valid_queries", result.num_valid_queries])
-        for k, value in enumerate(result.cmc, start=1):
-            writer.writerow([f"cmc_{k}", repr(float(value))])
+    rows = [["mAP", result.mAP]]
+    rows += [[f"rank-{rank}", result.cmc[rank - 1]] for rank in (1, 5, 10) if rank <= result.cmc.size]
+    rows.append(["num_valid_queries", result.num_valid_queries])
+    rows += [[f"cmc_{k}", value] for k, value in enumerate(result.cmc, start=1)]
+    write_csv(path, ["metric", "value"], rows)

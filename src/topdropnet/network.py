@@ -21,40 +21,36 @@ from . import rng as rng_mod
 from . import tensorcore as tc
 from . import topdrop
 
-VARIANTS = ("full", "no_drop", "no_reg", "baseline_bdb")
 # Precision a model trains and embeds in unless its config says otherwise.
 MODEL_DTYPE = "float32"
 MODEL_DTYPES = ("float32", "float64")
 
-
-def active_streams(variant: str) -> tuple:
-    """Streams trained (and therefore contributing loss terms)."""
-    if variant in ("full", "baseline_bdb"):
-        return ("global", "drop", "reg")
-    if variant == "no_drop":
-        return ("global", "reg")
-    if variant == "no_reg":
-        return ("global", "drop")
-    raise ValueError(f"unknown variant {variant!r}")
+STREAMS = ("global", "drop", "reg")
 
 
-def embed_streams(variant: str) -> tuple:
-    """Streams concatenated at inference time."""
-    if variant == "no_drop":
-        return ("global", "reg")
-    if variant in ("full", "no_reg", "baseline_bdb"):
-        return ("global", "drop")
-    raise ValueError(f"unknown variant {variant!r}")
+def loss_key(stream: str) -> str:
+    return f"loss_{stream}"
 
 
-def mask_mode(variant: str) -> str:
-    if variant in ("full", "no_reg"):
-        return "top"
-    if variant == "baseline_bdb":
-        return "random"
-    if variant == "no_drop":
-        return "none"
-    raise ValueError(f"unknown variant {variant!r}")
+# Loss metrics of a step, in the column order of history.csv and summary.csv.
+LOSS_KEYS = tuple(loss_key(s) for s in STREAMS + ("total",))
+
+
+@dataclass(frozen=True)
+class Variant:
+    trained: tuple  # streams trained, each adding a loss term
+    embedded: tuple  # streams concatenated at inference time
+    mask: str  # drop-stream mask: "top" per image, "random" per batch, or "none"
+
+
+# The ablation, in report order. baseline_bdb is Batch DropBlock: the full
+# model with a random contiguous block in place of the top-relevance rows.
+VARIANTS = {
+    "full": Variant(("global", "drop", "reg"), ("global", "drop"), "top"),
+    "no_drop": Variant(("global", "reg"), ("global", "reg"), "none"),
+    "no_reg": Variant(("global", "drop"), ("global", "drop"), "top"),
+    "baseline_bdb": Variant(("global", "drop", "reg"), ("global", "drop"), "random"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,17 +68,17 @@ class BackboneConfig:
         if self.feature_height() < 4:
             raise ValueError(f"feature height {self.feature_height()} < 4; stripe dropping needs taller maps")
 
-    def feature_height(self) -> int:
-        h = self.input_size[0] // 2  # stem max-pool
+    def _feature_extent(self, axis: int) -> int:
+        extent = self.input_size[axis] // 2  # stem max-pool
         for s in self.strides:
-            h = (h + 2 - 3) // s + 1  # 3x3 conv, pad 1
-        return h
+            extent = tc.conv_output_extent(extent, 3, s, 1)
+        return extent
+
+    def feature_height(self) -> int:
+        return self._feature_extent(0)
 
     def feature_width(self) -> int:
-        w = self.input_size[1] // 2
-        for s in self.strides:
-            w = (w + 2 - 3) // s + 1
-        return w
+        return self._feature_extent(1)
 
     def feature_channels(self) -> int:
         return self.stage_channels[-1]
@@ -100,7 +96,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
         object.__setattr__(self, "dtype", dtype_name(self.dtype))
 
 
@@ -325,11 +321,11 @@ class ReidModel(tc.Module):
         dropped rows ((n, h), or (h,) shared by the batch), which are
         applied to the refined tensor; without it nothing is dropped.
         """
-        return self._run_streams(images, active_streams(self.variant), mask_fn)
+        return self._run_streams(images, VARIANTS[self.variant].trained, mask_fn)
 
     def embed_dim(self) -> int:
         dims = {"global": self.cfg.d_global, "drop": self.cfg.d_drop, "reg": self.cfg.backbone.feature_channels()}
-        return sum(dims[s] for s in embed_streams(self.variant))
+        return sum(dims[s] for s in VARIANTS[self.variant].embedded)
 
     def inference_embed(self, images: tc.Tensor) -> np.ndarray:
         """Concatenated neck features of the inference streams.
@@ -339,7 +335,7 @@ class ReidModel(tc.Module):
         """
         if self.training:
             raise tc.TensorError("inference_embed requires eval mode")
-        out = self._run_streams(images, embed_streams(self.variant))
+        out = self._run_streams(images, VARIANTS[self.variant].embedded)
         return np.concatenate([s.neck_feature.data for s in out.values()], axis=1)
 
 
@@ -432,7 +428,7 @@ def total_loss(outputs: dict, labels, margin: float = 0.3, epsilon: float = 0.1)
         ce = ce_label_smoothing(stream.logits, labels, epsilon)
         tri = triplet_batch_hard(stream.triplet_feature, labels, margin)
         stream_loss = tc.add(ce, tri)
-        metrics[f"loss_{name}"] = stream_loss.item()
+        metrics[loss_key(name)] = stream_loss.item()
         total = stream_loss if total is None else tc.add(total, stream_loss)
-    metrics["loss_total"] = total.item()
+    metrics[loss_key("total")] = total.item()
     return total, metrics

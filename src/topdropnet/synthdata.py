@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ppm
+from . import evaluation, ppm
 from . import rng as rng_mod
 
 SPLITS = ("train", "query", "gallery")
@@ -207,14 +207,13 @@ MANIFEST_HEADER = ["person_id", "camera_id", "split", "image_path"]
 
 
 def save_manifest(records, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(MANIFEST_HEADER)
-        for r in records:
-            writer.writerow([r.person_id, r.camera_id, r.split, r.image_path])
+    evaluation.write_csv(path, MANIFEST_HEADER, ([r.person_id, r.camera_id, r.split, r.image_path] for r in records))
 
 
 def load_manifest(path) -> list:
+    """Records of a manifest. Raises ValueError naming the line for a
+    malformed row and for an image path that is absolute, climbs out of
+    the dataset directory with ``..``, or names the directory itself."""
     records = []
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
@@ -231,6 +230,9 @@ def load_manifest(path) -> list:
             split = row[2]
             if split not in SPLITS:
                 raise ValueError(f"line {lineno}: unknown split {split!r}")
+            first = os.path.normpath(row[3]).split(os.sep)[0]
+            if os.path.isabs(row[3]) or first in (".", ".."):
+                raise ValueError(f"line {lineno}: image path {row[3]!r} does not name a file inside the dataset")
             records.append(SampleRecord(pid, cam, split, row[3]))
     return records
 
@@ -318,10 +320,7 @@ def augment(image: np.ndarray, cfg: AugmentationConfig, draw: np.random.Generato
 
     z = draw.uniform(cfg.zoom_range[0], cfg.zoom_range[1])
     zh, zw = max(1, int(round(h * z))), max(1, int(round(w * z)))
-    if (zh, zw) != (h, w):
-        img = _center_fit(_resize_bilinear(img, zh, zw), h, w)
-    else:
-        img = _resize_bilinear(img, h, w)  # exact identity mapping
+    img = _center_fit(_resize_bilinear(img, zh, zw), h, w)
 
     if draw.uniform() < cfg.erase_prob:
         area = draw.uniform(cfg.erase_area[0], cfg.erase_area[1]) * h * w
@@ -385,11 +384,3 @@ def epoch_batches(manifest, spec: BatchSpec, seed: int, epoch: int) -> list:
             batch.extend(idxs[i] for i in pick)
         batches.append(np.array(batch, dtype=np.int64))
     return batches
-
-
-def pk_sample(manifest, spec: BatchSpec, seed: int, epoch_position: int) -> np.ndarray:
-    """The batch at a flat position: epoch_position // batches_per_epoch
-    selects the epoch, the remainder the batch within it."""
-    bpe = batches_per_epoch(manifest, spec)
-    epoch, slot = divmod(int(epoch_position), bpe)
-    return epoch_batches(manifest, spec, seed, epoch)[slot]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rng_mod
 from . import tensorcore as tc
 
 
@@ -84,13 +83,9 @@ def top_drop_mask(relevance: np.ndarray, cfg: DropConfig) -> np.ndarray:
 
 def batch_drop_mask(h: int, height_ratio: float, rng) -> np.ndarray:
     """Baseline mask: a contiguous block of floor(h * ratio) rows at a
-    uniformly random start, shared by the whole batch; returned as (h,).
-
-    ``rng`` is a caller-owned numpy Generator or an integer seed for the
-    documented stream.
+    uniformly random start drawn from the caller-owned generator ``rng``,
+    shared by the whole batch; returned as (h,).
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = rng_mod.generator(int(rng), "batch-drop")
     block = int(np.floor(h * height_ratio))
     if block < 1:
         raise ValueError(f"block height floor({h} * {height_ratio}) < 1")

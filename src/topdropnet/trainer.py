@@ -11,7 +11,6 @@ bitwise identical to an uninterrupted run and keeps augmentation draws
 identical across model variants for paired comparisons.
 """
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network, synthdata, tensorcore as tc, topdrop
+from . import evaluation, network, synthdata, tensorcore as tc, topdrop
 from . import rng as rng_mod
 
 
@@ -44,7 +43,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.variant not in network.VARIANTS:
-            raise ValueError(f"variant must be one of {network.VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(network.VARIANTS)}")
         object.__setattr__(self, "dtype", network.dtype_name(self.dtype))
         ms = self.decay_milestones
         if not 0.0 < self.warmup_fraction < min(ms):
@@ -130,7 +129,7 @@ def adam_step(named_params, state: AdamState, lr: float) -> None:
 # Epoch and fit
 # ---------------------------------------------------------------------------
 
-HISTORY_COLUMNS = ("epoch", "lr", "loss_global", "loss_drop", "loss_reg", "loss_total")
+HISTORY_COLUMNS = ("epoch", "lr") + network.LOSS_KEYS
 
 
 def build_model(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> network.ReidModel:
@@ -157,7 +156,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
         ),
         "random": lambda f: topdrop.batch_drop_mask(f.shape[2], cfg.height_ratio, mask_gen),
         "none": None,
-    }[network.mask_mode(cfg.variant)]
+    }[network.VARIANTS[cfg.variant].mask]
 
     sums = {}
     batches = synthdata.epoch_batches(dataset.records, cfg.batch, cfg.seed, epoch)
@@ -183,7 +182,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
             sums[key] = sums.get(key, 0.0) + value
 
     out = {"epoch": epoch, "lr": lr}
-    for key in ("loss_global", "loss_drop", "loss_reg", "loss_total"):
+    for key in network.LOSS_KEYS:
         out[key] = sums[key] / len(batches) if key in sums else None
     return out
 
@@ -232,16 +231,13 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
 
 
 def _model_meta(model: network.ReidModel) -> dict:
-    bb = model.cfg.backbone
+    cfg = model.cfg
     return {
         "num_classes": model.num_classes,
-        "variant": model.cfg.variant,
-        "d_global": model.cfg.d_global,
-        "d_drop": model.cfg.d_drop,
-        "stem_channels": bb.stem_channels,
-        "stage_channels": list(bb.stage_channels),
-        "strides": list(bb.strides),
-        "input_size": list(bb.input_size),
+        "variant": cfg.variant,
+        "d_global": cfg.d_global,
+        "d_drop": cfg.d_drop,
+        **dataclasses.asdict(cfg.backbone),
     }
 
 
@@ -325,12 +321,8 @@ def model_from_checkpoint(path) -> network.ReidModel:
     dtypes = {arr.dtype.name for key, arr in arrays.items() if key.startswith("param.")}
     if len(dtypes) != 1:
         raise ValueError(f"checkpoint parameters must share one dtype, got {sorted(dtypes)}")
-    backbone = network.BackboneConfig(
-        stem_channels=m["stem_channels"],
-        stage_channels=tuple(m["stage_channels"]),
-        strides=tuple(m["strides"]),
-        input_size=tuple(m["input_size"]),
-    )
+    fields = [f.name for f in dataclasses.fields(network.BackboneConfig)]
+    backbone = network.BackboneConfig(**{k: tuple(m[k]) if isinstance(m[k], list) else m[k] for k in fields})
     model_cfg = network.ModelConfig(
         variant=m["variant"], d_global=m["d_global"], d_drop=m["d_drop"], backbone=backbone, dtype=dtypes.pop()
     )
@@ -340,10 +332,4 @@ def model_from_checkpoint(path) -> network.ReidModel:
 
 
 def write_history(path, history) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(HISTORY_COLUMNS)
-        for row in history:
-            writer.writerow(
-                ["" if row.get(col) is None else repr(row[col]) if isinstance(row[col], float) else row[col] for col in HISTORY_COLUMNS]
-            )
+    evaluation.write_csv(path, HISTORY_COLUMNS, ([row.get(col) for col in HISTORY_COLUMNS] for row in history))

@@ -155,7 +155,8 @@ def rerank_transcription(q_feats, g_feats, k1, k2, lam):
     n = len(feats)
     n_q = len(q_feats)
     dist = distances_loops(feats, feats)
-    order = [sorted(range(n), key=lambda j: (dist[i][j], j)) for i in range(n)]
+    # A point ranks itself first among its exact copies.
+    order = [sorted(range(n), key=lambda j: (dist[i][j], j != i, j)) for i in range(n)]
 
     def neighbors(i, k):
         return order[i][: k + 1]

@@ -1,11 +1,20 @@
 """Command-line surface: artifacts, determinism, config echo, exit codes."""
 
+import hashlib
 import os
+import re
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from topdropnet import cli, evaluation, network, ppm, synthdata, tensorcore as tc, topdrop, trainer
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_cli(*args):
@@ -300,3 +309,62 @@ class TestConfigMachinery:
 
     def test_bad_flag_value_exits_nonzero(self, tmp_path):
         assert run_cli("gendata", "--out", tmp_path / "x", "--ids", "eight") == 1
+
+
+class TestDefaults:
+    def test_defaults_are_the_config_classes(self):
+        train = cli._resolve(cli.SCHEMAS["train"], {"out": "o", "data": "d"}, None)
+        assert cli._train_config(train, cli._variant_internal(train["variant"]), train["seed"]) == trainer.TrainConfig()
+        ablation = cli._resolve(cli.SCHEMAS["ablation"], {"out": "o", "data": "d"}, None)
+        assert cli._train_config(ablation, "full", trainer.TrainConfig().seed) == trainer.TrainConfig()
+        ev = cli._resolve(cli.SCHEMAS["eval"], {"out": "o", "data": "d", "checkpoint": "c"}, None)
+        assert cli._rerank_params(ev, 10**6) == evaluation.RerankParams()
+        act = cli._resolve(cli.SCHEMAS["activations"], {"out": "o", "checkpoint": "c", "images": ("i",)}, None)
+        assert topdrop.DropConfig(act["height-ratio"], act["power"]) == topdrop.DropConfig()
+
+
+def readme_commands():
+    """Every ``topdropnet`` command in the README's code blocks, with
+    backslash continuations joined."""
+    text = open(README, encoding="utf-8").read()
+    commands = []
+    for block in re.findall(r"^```\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("topdropnet "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadme:
+    def test_every_documented_command_parses(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == set(cli.SCHEMAS)
+        parser = cli._build_parser()
+        for argv in commands:
+            try:
+                args = vars(parser.parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: topdropnet {shlex.join(argv)}")
+            for opt in cli.SCHEMAS[argv[0]]:
+                value = args[opt.key.replace("-", "_")]
+                if value is not None and opt.kind != "bool":
+                    cli._parse_value(opt.kind, value)
+            if args.get("variant") is not None:
+                assert cli._variant_internal(args["variant"]) in network.VARIANTS, argv
+
+
+def train_checkpoint_sha256(data, out, threads):
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
+    argv = ["train", "--data", data, "--out", out, "--variant", "full", "--epochs", "3", "--seed", "1"]
+    subprocess.run([sys.executable, "-m", "topdropnet.cli", *map(str, argv)], env=env, check=True,
+                   capture_output=True, timeout=600)
+    return hashlib.sha256((out / "checkpoint.ckpt").read_bytes()).hexdigest()
+
+
+class TestDeterminism:
+    def test_checkpoint_independent_of_run_and_thread_count(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("gendata", "--out", data, "--seed", 1) == 0
+        first = train_checkpoint_sha256(data, tmp_path / "a", threads=1)
+        assert train_checkpoint_sha256(data, tmp_path / "b", threads=1) == first
+        assert train_checkpoint_sha256(data, tmp_path / "c", threads=2) == first

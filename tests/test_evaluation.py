@@ -198,6 +198,23 @@ class TestRerank:
         want = rerank_transcription(q, g, k1=k1, k2=k2, lam=lam)
         assert np.max(np.abs(got - want)) < 1e-8
 
+    def test_every_point_is_its_own_nearest_among_copies(self):
+        feats = np.zeros((12, 3))
+        feats[6:] = 1.0
+        order = evaluation._nearest(evaluation.pairwise_euclidean(feats, feats), 7)
+        np.testing.assert_array_equal(order[:, 0], np.arange(12))
+        # Then copies by index, then the other cluster.
+        np.testing.assert_array_equal(order[8], [8, 6, 7, 9, 10, 11, 0, 1])
+
+    def test_collapsed_gallery(self):
+        # Every point has more than k1 exact copies, as from a collapsed model.
+        out = evaluation.rerank(np.zeros((10, 4)), np.zeros((30, 4)), evaluation.RerankParams(k1=20))
+        assert out.shape == (10, 30) and np.isfinite(out).all()
+        q, g = np.zeros((3, 2)), np.zeros((8, 2))
+        g[6:] = 1.0
+        got = evaluation.rerank(q, g, evaluation.RerankParams(k1=4, k2=2, lam=0.3))
+        assert np.max(np.abs(got - rerank_transcription(q, g, k1=4, k2=2, lam=0.3))) < 1e-8
+
     def test_peak_memory_within_a_few_distance_matrices(self):
         rng = np.random.default_rng(5)
         centers = rng.normal(size=(125, 64))
@@ -279,3 +296,8 @@ class TestEmbeddingFiles:
         assert lines[0] == "metric,value"
         assert lines[1] == "mAP,0.5"
         assert "cmc_3,1.0" in lines
+
+    def test_write_csv_format(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        evaluation.write_csv(path, ["a", "b", "c"], [[1, 0.1, None], ["x,y", np.float32(0.1), np.float64(2.0)]])
+        assert path.read_bytes() == b'a,b,c\r\n1,0.1,\r\n"x,y",0.10000000149011612,2.0\r\n'

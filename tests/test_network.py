@@ -255,7 +255,7 @@ class TestTotalLoss:
         model.train()
         x = toy_images(seed=seed)
         mask_fn = None
-        if network.mask_mode(variant) != "none":
+        if network.VARIANTS[variant].mask != "none":
             mask_fn = lambda features: topdrop.masks_from_features(features.data, topdrop.DropConfig(0.3))
         return model.forward_train(x, mask_fn)
 
@@ -339,10 +339,14 @@ class TestInferenceEmbed:
 
 class TestVariantAlgebra:
     def test_active_stream_subsets(self):
-        full = set(network.active_streams("full"))
-        assert set(network.active_streams("no_drop")) < full
-        assert set(network.active_streams("no_reg")) < full
-        assert set(network.active_streams("baseline_bdb")) == full
+        trained = {name: set(v.trained) for name, v in network.VARIANTS.items()}
+        assert trained["full"] == set(network.STREAMS)
+        assert trained["no_drop"] < trained["full"]
+        assert trained["no_reg"] < trained["full"]
+        assert trained["baseline_bdb"] == trained["full"]
+        for v in network.VARIANTS.values():
+            assert set(v.embedded) <= set(v.trained)
+            assert (v.mask == "none") == ("drop" not in v.trained)
 
     def test_baseline_differs_only_in_mask_construction(self):
         full = small_model("full", seed=11)
@@ -352,8 +356,10 @@ class TestVariantAlgebra:
         assert names_full == names_base
         for (_, a), (_, b) in zip(full.named_parameters(), baseline.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
-        assert network.mask_mode("full") == "top"
-        assert network.mask_mode("baseline_bdb") == "random"
+        full_variant, baseline_variant = network.VARIANTS["full"], network.VARIANTS["baseline_bdb"]
+        assert (full_variant.mask, baseline_variant.mask) == ("top", "random")
+        assert full_variant.trained == baseline_variant.trained
+        assert full_variant.embedded == baseline_variant.embedded
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -169,7 +169,7 @@ class TestPKSampling:
     def test_batch_contract(self):
         manifest = self._manifest()
         spec = synthdata.BatchSpec(p=8, k=4)
-        batch = synthdata.pk_sample(manifest, spec, seed=1, epoch_position=0)
+        batch = synthdata.epoch_batches(manifest, spec, seed=1, epoch=0)[0]
         assert batch.size == 32
         pids = [manifest[i].person_id for i in batch]
         assert len(set(pids)) == 8
@@ -180,11 +180,11 @@ class TestPKSampling:
     def test_every_id_has_at_least_two_instances(self):
         manifest = self._manifest()
         spec = synthdata.BatchSpec(p=4, k=2)
-        for pos in range(6):
-            batch = synthdata.pk_sample(manifest, spec, seed=3, epoch_position=pos)
-            pids = [manifest[i].person_id for i in batch]
-            for pid in set(pids):
-                assert pids.count(pid) >= 2
+        for epoch in range(3):
+            for batch in synthdata.epoch_batches(manifest, spec, seed=3, epoch=epoch):
+                pids = [manifest[i].person_id for i in batch]
+                for pid in set(pids):
+                    assert pids.count(pid) >= 2
 
     def test_epoch_covers_every_train_id(self):
         manifest = self._manifest(ids=10)
@@ -205,12 +205,12 @@ class TestPKSampling:
     def test_insufficient_ids_rejected(self):
         manifest = self._manifest(ids=3)
         with pytest.raises(ValueError):
-            synthdata.pk_sample(manifest, synthdata.BatchSpec(p=4, k=2), seed=1, epoch_position=0)
+            synthdata.epoch_batches(manifest, synthdata.BatchSpec(p=4, k=2), seed=1, epoch=0)
 
     def test_insufficient_images_rejected(self):
         manifest = self._manifest(ids=8, per_id=2)
         with pytest.raises(ValueError):
-            synthdata.pk_sample(manifest, synthdata.BatchSpec(p=4, k=3), seed=1, epoch_position=0)
+            synthdata.epoch_batches(manifest, synthdata.BatchSpec(p=4, k=3), seed=1, epoch=0)
 
     def test_batch_spec_validation(self):
         with pytest.raises(ValueError):
@@ -221,9 +221,11 @@ class TestPKSampling:
     def test_deterministic_per_position(self):
         manifest = self._manifest()
         spec = synthdata.BatchSpec(p=4, k=2)
-        a = synthdata.pk_sample(manifest, spec, seed=11, epoch_position=5)
-        b = synthdata.pk_sample(manifest, spec, seed=11, epoch_position=5)
-        np.testing.assert_array_equal(a, b)
+        a = synthdata.epoch_batches(manifest, spec, seed=11, epoch=2)
+        b = synthdata.epoch_batches(manifest, spec, seed=11, epoch=2)
+        assert len(a) == len(b) == 2
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestManifestIO:
@@ -254,6 +256,18 @@ class TestManifestIO:
         path.write_text("person_id,camera_id,split,image_path\n1,0,train,ok.ppm\nx,0,train,bad.ppm\n")
         with pytest.raises(ValueError, match="line 3"):
             synthdata.load_manifest(path)
+
+    @pytest.mark.parametrize("image_path", ["/etc/passwd", "../outside.ppm", "images/../../outside.ppm", "", "images/.."])
+    def test_path_leaving_the_dataset_rejected(self, tmp_path, image_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"person_id,camera_id,split,image_path\n1,0,train,ok.ppm\n2,0,train,{image_path}\n")
+        with pytest.raises(ValueError, match="line 3.*inside the dataset"):
+            synthdata.load_manifest(path)
+
+    def test_dotdot_inside_the_dataset_accepted(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("person_id,camera_id,split,image_path\n1,0,train,images/../images/a.ppm\n")
+        assert synthdata.load_manifest(path)[0].image_path == "images/../images/a.ppm"
 
 
 class TestPPM:

@@ -8,6 +8,7 @@ its --out directory.
 """
 
 import argparse
+import inspect
 import os
 import shutil
 import sys
@@ -115,10 +116,12 @@ def _variant_public(name: str) -> str:
 # Schemas
 # ---------------------------------------------------------------------------
 
-# Defaults come from the config classes, so each is written once.
+# Defaults come from the config classes and from generate_dataset's
+# signature, so each is written once.
 _TRAIN = trainer.TrainConfig()
 _RERANK = evaluation.RerankParams()
 _DROP = topdrop.DropConfig()
+_GENDATA = {name: p.default for name, p in inspect.signature(synthdata.generate_dataset).parameters.items()}
 
 _TRAIN_COMMON = [
     Opt("base-lr", "float", _TRAIN.base_lr, "plateau learning rate"),
@@ -138,13 +141,13 @@ _TRAIN_COMMON = [
 SCHEMAS = {
     "gendata": [
         Opt("out", "str", None, "dataset directory", required=True),
-        Opt("ids", "int", 32, "number of identities"),
-        Opt("cams", "int", 4, "number of cameras"),
-        Opt("per", "int", 4, "images per (identity, camera)"),
-        Opt("occlusion", "float", 0.1, "per-image band occlusion probability"),
-        Opt("height", "int", 64, "image height"),
-        Opt("width", "int", 32, "image width"),
-        Opt("seed", "int", 1, "generation seed"),
+        Opt("ids", "int", _GENDATA["num_ids"], "number of identities"),
+        Opt("cams", "int", _GENDATA["num_cams"], "number of cameras"),
+        Opt("per", "int", _GENDATA["imgs_per_id_per_cam"], "images per (identity, camera)"),
+        Opt("occlusion", "float", _GENDATA["occlusion_prob"], "per-image band occlusion probability"),
+        Opt("height", "int", _GENDATA["size"][0], "image height"),
+        Opt("width", "int", _GENDATA["size"][1], "image width"),
+        Opt("seed", "int", _GENDATA["seed"], "generation seed"),
         Opt("force", "bool", False, "overwrite an existing dataset directory"),
     ],
     "train": [
@@ -164,7 +167,7 @@ SCHEMAS = {
         Opt("k1", "int", _RERANK.k1, "re-ranking neighborhood"),
         Opt("k2", "int", _RERANK.k2, "local expansion neighborhood"),
         Opt("lambda", "float", _RERANK.lam, "blend toward the original distance"),
-        Opt("max-rank", "int", 50, "CMC curve length"),
+        Opt("max-rank", "int", evaluation.MAX_RANK, "CMC curve length"),
         Opt("save-embeddings", "bool", False, "write query/gallery embedding CSVs"),
     ],
     "activations": [
@@ -216,6 +219,8 @@ def cmd_gendata(cfg: dict) -> None:
     if os.path.exists(out):
         if not cfg["force"]:
             raise FileExistsError(f"{out} exists; pass --force to overwrite")
+        if not os.path.isfile(os.path.join(out, "manifest.csv")):
+            raise ValueError(f"{out} holds no manifest.csv; --force replaces only a dataset directory")
         shutil.rmtree(out)
     os.makedirs(out)
     _echo_config(out, SCHEMAS["gendata"], cfg)

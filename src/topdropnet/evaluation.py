@@ -29,6 +29,10 @@ class EmbeddingSet:
             raise ValueError("metadata length mismatch")
 
 
+# Length of a CMC curve unless the caller asks for another.
+MAX_RANK = 50
+
+
 @dataclass
 class EvalResult:
     mAP: float
@@ -100,7 +104,7 @@ def evaluate(
     query_cams,
     gallery_ids,
     gallery_cams,
-    max_rank: int = 50,
+    max_rank: int = MAX_RANK,
 ) -> EvalResult:
     """Score a query-gallery distance matrix under the junk-removal rule."""
     query_ids = np.asarray(query_ids)
@@ -298,7 +302,7 @@ def embed_split(model, dataset, split: str) -> EmbeddingSet:
 
 
 def evaluate_run(query: EmbeddingSet, gallery: EmbeddingSet, with_rerank: bool = False,
-                 params: RerankParams = RerankParams(), max_rank: int = 50):
+                 params: RerankParams = RerankParams(), max_rank: int = MAX_RANK):
     """Raw and (optionally) re-ranked results from one embedding pass."""
     dist = pairwise_euclidean(query.features, gallery.features)
     raw = evaluate(dist, query.person_ids, query.camera_ids, gallery.person_ids, gallery.camera_ids, max_rank)

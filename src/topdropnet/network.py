@@ -68,17 +68,11 @@ class BackboneConfig:
         if self.feature_height() < 4:
             raise ValueError(f"feature height {self.feature_height()} < 4; stripe dropping needs taller maps")
 
-    def _feature_extent(self, axis: int) -> int:
-        extent = self.input_size[axis] // 2  # stem max-pool
+    def feature_height(self) -> int:
+        extent = self.input_size[0] // 2  # stem max-pool
         for s in self.strides:
             extent = tc.conv_output_extent(extent, 3, s, 1)
         return extent
-
-    def feature_height(self) -> int:
-        return self._feature_extent(0)
-
-    def feature_width(self) -> int:
-        return self._feature_extent(1)
 
     def feature_channels(self) -> int:
         return self.stage_channels[-1]
@@ -90,8 +84,6 @@ class ModelConfig:
     d_global: int = 128
     d_drop: int = 128
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
     dtype: str = MODEL_DTYPE
 
     def __post_init__(self):
@@ -150,25 +142,14 @@ class Linear(tc.Module):
 
 
 class BatchNorm(tc.Module):
-    def __init__(self, channels, momentum=0.1, eps=1e-5, zero_init=False):
+    def __init__(self, channels, zero_init=False):
         self.gamma = tc.parameter(np.zeros(channels) if zero_init else np.ones(channels))
         self.beta = tc.parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._momentum = momentum
-        self._eps = eps
 
     def __call__(self, x):
-        return tc.batchnorm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training=self.training,
-            momentum=self._momentum,
-            eps=self._eps,
-        )
+        return tc.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training)
 
 
 class Bottleneck(tc.Module):
@@ -178,18 +159,18 @@ class Bottleneck(tc.Module):
     the block is the identity on non-negative inputs at initialization.
     """
 
-    def __init__(self, cin, cout, stride=1, init_rng=None, zero_init_last=False, momentum=0.1, eps=1e-5):
+    def __init__(self, cin, cout, stride=1, init_rng=None, zero_init_last=False):
         mid = max(cout // 4, 1)
         self.conv1 = Conv2d(cin, mid, 1, init_rng=init_rng)
-        self.bn1 = BatchNorm(mid, momentum, eps)
+        self.bn1 = BatchNorm(mid)
         self.conv2 = Conv2d(mid, mid, 3, stride=stride, pad=1, init_rng=init_rng)
-        self.bn2 = BatchNorm(mid, momentum, eps)
+        self.bn2 = BatchNorm(mid)
         self.conv3 = Conv2d(mid, cout, 1, init_rng=init_rng)
-        self.bn3 = BatchNorm(cout, momentum, eps, zero_init=zero_init_last)
+        self.bn3 = BatchNorm(cout, zero_init=zero_init_last)
         self._project = stride != 1 or cin != cout
         if self._project:
             self.proj_conv = Conv2d(cin, cout, 1, stride=stride, init_rng=init_rng)
-            self.proj_bn = BatchNorm(cout, momentum, eps)
+            self.proj_bn = BatchNorm(cout)
 
     def __call__(self, x):
         y = tc.relu(self.bn1(self.conv1(x)))
@@ -203,13 +184,13 @@ class Backbone(tc.Module):
     """Stem conv + max-pool, then one bottleneck per stage; the final
     stage keeps stride 1 so the feature map stays tall."""
 
-    def __init__(self, cfg: BackboneConfig, init_rng, momentum=0.1, eps=1e-5):
+    def __init__(self, cfg: BackboneConfig, init_rng):
         self.stem_conv = Conv2d(3, cfg.stem_channels, 3, stride=1, pad=1, init_rng=init_rng)
-        self.stem_bn = BatchNorm(cfg.stem_channels, momentum, eps)
+        self.stem_bn = BatchNorm(cfg.stem_channels)
         self.stages = []
         cin = cfg.stem_channels
         for cout, stride in zip(cfg.stage_channels, cfg.strides):
-            self.stages.append(Bottleneck(cin, cout, stride, init_rng, momentum=momentum, eps=eps))
+            self.stages.append(Bottleneck(cin, cout, stride, init_rng))
             cin = cout
         self._cfg = cfg
 
@@ -231,8 +212,8 @@ class BNNeckHead(tc.Module):
     feature; inference uses the post-norm feature.
     """
 
-    def __init__(self, dim, num_classes, init_rng, momentum=0.1, eps=1e-5):
-        self.bn = BatchNorm(dim, momentum, eps)
+    def __init__(self, dim, num_classes, init_rng):
+        self.bn = BatchNorm(dim)
         self.classifier = Linear(dim, num_classes, bias=False, init_rng=init_rng, init_std=0.01)
 
     def __call__(self, feature) -> StreamOutputs:
@@ -253,18 +234,17 @@ class ReidModel(tc.Module):
         init_rng = rng_mod.generator(seed, "init")
         bb = cfg.backbone
         c = bb.feature_channels()
-        mom, eps = cfg.bn_momentum, cfg.bn_eps
 
-        self.backbone = Backbone(bb, init_rng, mom, eps)
+        self.backbone = Backbone(bb, init_rng)
         self.refine = [
-            Bottleneck(c, c, 1, init_rng, zero_init_last=True, momentum=mom, eps=eps),
-            Bottleneck(c, c, 1, init_rng, zero_init_last=True, momentum=mom, eps=eps),
+            Bottleneck(c, c, 1, init_rng, zero_init_last=True),
+            Bottleneck(c, c, 1, init_rng, zero_init_last=True),
         ]
         self.global_reduce = Linear(c, cfg.d_global, bias=True, init_rng=init_rng)
-        self.global_head = BNNeckHead(cfg.d_global, num_classes, init_rng, mom, eps)
+        self.global_head = BNNeckHead(cfg.d_global, num_classes, init_rng)
         self.drop_reduce = Linear(c, cfg.d_drop, bias=True, init_rng=init_rng)
-        self.drop_head = BNNeckHead(cfg.d_drop, num_classes, init_rng, mom, eps)
-        self.reg_head = BNNeckHead(c, num_classes, init_rng, mom, eps)
+        self.drop_head = BNNeckHead(cfg.d_drop, num_classes, init_rng)
+        self.reg_head = BNNeckHead(c, num_classes, init_rng)
 
         self.cast(cfg.dtype)
 
@@ -322,10 +302,6 @@ class ReidModel(tc.Module):
         applied to the refined tensor; without it nothing is dropped.
         """
         return self._run_streams(images, VARIANTS[self.variant].trained, mask_fn)
-
-    def embed_dim(self) -> int:
-        dims = {"global": self.cfg.d_global, "drop": self.cfg.d_drop, "reg": self.cfg.backbone.feature_channels()}
-        return sum(dims[s] for s in VARIANTS[self.variant].embedded)
 
     def inference_embed(self, images: tc.Tensor) -> np.ndarray:
         """Concatenated neck features of the inference streams.

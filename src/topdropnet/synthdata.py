@@ -51,12 +51,14 @@ class IdentityAppearance:
 
 @dataclass(frozen=True)
 class AugmentationConfig:
+    """Training augments with these defaults; other values isolate one
+    of flip, zoom and erase."""
+
     flip_prob: float = 0.5
     zoom_range: tuple = (0.9, 1.1)
     erase_prob: float = 0.5
     erase_area: tuple = (0.02, 0.2)
     erase_aspect: tuple = (0.3, 1.0 / 0.3)
-    seed: int = 0
 
     def __post_init__(self):
         for p in (self.flip_prob, self.erase_prob):
@@ -74,10 +76,6 @@ class BatchSpec:
     def __post_init__(self):
         if self.p < 2 or self.k < 2:
             raise ValueError(f"triplet mining needs P >= 2 and K >= 2, got P={self.p}, K={self.k}")
-
-    @property
-    def batch_size(self):
-        return self.p * self.k
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ import threading
 
 import numpy as np
 
-from . import rng
-
 DEFAULT_DTYPE = np.float64
 
 _FLOAT_DTYPES = (np.float64, np.float32)
@@ -176,36 +174,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-
-def _check_shape(shape):
-    shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise TensorError(f"extents must be positive, got {shape}")
-    return shape
-
-
-def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(_check_shape(shape), dtype=dtype or DEFAULT_DTYPE))
-
-
-def ones(shape, dtype=None) -> Tensor:
-    return Tensor(np.ones(_check_shape(shape), dtype=dtype or DEFAULT_DTYPE))
-
-
-def full(shape, value, dtype=None) -> Tensor:
-    return Tensor(np.full(_check_shape(shape), value, dtype=dtype or DEFAULT_DTYPE))
-
-
-def randn(shape, seed: int, dtype=None) -> Tensor:
-    """Standard-normal samples from the documented Philox stream.
-
-    Identical (shape, seed) pairs give bitwise-identical tensors; see
-    :mod:`topdropnet.rng` for the stream definition.
-    """
-    shape = _check_shape(shape)
-    samples = rng.generator(seed, "randn").standard_normal(shape)
-    return Tensor(samples, dtype=dtype)
 
 
 def astensor(data, requires_grad: bool = False, dtype=None) -> Tensor:

@@ -30,14 +30,13 @@ class TrainConfig:
     decay_milestones: tuple = (0.5, 0.75)
     decay_factor: float = 0.1
     batch: synthdata.BatchSpec = field(default_factory=synthdata.BatchSpec)
-    variant: str = "full"
+    variant: str = network.ModelConfig.variant
     margin: float = 0.3
     label_epsilon: float = 0.1
-    height_ratio: float = 0.3
-    activation_power: float = 2.0
-    d_global: int = 128
-    d_drop: int = 128
-    augment: synthdata.AugmentationConfig = field(default_factory=synthdata.AugmentationConfig)
+    height_ratio: float = topdrop.DropConfig.height_ratio
+    activation_power: float = topdrop.DropConfig.p
+    d_global: int = network.ModelConfig.d_global
+    d_drop: int = network.ModelConfig.d_drop
     seed: int = 1
     dtype: str = network.MODEL_DTYPE
 
@@ -89,11 +88,14 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Moment decay rates and denominator offset, the defaults of Kingma & Ba.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -106,8 +108,8 @@ def adam_step(named_params, state: AdamState, lr: float) -> None:
     populated; moment buffers are keyed by name.
     """
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for name, p in named_params:
         g = p.grad
         if g is None:
@@ -118,11 +120,11 @@ def adam_step(named_params, state: AdamState, lr: float) -> None:
             raise ValueError(f"gradient shape mismatch for {name!r}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
     model.train()
     lr = lr_at(epoch, cfg)
     label_map = dataset.train_label_map()
+    aug_cfg = synthdata.AugmentationConfig()
     aug_gen = rng_mod.generator(cfg.seed, "augment", epoch)
     mask_gen = rng_mod.generator(cfg.seed, "mask", epoch)
     mask_fn = {
@@ -162,7 +165,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
     batches = synthdata.epoch_batches(dataset.records, cfg.batch, cfg.seed, epoch)
     for batch_no, batch in enumerate(batches):
         raw = dataset.images[batch].astype(np.float64)
-        augmented = np.stack([synthdata.augment(img, cfg.augment, aug_gen) for img in raw])
+        augmented = np.stack([synthdata.augment(img, aug_cfg, aug_gen) for img in raw])
         x = network.normalize_images(augmented, model.dtype)
         labels = np.array([label_map[dataset.records[i].person_id] for i in batch])
 
@@ -201,7 +204,8 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
     """Run the full schedule (or resume one from a checkpoint).
 
     ``stop_after`` ends training early after that many total epochs, which
-    is how callers produce a mid-run checkpoint.
+    is how callers produce a mid-run checkpoint; it may not lie before the
+    epoch the run starts at.
     """
     state = AdamState()
     start_epoch = 0
@@ -219,6 +223,8 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
         model = build_model(cfg, dataset)
 
     end = cfg.total_epochs if stop_after is None else min(stop_after, cfg.total_epochs)
+    if end < start_epoch:
+        raise ValueError(f"stop_after {stop_after} is before the start epoch {start_epoch}")
     history = []
     for epoch in range(start_epoch, end):
         history.append(train_epoch(model, dataset, cfg, state, epoch))

@@ -1,6 +1,8 @@
 """Command-line surface: artifacts, determinism, config echo, exit codes."""
 
+import dataclasses
 import hashlib
+import inspect
 import os
 import re
 import shlex
@@ -61,6 +63,19 @@ class TestGendata:
         assert run_cli(*args) == 1  # exists, no --force
         assert run_cli(*args, "--force") == 0
         assert tree_bytes(out) == first
+
+    def test_force_replaces_only_a_dataset_directory(self, tmp_path):
+        other = tmp_path / "notes"
+        other.mkdir()
+        (other / "keep.txt").write_text("x")
+        a_file = tmp_path / "file.txt"
+        a_file.write_text("y")
+        for out in (other, a_file):
+            assert run_cli("gendata", "--out", out, "--ids", 8, "--cams", 2, "--per", 2,
+                           "--height", 32, "--width", 16, "--force") == 1
+        assert os.listdir(other) == ["keep.txt"]
+        assert (other / "keep.txt").read_text() == "x"
+        assert a_file.read_text() == "y"
 
     def test_single_camera_rejected(self, tmp_path):
         assert run_cli("gendata", "--out", tmp_path / "x", "--cams", 1) == 1
@@ -319,8 +334,45 @@ class TestDefaults:
         assert cli._train_config(ablation, "full", trainer.TrainConfig().seed) == trainer.TrainConfig()
         ev = cli._resolve(cli.SCHEMAS["eval"], {"out": "o", "data": "d", "checkpoint": "c"}, None)
         assert cli._rerank_params(ev, 10**6) == evaluation.RerankParams()
+        assert ev["max-rank"] == evaluation.MAX_RANK
+        for fn in (evaluation.evaluate, evaluation.evaluate_run):
+            assert inspect.signature(fn).parameters["max_rank"].default == evaluation.MAX_RANK
         act = cli._resolve(cli.SCHEMAS["activations"], {"out": "o", "checkpoint": "c", "images": ("i",)}, None)
         assert topdrop.DropConfig(act["height-ratio"], act["power"]) == topdrop.DropConfig()
+
+    def test_gendata_defaults_are_generate_dataset_defaults(self, tmp_path, monkeypatch):
+        params = inspect.signature(synthdata.generate_dataset).parameters
+        defaults = {name: p.default for name, p in params.items() if name != "out_dir"}
+        calls = []
+        monkeypatch.setattr(synthdata, "generate_dataset", lambda out_dir, **kwargs: calls.append(kwargs) or [])
+        assert run_cli("gendata", "--out", tmp_path / "ds") == 0
+        assert calls == [defaults]
+
+    def test_every_train_flag_reaches_the_config(self, tiny_dataset_dir, tmp_path, monkeypatch):
+        # --seeds repeats this configuration once per seed; see test_multi_seed_summary.
+        flags = {"variant": "no-reg", "epochs": 6, "seed": 5, "base-lr": 0.002, "warmup-fraction": 0.2,
+                 "milestones": "0.6,0.8", "decay-factor": 0.5, "batch-p": 3, "batch-k": 3, "margin": 0.4,
+                 "epsilon": 0.2, "height-ratio": 0.4, "power": 3.0, "d-global": 12, "d-drop": 20}
+        assert set(flags) == {opt.key for opt in cli.SCHEMAS["train"]} - {"out", "data", "seeds"}
+        configs = []
+
+        def capture(cfg, dataset):
+            configs.append(cfg)
+            raise RuntimeError("stop before training")
+
+        monkeypatch.setattr(trainer, "fit", capture)
+        argv = ["train", "--data", tiny_dataset_dir, "--out", tmp_path / "run"]
+        for key, value in flags.items():
+            argv += [f"--{key}", value]
+        assert run_cli(*argv) == 1
+
+        def fields(cfg):
+            out = dataclasses.asdict(cfg)
+            out.update({f"batch.{k}": v for k, v in out.pop("batch").items()})
+            return out
+
+        got, default = fields(configs[0]), fields(trainer.TrainConfig())
+        assert [key for key in default if got[key] == default[key]] == ["dtype"]
 
 
 def readme_commands():

@@ -47,7 +47,7 @@ class TestModelDtype:
 class TestBackbone:
     def test_default_shape_contract(self):
         cfg = network.BackboneConfig()
-        assert (cfg.feature_channels(), cfg.feature_height(), cfg.feature_width()) == (64, 8, 4)
+        assert (cfg.feature_channels(), cfg.feature_height()) == (64, 8)
         model = network.ReidModel(4, network.ModelConfig(dtype="float64"), seed=0)
         rng = np.random.default_rng(0)
         out = model.backbone_forward(tc.Tensor(rng.uniform(-1, 1, size=(2, 3, 64, 32))))
@@ -306,7 +306,6 @@ class TestInferenceEmbed:
         rng = np.random.default_rng(0)
         x = tc.Tensor(rng.uniform(-1, 1, size=(2, 3, 64, 32)))
         assert model.inference_embed(x).shape == (2, 256)
-        assert model.embed_dim() == 256
 
     def test_no_drop_uses_global_plus_regularizer(self):
         model = small_model("no_drop").eval()

@@ -8,28 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topdropnet import network, tensorcore as tc
+from topdropnet import network, rng as rng_mod, tensorcore as tc
 
 import gradcheck
 import oracles
 from oracles import finite_difference_grads, grads_agree
 
 
+def randn(shape, seed):
+    return tc.Tensor(rng_mod.generator(seed, "randn").standard_normal(shape))
+
+
 class TestConstruction:
     def test_zeros(self):
-        t = tc.zeros([2, 2])
+        t = tc.Tensor(np.zeros((2, 2)))
         np.testing.assert_array_equal(t.data, [[0, 0], [0, 0]])
 
     def test_full(self):
-        np.testing.assert_array_equal(tc.full([1], 3.5).data, [3.5])
+        np.testing.assert_array_equal(tc.Tensor(np.full(1, 3.5)).data, [3.5])
 
     def test_ones_sum(self):
-        assert tc.ones([2]).data.sum() == 2.0
-
-    @pytest.mark.parametrize("shape", [[0], [2, 0], [-1, 3]])
-    def test_bad_extents(self, shape):
-        with pytest.raises(tc.TensorError):
-            tc.zeros(shape)
+        assert tc.Tensor(np.ones(2)).data.sum() == 2.0
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(tc.TensorError):
@@ -37,18 +36,21 @@ class TestConstruction:
 
 
 class TestRandn:
+    """Standard-normal tensors from a named Philox stream, the way model
+    weights are drawn."""
+
     def test_determinism(self):
-        a = tc.randn([4], seed=99)
-        b = tc.randn([4], seed=99)
+        a = randn((4,), seed=99)
+        b = randn((4,), seed=99)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_mean_near_zero(self):
         # 3 sigma / sqrt(N) = 0.03 for N = 10000; spec allows 0.05.
-        samples = tc.randn([10000], seed=5).data
+        samples = randn((10000,), seed=5).data
         assert abs(samples.mean()) < 0.05
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(tc.randn([2], seed=1).data, tc.randn([2], seed=2).data)
+        assert not np.array_equal(randn((2,), seed=1).data, randn((2,), seed=2).data)
 
 
 class TestElementwise:
@@ -67,7 +69,7 @@ class TestElementwise:
 
     def test_shape_mismatch(self):
         with pytest.raises(tc.TensorError):
-            tc.add(tc.zeros([2]), tc.zeros([3]))
+            tc.add(tc.Tensor(np.zeros(2)), tc.Tensor(np.zeros(3)))
 
     def test_abs_gradient_zero_at_zero(self):
         x = tc.parameter([0.0, 2.0])
@@ -100,7 +102,7 @@ class TestMatmul:
 
     def test_dimension_mismatch(self):
         with pytest.raises(tc.TensorError):
-            tc.matmul(tc.zeros([2, 3]), tc.zeros([2, 3]))
+            tc.matmul(tc.Tensor(np.zeros((2, 3))), tc.Tensor(np.zeros((2, 3))))
 
 
 class TestConv2d:
@@ -110,7 +112,7 @@ class TestConv2d:
         np.testing.assert_array_equal(tc.conv2d(x, k).data, 2 * x.data)
 
     def test_all_ones_three_by_three(self):
-        out = tc.conv2d(tc.ones([1, 1, 3, 3]), tc.ones([1, 1, 3, 3]))
+        out = tc.conv2d(tc.Tensor(np.ones((1, 1, 3, 3))), tc.Tensor(np.ones((1, 1, 3, 3))))
         np.testing.assert_array_equal(out.data, [[[[9.0]]]])
 
     def test_output_shape_formula_exhaustive(self):
@@ -120,8 +122,8 @@ class TestConv2d:
                 for stride in (1, 2, 3):
                     for pad in (0, 1, 2):
                         expected = (h + 2 * pad - kh) // stride + 1
-                        x = tc.ones([1, 1, h, h])
-                        k = tc.ones([1, 1, kh, kh])
+                        x = tc.Tensor(np.ones((1, 1, h, h)))
+                        k = tc.Tensor(np.ones((1, 1, kh, kh)))
                         if expected <= 0 or kh > h + 2 * pad:
                             with pytest.raises(tc.TensorError):
                                 tc.conv2d(x, k, stride, pad)
@@ -157,7 +159,7 @@ class TestPooling:
         for h in range(1, 9):
             for window in range(1, 9):
                 for stride in (1, 2, 3):
-                    x = tc.ones([1, 1, h, h])
+                    x = tc.Tensor(np.ones((1, 1, h, h)))
                     if window > h:
                         with pytest.raises(tc.TensorError):
                             tc.maxpool2d(x, window, stride)
@@ -177,13 +179,14 @@ class TestBatchnorm:
     def test_eval_identity(self):
         x = tc.astensor(np.random.default_rng(0).normal(size=(4, 3)))
         out = tc.batchnorm(
-            x, tc.ones([3]), tc.zeros([3]), np.zeros(3), np.ones(3), training=False, eps=1e-12
+            x, tc.Tensor(np.ones(3)), tc.Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=False, eps=1e-12
         )
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def test_train_normalizes(self):
         x = tc.astensor(np.random.default_rng(1).normal(2.0, 3.0, size=(64, 5)))
-        out = tc.batchnorm(x, tc.ones([5]), tc.zeros([5]), np.zeros(5), np.ones(5), training=True, eps=1e-12)
+        gamma, beta = tc.Tensor(np.ones(5)), tc.Tensor(np.zeros(5))
+        out = tc.batchnorm(x, gamma, beta, np.zeros(5), np.ones(5), training=True, eps=1e-12)
         assert np.all(np.abs(out.data.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(out.data.var(axis=0) - 1.0) < 1e-4)
 
@@ -191,15 +194,15 @@ class TestBatchnorm:
         x = np.random.default_rng(2).normal(size=(8, 2))
         running_mean = np.ones(2)
         running_var = np.full(2, 4.0)
-        tc.batchnorm(
-            tc.astensor(x), tc.ones([2]), tc.zeros([2]), running_mean, running_var, training=True, momentum=0.25
-        )
+        gamma, beta = tc.Tensor(np.ones(2)), tc.Tensor(np.zeros(2))
+        tc.batchnorm(tc.astensor(x), gamma, beta, running_mean, running_var, training=True, momentum=0.25)
         np.testing.assert_allclose(running_mean, 0.75 * 1.0 + 0.25 * x.mean(axis=0))
         np.testing.assert_allclose(running_var, 0.75 * 4.0 + 0.25 * x.var(axis=0))
 
     def test_batch_of_one_rejected(self):
+        x, gamma, beta = tc.Tensor(np.ones((1, 3))), tc.Tensor(np.ones(3)), tc.Tensor(np.zeros(3))
         with pytest.raises(tc.TensorError):
-            tc.batchnorm(tc.ones([1, 3]), tc.ones([3]), tc.zeros([3]), np.zeros(3), np.ones(3), training=True)
+            tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -465,9 +468,9 @@ class TestBackward:
 class TestDeterminism:
     def test_forward_backward_bitwise_reproducible(self):
         def run():
-            x = tc.randn([2, 3, 6, 6], seed=21)
+            x = randn((2, 3, 6, 6), seed=21)
             x.requires_grad = True
-            k = tc.randn([2, 3, 3, 3], seed=22)
+            k = randn((2, 3, 3, 3), seed=22)
             k.requires_grad = True
             with tc.Tape() as tape:
                 y = tc.relu(tc.conv2d(x, k, 1, 1))
@@ -646,7 +649,7 @@ class TestDtypePropagation:
     @pytest.mark.parametrize("training", [True, False])
     def test_batchnorm_buffer_of_another_dtype_rejected(self, training):
         x = tc.Tensor(np.ones((2, 3), np.float32))
-        gamma, beta = tc.ones([3], np.float32), tc.zeros([3], np.float32)
+        gamma, beta = tc.Tensor(np.ones(3, np.float32)), tc.Tensor(np.zeros(3, np.float32))
         with pytest.raises(tc.TensorError, match="dtype mismatch"):
             tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3, np.float32), training=training)
 

@@ -1,5 +1,6 @@
 """Schedule, Adam, epoch orchestration, checkpoint resume."""
 
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -189,6 +190,18 @@ class TestFitAndCheckpoints:
             np.testing.assert_array_equal(a, b, err_msg=name)
         assert resumed.history == full.history[2:]
 
+    def test_stop_after_before_the_start_epoch_rejected(self, tiny_dataset, tmp_path):
+        cfg = quick_config(total_epochs=4)
+        with pytest.raises(ValueError, match="start epoch"):
+            trainer.fit(cfg, tiny_dataset, stop_after=-3)
+        partial = trainer.fit(cfg, tiny_dataset, stop_after=2)
+        ckpt = tmp_path / "mid.ckpt"
+        trainer.save_checkpoint(ckpt, partial)
+        with pytest.raises(ValueError, match="start epoch"):
+            trainer.fit(cfg, tiny_dataset, resume=ckpt, stop_after=1)
+        again = trainer.fit(cfg, tiny_dataset, resume=ckpt, stop_after=2)
+        assert (again.next_epoch, again.adam.t, again.history) == (2, partial.adam.t, [])
+
     def test_resume_with_wrong_config_rejected(self, tiny_dataset, tmp_path):
         cfg = quick_config(total_epochs=2)
         result = trainer.fit(cfg, tiny_dataset, stop_after=1)
@@ -314,6 +327,29 @@ class TestCheckpointDtype:
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError, match="dtype"):
             quick_config(dtype="float16")
+
+
+class TestModelDescription:
+    # A value other than the default for every field of the two classes.
+    MODEL = dict(variant="no_reg", d_global=12, d_drop=20, dtype="float64")
+    BACKBONE = dict(stem_channels=4, stage_channels=(4, 8), strides=(2, 1), input_size=(32, 16))
+
+    def test_every_model_setting_survives_a_checkpoint(self, tmp_path):
+        assert set(self.BACKBONE) == {f.name for f in dataclasses.fields(network.BackboneConfig)}
+        assert set(self.MODEL) | {"backbone"} == {f.name for f in dataclasses.fields(network.ModelConfig)}
+        cfg = network.ModelConfig(backbone=network.BackboneConfig(**self.BACKBONE), **self.MODEL)
+        for config in (cfg, cfg.backbone):
+            default = type(config)()
+            for f in dataclasses.fields(config):
+                assert getattr(config, f.name) != getattr(default, f.name), f.name
+
+        model = network.ReidModel(3, cfg)
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, trainer.FitResult(model, [], trainer.AdamState(), 0, trainer.TrainConfig()))
+        rebuilt = trainer.model_from_checkpoint(path)
+        assert rebuilt.cfg == cfg
+        x = tc.Tensor(np.random.default_rng(0).uniform(-1, 1, size=(2, 3, 32, 16)))
+        np.testing.assert_array_equal(rebuilt.eval().inference_embed(x), model.eval().inference_embed(x))
 
 
 class TestDatasetFingerprint:

@@ -216,13 +216,13 @@ def _train_config(cfg: dict, variant: str, seed: int) -> trainer.TrainConfig:
 
 def cmd_gendata(cfg: dict) -> None:
     out = cfg["out"]
-    if os.path.exists(out):
+    if os.path.exists(out) and not (os.path.isdir(out) and not os.listdir(out)):
         if not cfg["force"]:
-            raise FileExistsError(f"{out} exists; pass --force to overwrite")
+            raise FileExistsError(f"{out} exists and is not empty; pass --force to overwrite")
         if not os.path.isfile(os.path.join(out, "manifest.csv")):
             raise ValueError(f"{out} holds no manifest.csv; --force replaces only a dataset directory")
         shutil.rmtree(out)
-    os.makedirs(out)
+    os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["gendata"], cfg)
     records = synthdata.generate_dataset(
         out,

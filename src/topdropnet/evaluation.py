@@ -282,16 +282,22 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
 
 
 def embed_split(model, dataset, split: str) -> EmbeddingSet:
-    """Eval-mode embeddings for one split of a loaded dataset."""
-    from . import network  # local import to keep this module numpy-only
+    """Eval-mode embeddings for one split of a loaded dataset.
+
+    Images go through the model in chunks of the training batch, P x K;
+    an image's embedding does not depend on the chunk it is in.
+    """
+    from . import network, synthdata  # local import to keep this module numpy-only
 
     idxs = dataset.indices(split)
     if idxs.size == 0:
         raise ValueError(f"dataset has no {split!r} records")
     model.eval()
+    spec = synthdata.BatchSpec()
+    chunk = spec.p * spec.k
     feats = []
-    for start in range(0, idxs.size, 64):
-        batch = idxs[start : start + 64]
+    for start in range(0, idxs.size, chunk):
+        batch = idxs[start : start + chunk]
         feats.append(model.inference_embed(network.normalize_images(dataset.images[batch], model.dtype)))
     records = [dataset.records[i] for i in idxs]
     return EmbeddingSet(

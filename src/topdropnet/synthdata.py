@@ -12,6 +12,7 @@ zoom, erase) and PK batch sampling live here too.
 """
 
 import csv
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -274,33 +275,32 @@ def load_dataset(root) -> LoadedDataset:
 # ---------------------------------------------------------------------------
 
 
-def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = img.shape[:2]
-    src_y = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    src_x = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    y0 = np.clip(np.floor(src_y), 0, h - 1).astype(np.int64)
-    x0 = np.clip(np.floor(src_x), 0, w - 1).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(src_y - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(src_x - x0, 0.0, 1.0)[None, :, None]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bottom = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
-    return top * (1 - wy) + bottom * wy
+@functools.lru_cache(maxsize=1024)
+def _axis_plan(extent: int, zoomed: int, flip: bool, trailing: int):
+    """One axis of a bilinear resize from ``extent`` to ``zoomed`` samples
+    followed by a center crop or zero pad back to ``extent``.
 
-
-def _center_fit(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-crop or zero-pad each axis to the requested size."""
-    h, w = img.shape[:2]
-    out = np.zeros((out_h, out_w) + img.shape[2:], dtype=img.dtype)
-    src_top = max(0, (h - out_h) // 2)
-    src_left = max(0, (w - out_w) // 2)
-    dst_top = max(0, (out_h - h) // 2)
-    dst_left = max(0, (out_w - w) // 2)
-    ch = min(h, out_h)
-    cw = min(w, out_w)
-    out[dst_top : dst_top + ch, dst_left : dst_left + cw] = img[src_top : src_top + ch, src_left : src_left + cw]
-    return out
+    Only the samples the center fit keeps are planned: their two source
+    indices (read from the reversed axis with ``flip``) and the weights
+    of each, shaped to broadcast over ``trailing`` axes, plus the output
+    slice they fill. The arrays are shared between calls, so they are
+    read-only.
+    """
+    src = (np.arange(zoomed) + 0.5) * extent / zoomed - 0.5
+    lo = np.clip(np.floor(src), 0, extent - 1).astype(np.int64)
+    hi = np.minimum(lo + 1, extent - 1)
+    weight = np.clip(src - lo, 0.0, 1.0)
+    kept = min(extent, zoomed)
+    src_start = max(0, (zoomed - extent) // 2)  # center crop ...
+    dst_start = max(0, (extent - zoomed) // 2)  # ... or zero pad
+    keep = slice(src_start, src_start + kept)
+    lo, hi, weight = lo[keep], hi[keep], weight[keep].reshape((kept,) + (1,) * trailing)
+    if flip:
+        lo, hi = extent - 1 - lo, extent - 1 - hi
+    taps = (lo, hi, 1 - weight, weight)
+    for arr in taps:
+        arr.flags.writeable = False
+    return taps, slice(dst_start, dst_start + kept)
 
 
 def augment(image: np.ndarray, cfg: AugmentationConfig, draw: np.random.Generator) -> np.ndarray:
@@ -308,17 +308,24 @@ def augment(image: np.ndarray, cfg: AugmentationConfig, draw: np.random.Generato
 
     ``draw`` is the caller-owned RNG. Draw order: flip coin, zoom factor,
     erase coin, then (only if erasing) area, aspect, top, left. Output
-    size always equals input size.
+    size always equals input size. The zoom is a bilinear resize by the
+    factor followed by a center crop or zero pad back to the input size.
     """
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape[:2]
+    image = np.asarray(image)
+    h, w = image.shape[:2]
 
-    if draw.uniform() < cfg.flip_prob:
-        img = img[:, ::-1].copy()
-
+    flip = bool(draw.uniform() < cfg.flip_prob)
     z = draw.uniform(cfg.zoom_range[0], cfg.zoom_range[1])
     zh, zw = max(1, int(round(h * z))), max(1, int(round(w * z)))
-    img = _center_fit(_resize_bilinear(img, zh, zw), h, w)
+    (y0, y1, wy_c, wy), rows = _axis_plan(h, zh, False, image.ndim - 1)
+    (x0, x1, wx_c, wx), cols = _axis_plan(w, zw, flip, image.ndim - 2)
+    # Pixels are gathered in their own dtype; the float64 weights widen
+    # them exactly, as converting the whole image first would.
+    upper, lower = image.take(y0, axis=0), image.take(y1, axis=0)
+    img = np.zeros(image.shape, dtype=np.float64)
+    img[rows, cols] = (upper.take(x0, axis=1) * wx_c + upper.take(x1, axis=1) * wx) * wy_c + (
+        lower.take(x0, axis=1) * wx_c + lower.take(x1, axis=1) * wx
+    ) * wy
 
     if draw.uniform() < cfg.erase_prob:
         area = draw.uniform(cfg.erase_area[0], cfg.erase_area[1]) * h * w

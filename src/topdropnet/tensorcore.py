@@ -4,16 +4,20 @@ Values live in float32 or float64 numpy arrays; any other input is cast
 to float64. Every operation returns the dtype of its operands, and so
 does every gradient it passes back; operands of different dtypes raise
 :class:`TensorError`, as mismatched shapes do, so a stray float64 array
-never silently promotes a float32 graph. Every differentiable operation
-records a backward closure on the active :class:`Tape`. Calling
-:func:`backward` on a scalar loss replays the tape in exact reverse
-execution order and accumulates gradients into every ``requires_grad``
-tensor reachable from the loss. Replay frees each record as it goes, so
-afterwards only leaf tensors (parameters and inputs) and the loss keep
-``.grad``; the gradients of intermediate results are dropped.
+never silently promotes a float32 graph. An operation records a
+backward closure on the active :class:`Tape` when one of its operands
+requires a gradient. Calling :func:`backward` on a scalar loss replays the
+tape in exact reverse execution order and accumulates gradients into every
+``requires_grad`` tensor reachable from the loss. Replay frees each record
+as it goes, so afterwards only leaf tensors (parameters and inputs) and the
+loss keep ``.grad``; the gradients of intermediate results are dropped.
 
-Outside a ``with Tape():`` block nothing is recorded, so evaluation-mode
-code pays no graph cost and is trivially side-effect free.
+Outside a ``with Tape():`` block, or when no operand requires a gradient,
+nothing is recorded and no work is done that only a backward pass reads:
+an operation that would keep such arrays asks :func:`will_record` before
+it builds them, so max-pooling keeps no argmax, relu no mask, and
+eval-mode batch norm no normalized copy of its input. The output has the
+same bytes either way, so evaluation-mode code pays no graph cost.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -120,16 +124,21 @@ def active_tape():
     return stack[-1] if stack else None
 
 
+def will_record(*parents) -> bool:
+    """Whether an operation on ``parents`` records a backward closure: a
+    tape is active and some parent requires a gradient."""
+    return active_tape() is not None and any(p.requires_grad for p in parents)
+
+
 def record_op(out: Tensor, parents, backward_fn) -> Tensor:
     """Attach a backward closure for ``out`` to the active tape.
 
     ``backward_fn(gout)`` must accumulate into the parents via
-    :func:`accumulate_grad`. No-op when no tape is active or no parent
-    requires a gradient.
+    :func:`accumulate_grad`. No-op unless :func:`will_record` holds.
     """
-    tape = active_tape()
-    if tape is None or not any(p.requires_grad for p in parents):
+    if not will_record(*parents):
         return out
+    tape = active_tape()
     out.requires_grad = True
     tape._records.append((out, backward_fn))
     tape._out_ids.add(id(out))
@@ -137,12 +146,18 @@ def record_op(out: Tensor, parents, backward_fn) -> Tensor:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``.
+
+    A first gradient is kept as it is, not copied, so ``g`` must be a
+    C-contiguous array that nothing else holds or writes: a closure passes
+    an array it has just computed, and a copy of its incoming gradient.
+    """
     if not t.requires_grad:
         return
     if g.dtype != t.data.dtype:
         raise TensorError(f"gradient dtype {g.dtype} does not match tensor dtype {t.data.dtype}")
     if t.grad is None:
-        t.grad = np.array(g, copy=True)
+        t.grad = g
     else:
         t.grad += g
 
@@ -213,8 +228,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def back(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, g)
+        for parent in (a, b):
+            if parent.requires_grad:
+                accumulate_grad(parent, g.copy())
 
     return record_op(out, (a, b), back)
 
@@ -224,7 +240,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def back(g):
-        accumulate_grad(a, g)
+        if a.requires_grad:
+            accumulate_grad(a, g.copy())
         accumulate_grad(b, -g)
 
     return record_op(out, (a, b), back)
@@ -269,7 +286,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise TensorError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
 
     def back(g):
-        accumulate_grad(x, g)
+        if x.requires_grad:
+            accumulate_grad(x, g.copy())
         accumulate_grad(b, g.sum(axis=axes))
 
     return record_op(out, (x, b), back)
@@ -319,6 +337,8 @@ def mean_all(a: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
+    if not will_record(x):
+        return out
     mask = x.data > 0
 
     def back(g):
@@ -338,7 +358,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: inner extents {a.shape} x {b.shape}")
     _same_dtype("matmul", a, b)
-    out = Tensor(a.data @ b.data)
+    # BLAS computes a one-row product on its matrix-vector path, which sums
+    # in another order than its matrix-matrix path. As the first of two
+    # equal rows, a single row gets the bits it has in any batch of rows.
+    rows = np.concatenate([a.data, a.data]) if a.shape[0] == 1 else a.data
+    out = Tensor((rows @ b.data)[: a.shape[0]])
 
     def back(g):
         accumulate_grad(a, g @ b.data.T)
@@ -399,7 +423,8 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                     gxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gcols[
                         :, :, :, :, i, j
                     ].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+            # A cropped view would sum in another order in later reductions.
+            gx = np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + w]) if pad else gxp
             accumulate_grad(x, gx)
 
     return record_op(out, (x, k), back)
@@ -428,15 +453,19 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         i, j = divmod(k, ww)
         return arr[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
 
+    recording = will_record(x)
     val = plane(x.data, 0).copy()
-    idx = np.zeros(val.shape, dtype=np.min_scalar_type(wh * ww - 1))
+    idx = np.zeros(val.shape, dtype=np.min_scalar_type(wh * ww - 1)) if recording else None
     for k in range(1, wh * ww):
         p = plane(x.data, k)
         greater = p > val
         val = np.where(greater, p, val)
-        # k exceeds every index stored so far, so a max is a branch-free select.
-        np.maximum(idx, np.multiply(greater, k, dtype=idx.dtype), out=idx)
+        if recording:
+            # k exceeds every index stored so far, so a max is a branch-free select.
+            np.maximum(idx, np.multiply(greater, k, dtype=idx.dtype), out=idx)
     out = Tensor(val)
+    if not recording:
+        return out
 
     def back(g):
         gx = np.zeros_like(x.data)
@@ -553,6 +582,13 @@ def batchnorm(
 
     else:
         ivar = 1.0 / np.sqrt(running_var + eps)
+        if not will_record(x, gamma, beta):
+            # The recorded path's operations in its order, in one buffer.
+            y = np.subtract(x.data, running_mean.reshape(bshape))
+            y *= ivar.reshape(bshape)
+            y *= gview
+            y += bview
+            return Tensor(y)
         xhat = (x.data - running_mean.reshape(bshape)) * ivar.reshape(bshape)
         out = Tensor(xhat * gview + bview)
 

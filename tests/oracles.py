@@ -3,9 +3,9 @@
 Most of what is here is written as plain scalar loops straight from the
 definitions, deliberately ignoring how the package implements the same
 quantities, so the two sides can disagree. The exception is the section of
-byte-level references: the earlier vectorised conv2d, maxpool2d and
-train-mode batchnorm, kept so that their faster replacements can be
-required to produce the same bytes.
+byte-level references: the earlier vectorised conv2d, maxpool2d,
+train-mode batchnorm and per-image augmentation, kept so that their faster
+replacements can be required to produce the same bytes.
 """
 
 import math
@@ -286,3 +286,43 @@ def batchnorm_train_reference(x, gamma, beta, running_mean, running_var, momentu
         return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return out, back
+
+
+def augment_reference(image, cfg, draw):
+    """Flip, zoom and erase with the flip and the whole resized image
+    materialized, then center-cropped or zero-padded, in ``augment``'s
+    draw order."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape[:2]
+    if draw.uniform() < cfg.flip_prob:
+        img = img[:, ::-1].copy()
+
+    z = draw.uniform(cfg.zoom_range[0], cfg.zoom_range[1])
+    zh, zw = max(1, int(round(h * z))), max(1, int(round(w * z)))
+    src_y = (np.arange(zh) + 0.5) * h / zh - 0.5
+    src_x = (np.arange(zw) + 0.5) * w / zw - 0.5
+    y0 = np.clip(np.floor(src_y), 0, h - 1).astype(np.int64)
+    x0 = np.clip(np.floor(src_x), 0, w - 1).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(src_y - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(src_x - x0, 0.0, 1.0)[None, :, None]
+    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
+    bottom = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
+    resized = top * (1 - wy) + bottom * wy
+
+    img = np.zeros_like(img)
+    src_top, src_left = max(0, (zh - h) // 2), max(0, (zw - w) // 2)
+    dst_top, dst_left = max(0, (h - zh) // 2), max(0, (w - zw) // 2)
+    ch, cw = min(h, zh), min(w, zw)
+    img[dst_top : dst_top + ch, dst_left : dst_left + cw] = resized[src_top : src_top + ch, src_left : src_left + cw]
+
+    if draw.uniform() < cfg.erase_prob:
+        area = draw.uniform(cfg.erase_area[0], cfg.erase_area[1]) * h * w
+        aspect = draw.uniform(cfg.erase_aspect[0], cfg.erase_aspect[1])
+        eh = int(np.clip(round(np.sqrt(area * aspect)), 1, h))
+        ew = int(np.clip(round(np.sqrt(area / aspect)), 1, w))
+        top = int(draw.integers(0, h - eh + 1))
+        left = int(draw.integers(0, w - ew + 1))
+        img[top : top + eh, left : left + ew] = 0.0
+    return img

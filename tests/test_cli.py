@@ -6,6 +6,7 @@ import inspect
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -76,6 +77,17 @@ class TestGendata:
         assert os.listdir(other) == ["keep.txt"]
         assert (other / "keep.txt").read_text() == "x"
         assert a_file.read_text() == "y"
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_empty_directory_is_filled(self, tmp_path, force):
+        out = tmp_path / "ds"
+        args = ("gendata", "--out", out, "--ids", 8, "--cams", 2, "--per", 2, "--height", 32, "--width", 16)
+        assert run_cli(*args) == 0
+        fresh = tree_bytes(out)
+        shutil.rmtree(out)
+        out.mkdir()
+        assert run_cli(*args, *(("--force",) if force else ())) == 0
+        assert tree_bytes(out) == fresh
 
     def test_single_camera_rejected(self, tmp_path):
         assert run_cli("gendata", "--out", tmp_path / "x", "--cams", 1) == 1

@@ -335,6 +335,22 @@ class TestInferenceEmbed:
         x = toy_images()
         np.testing.assert_array_equal(model.inference_embed(x), model.inference_embed(x))
 
+    @pytest.mark.parametrize("variant", ["full", "no_drop"])
+    def test_chunks_embed_byte_equal_to_the_whole_batch(self, variant):
+        """An image's embedding does not depend on the images embedded
+        beside it, so a split may be embedded in chunks of any size."""
+        model = network.ReidModel(4, network.ModelConfig(variant=variant), seed=0).eval()
+        rng = np.random.default_rng(1)
+        for p in model.parameters():  # move off the zero-initialized scales
+            p.data += rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
+        for _, b in model.named_buffers():
+            b[...] = rng.uniform(0.5, 1.5, size=b.shape)
+        pixels = rng.integers(0, 256, size=(40, 64, 32, 3), dtype=np.uint8)
+        whole = model.inference_embed(network.normalize_images(pixels))
+        for size in (1, 7, 32):
+            parts = [model.inference_embed(network.normalize_images(pixels[i : i + size])) for i in range(0, 40, size)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
 
 class TestVariantAlgebra:
     def test_active_stream_subsets(self):

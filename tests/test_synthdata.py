@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import augment_reference
 from topdropnet import ppm, rng as rng_mod, synthdata
 
 
@@ -149,6 +150,27 @@ class TestAugment:
         a = synthdata.augment(img, cfg, rng_mod.generator(9, "d"))
         b = synthdata.augment(img, cfg, rng_mod.generator(9, "d"))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            synthdata.AugmentationConfig(),
+            synthdata.AugmentationConfig(flip_prob=1.0, zoom_range=(0.5, 0.95), erase_prob=0.0),  # shrink, pad
+            synthdata.AugmentationConfig(flip_prob=0.0, zoom_range=(1.05, 1.7), erase_prob=1.0),  # grow, crop
+            synthdata.AugmentationConfig(flip_prob=0.3, zoom_range=(0.2, 2.5), erase_prob=0.7,
+                                         erase_area=(0.1, 0.5), erase_aspect=(0.5, 2.0)),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(64, 32, 3), (17, 9, 3)])
+    def test_byte_equal_to_the_materialized_reference(self, cfg, shape):
+        """The cached plans give the bytes and consume the draws of a
+        flip, full resize and center fit done image by image."""
+        pixels = np.random.default_rng(shape[0]).integers(0, 256, size=(12,) + shape, dtype=np.uint8)
+        ours, ref = rng_mod.generator(5, "plan"), rng_mod.generator(5, "plan")
+        for img in list(pixels) + [pixels[0].astype(np.float64) + 0.25]:
+            a, b = synthdata.augment(img, cfg, ours), augment_reference(img, cfg, ref)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert ours.uniform() == ref.uniform()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

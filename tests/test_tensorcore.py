@@ -634,6 +634,9 @@ class TestDtypePropagation:
             assert loss.dtype == dtype, name
             for i, t in enumerate(inputs):
                 assert t.grad is not None and t.grad.dtype == dtype, f"{name} input {i}"
+                # Kept as handed over, so laid out as a fresh array would be:
+                # reductions over a strided view sum in another order.
+                assert t.grad.flags.c_contiguous, f"{name} input {i}"
 
     @settings(max_examples=10, deadline=None)
     @given(dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
@@ -665,6 +668,96 @@ class TestDtypePropagation:
         with pytest.raises(tc.TensorError, match="gradient dtype"):
             tc.accumulate_grad(x, np.ones(2))
         assert x.grad is None
+
+
+class TestNoTapeFork:
+    """An op that records no closure skips backward-only work and gives
+    the bytes of the recorded forward."""
+
+    DTYPES = (np.float32, np.float64)
+
+    @staticmethod
+    def forward(op, arrays, tape, requires_grad):
+        inputs = [tc.Tensor(a.copy(), requires_grad=requires_grad) for a in arrays]
+        if not tape:
+            assert not tc.will_record(*inputs)
+            return op(inputs).data
+        with tc.Tape() as t:
+            out = op(inputs).data
+        assert len(t) == (1 if requires_grad else 0)
+        return out
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_op_forward_is_byte_equal_with_and_without_a_tape(self, dtype, seed):
+        # op_cases covers every traced op (TestDtypePropagation checks
+        # that). A fresh set of cases per call, so each train-mode batch
+        # norm starts from the same running statistics.
+        cases = lambda: op_cases(np.random.default_rng(seed), dtype)  # noqa: E731
+        names = list(cases())
+        assert {"batchnorm", "batchnorm[eval]"} <= set(names)
+        for name in names:
+            recorded = self.forward(*cases()[name], tape=True, requires_grad=True)
+            for tape, requires_grad in ((False, True), (False, False), (True, False)):
+                op, arrays = cases()[name]
+                assert_same_bytes(self.forward(op, arrays, tape, requires_grad), recorded)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kind", ["equal", "signed_zeros", "ints", "relu"])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 1), (3, 2)])
+    def test_maxpool_ties_and_signed_zeros(self, dtype, kind, window, stride):
+        x = pool_input(np.random.default_rng(window * 10 + stride), (2, 3, 7, 6), kind).astype(dtype)
+        expected, _ = oracles.maxpool2d_reference(x, window, stride)
+        op = lambda t: tc.maxpool2d(t[0], window, stride)  # noqa: E731
+        assert_same_bytes(self.forward(op, [x], tape=False, requires_grad=False), expected)
+        assert_same_bytes(self.forward(op, [x], tape=True, requires_grad=True), expected)
+
+
+class TestGradientHandOver:
+    """accumulate_grad keeps a first gradient without copying it, so ops
+    that pass their incoming gradient on must pass copies."""
+
+    @staticmethod
+    def leaves(*shapes):
+        rng = np.random.default_rng(len(shapes))
+        return [tc.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+    def assert_disjoint(self, tensors):
+        grads = [t.grad for t in tensors]
+        assert all(g is not None for g in grads)
+        for i in range(len(grads)):
+            for j in range(i + 1, len(grads)):
+                assert not np.shares_memory(grads[i], grads[j]), (i, j)
+
+    @pytest.mark.parametrize("op", [tc.add, tc.sub])
+    def test_pass_through_ops_as_the_loss(self, op):
+        p, q = self.leaves((1,), (1,))
+        with tc.Tape() as tape:
+            loss = op(p, q)
+        tc.backward(loss, tape)
+        self.assert_disjoint([p, q, loss])
+        assert loss.grad[0] == 1.0 and p.grad[0] == 1.0 and q.grad[0] == (1.0 if op is tc.add else -1.0)
+
+    def test_add_bias_as_the_loss(self):
+        x, b = self.leaves((1, 1), (1,))
+        with tc.Tape() as tape:
+            loss = tc.add_bias(x, b)
+        tc.backward(loss, tape)
+        self.assert_disjoint([x, b, loss])
+        assert loss.grad[0, 0] == 1.0
+
+    def test_reused_leaves_accumulate_into_their_own_arrays(self):
+        a, b, bias = self.leaves((3, 4), (3, 4), (4,))
+        with tc.Tape() as tape:
+            s = tc.add(a, b)
+            d = tc.sub(s, b)
+            e = tc.add_bias(tc.add(d, a), bias)
+            loss = tc.add(tc.sum_all(e), tc.sum_all(tc.add(a, a)))
+        tc.backward(loss, tape)
+        self.assert_disjoint([a, b, bias, loss])
+        np.testing.assert_array_equal(a.grad, np.full((3, 4), 4.0))
+        np.testing.assert_array_equal(b.grad, np.zeros((3, 4)))
+        np.testing.assert_array_equal(bias.grad, np.full(4, 3.0))
 
 
 class TestModuleDtype:

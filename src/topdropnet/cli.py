@@ -270,10 +270,9 @@ def cmd_train(cfg: dict) -> None:
 
 
 def _rerank_params(cfg: dict, n_gallery: int) -> evaluation.RerankParams:
-    # Keep k1 sensible on small galleries.
-    k1 = max(1, min(cfg["k1"], n_gallery // 2))
-    k2 = max(1, min(cfg["k2"], k1))
-    return evaluation.RerankParams(k1=k1, k2=k2, lam=cfg["lambda"])
+    # Keep k1 sensible on small galleries; RerankParams rejects k1 or k2 < 1.
+    k1 = min(cfg["k1"], max(1, n_gallery // 2))
+    return evaluation.RerankParams(k1=k1, k2=min(cfg["k2"], k1), lam=cfg["lambda"])
 
 
 def _print_result(tag: str, result: evaluation.EvalResult) -> None:
@@ -293,13 +292,13 @@ def cmd_eval(cfg: dict) -> None:
         raise ValueError(
             f"dataset images are {dataset.image_size} but the checkpoint expects {model.cfg.backbone.input_size}"
         )
+    params = _rerank_params(cfg, dataset.indices("gallery").size)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["eval"], cfg)
 
     query = evaluation.embed_split(model, dataset, "query")
     gallery = evaluation.embed_split(model, dataset, "gallery")
-    params = _rerank_params(cfg, gallery.features.shape[0])
     raw, reranked = evaluation.evaluate_run(query, gallery, cfg["rerank"], params, cfg["max-rank"])
     evaluation.save_results(os.path.join(out, "metrics_raw.csv"), raw)
     _print_result("raw", raw)

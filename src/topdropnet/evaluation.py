@@ -10,6 +10,8 @@ correct match lands in the top k. Distance ties break by gallery index.
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,49 @@ class RerankParams:
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _by_row_blocks(work, n: int, rows: int) -> None:
+    """Run ``work(starts)`` over the row blocks ``range(0, n, rows)``.
+
+    One thread per usable CPU, capped at the number of blocks, calls
+    ``work`` with an iterator that hands out each block start once, to
+    whichever thread asks first, so a thread on a busy core takes fewer
+    blocks. The calling thread is one of them and pool threads opened for
+    this call are the others; the call returns once every thread is done,
+    re-raises an error any of them raised, and leaves no thread behind. ``work`` must write only its blocks' part of the output and
+    call nothing but numpy, so the result does not depend on which thread
+    ran a block.
+    """
+    starts = range(0, n, rows)
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    if workers == 1:
+        work(starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # its import costs the CLI's start-up about 7 ms
+
+    pending, lock = iter(starts), threading.Lock()
+
+    def claimed():
+        while True:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            yield start
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, claimed()) for _ in range(workers - 1)]
+        work(claimed())
+        for future in futures:
+            future.result()
+
+
 def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Exact Euclidean distances between the rows of ``q`` and ``g``.
 
@@ -70,9 +115,13 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     is squared in place and summed over d the way the unblocked
     ``np.sqrt(((q[:, None] - g[None]) ** 2).sum(axis=2))`` sums it, so the
     result is bitwise equal to that formula while no temporary grows past
-    one block. When ``q`` and ``g`` are the same object only the blocks on
-    and above the diagonal are computed and the others mirrored, which is
-    exact because (a - b)**2 == (b - a)**2 in IEEE arithmetic.
+    one block per CPU. When ``q`` and ``g`` are the same object only the
+    blocks on and above the diagonal are computed and the others mirrored,
+    which is exact because (a - b)**2 == (b - a)**2 in IEEE arithmetic.
+
+    Row blocks of ``q`` are spread over every CPU the process may run on
+    (see ``_by_row_blocks``); each element is computed by the same
+    operations whatever the CPU count, so the bytes do not depend on it.
     """
     symmetric = q is g
     q = np.asarray(q, dtype=np.float64)
@@ -83,18 +132,22 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     out = np.empty((n_q, n_g))
     cols = max(1, min(n_g, math.isqrt(_BLOCK_ELEMENTS // max(1, d))))
     rows = cols if symmetric else max(1, _BLOCK_ELEMENTS // (cols * max(1, d)))
-    buf = np.empty(rows * cols * d)
-    for i in range(0, n_q, rows):
-        qi = q[i : i + rows, None, :]
-        for j in range(i if symmetric else 0, n_g, cols):
-            gj = g[None, j : j + cols, :]
-            block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
-            np.subtract(qi, gj, out=block)
-            np.multiply(block, block, out=block)
-            tile = np.sqrt(block.sum(axis=2))
-            out[i : i + rows, j : j + cols] = tile
-            if symmetric and j != i:
-                out[j : j + cols, i : i + rows] = tile.T
+
+    def work(starts):
+        buf = np.empty(rows * cols * d)
+        for i in starts:
+            qi = q[i : i + rows, None, :]
+            for j in range(i if symmetric else 0, n_g, cols):
+                gj = g[None, j : j + cols, :]
+                block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
+                np.subtract(qi, gj, out=block)
+                np.multiply(block, block, out=block)
+                tile = np.sqrt(block.sum(axis=2))
+                out[i : i + rows, j : j + cols] = tile
+                if symmetric and j != i:  # row block j never writes below its diagonal
+                    out[j : j + cols, i : i + rows] = tile.T
+
+    _by_row_blocks(work, n_q, rows)
     return out
 
 
@@ -114,6 +167,8 @@ def evaluate(
     n_q, n_g = dist.shape
     if query_ids.shape != (n_q,) or gallery_ids.shape != (n_g,):
         raise ValueError("distance matrix does not match metadata")
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     max_rank = min(max_rank, n_g)
 
     cmc_sum = np.zeros(max_rank)
@@ -157,12 +212,23 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     nearest first. Among equal distances a point ranks itself first and
     then the lower column index, so every point is its own nearest
     neighbour even among exact copies. Only the entries up to each row's
-    (k + 1)-th smallest value are sorted, not whole rows."""
-    kth = np.partition(dist, k, axis=1)[:, k : k + 1]
-    rows, cols = np.nonzero(dist <= kth)  # columns ascend within each row
-    cols = cols[np.lexsort((cols != rows, dist[rows, cols], rows))]  # lexsort is stable
-    counts = np.bincount(rows, minlength=dist.shape[0])
-    return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
+    (k + 1)-th smallest value are sorted, not whole rows, one stripe of
+    about ``_BLOCK_ELEMENTS`` distances at a time."""
+    n = dist.shape[0]
+    order = np.empty((n, k + 1), dtype=np.intp)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, n))
+
+    def work(starts):
+        for s in starts:
+            stripe = dist[s : s + rows]
+            kth = np.partition(stripe, k, axis=1)[:, k : k + 1]
+            r, c = np.nonzero(stripe <= kth)  # columns ascend within each row
+            c = c[np.lexsort((c != r + s, stripe[r, c], r))]  # lexsort is stable
+            counts = np.bincount(r, minlength=stripe.shape[0])
+            order[s : s + rows] = c[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
+
+    _by_row_blocks(work, n, rows)
+    return order
 
 
 def _reciprocal_table(order: np.ndarray, k: int) -> np.ndarray:
@@ -239,9 +305,12 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     sparse: (row, column, value) arrays sorted by row then column, and
     Jaccard goes through an inverted index over gallery rows. Reciprocity
     and expansion are tested on padded (N, k1 + 1) and
-    (N, k1 + 1, k1/2 + 1) neighbour tables. Besides the N x N distances,
-    one partitioned copy of them while neighbours are found, and the
-    (n_q, n_g) result, the working arrays grow linearly with N.
+    (N, k1 + 1, k1/2 + 1) neighbour tables. Besides the N x N distances
+    and the (n_q, n_g) result, the working arrays grow linearly with N.
+
+    The N x N distance pass and the neighbour search are split by row
+    block over every CPU the process may run on; the result has the same
+    bytes for any CPU count.
     """
     q_feats = np.asarray(q_feats, dtype=np.float64)
     g_feats = np.asarray(g_feats, dtype=np.float64)

@@ -4,7 +4,8 @@ Most of what is here is written as plain scalar loops straight from the
 definitions, deliberately ignoring how the package implements the same
 quantities, so the two sides can disagree. The exception is the section of
 byte-level references: the earlier vectorised conv2d, maxpool2d,
-train-mode batchnorm and per-image augmentation, kept so that their faster
+train-mode batchnorm and per-image augmentation, and the single-threaded
+distance and neighbour passes of re-ranking, kept so that their faster
 replacements can be required to produce the same bytes.
 """
 
@@ -326,3 +327,43 @@ def augment_reference(image, cfg, draw):
         left = int(draw.integers(0, w - ew + 1))
         img[top : top + eh, left : left + ew] = 0.0
     return img
+
+
+# ---------------------------------------------------------------------------
+# Byte-level references for the row-block-parallel retrieval passes
+# ---------------------------------------------------------------------------
+# ``evaluation.pairwise_euclidean`` and ``evaluation._nearest`` as they were
+# before their row blocks were spread over threads.
+
+
+def pairwise_euclidean_reference(q, g):
+    block_elements = 1 << 16
+    symmetric = q is g
+    q = np.asarray(q, dtype=np.float64)
+    g = q if symmetric else np.asarray(g, dtype=np.float64)
+    n_q, n_g, d = q.shape[0], g.shape[0], q.shape[1]
+    out = np.empty((n_q, n_g))
+    cols = max(1, min(n_g, math.isqrt(block_elements // max(1, d))))
+    rows = cols if symmetric else max(1, block_elements // (cols * max(1, d)))
+    buf = np.empty(rows * cols * d)
+    for i in range(0, n_q, rows):
+        qi = q[i : i + rows, None, :]
+        for j in range(i if symmetric else 0, n_g, cols):
+            gj = g[None, j : j + cols, :]
+            block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
+            np.subtract(qi, gj, out=block)
+            np.multiply(block, block, out=block)
+            tile = np.sqrt(block.sum(axis=2))
+            out[i : i + rows, j : j + cols] = tile
+            if symmetric and j != i:
+                out[j : j + cols, i : i + rows] = tile.T
+    return out
+
+
+def nearest_reference(dist, k):
+    """Whole-matrix partition, then one lexsort of every row's candidates."""
+    kth = np.partition(dist, k, axis=1)[:, k : k + 1]
+    rows, cols = np.nonzero(dist <= kth)
+    cols = cols[np.lexsort((cols != rows, dist[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=dist.shape[0])
+    return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]

@@ -220,6 +220,19 @@ class TestEval:
         expected = evaluation.embed_split(model, dataset, "query")
         np.testing.assert_array_equal(loaded.features, expected.features)
 
+    @pytest.mark.parametrize("flag, value, message, leftover", [
+        ("--max-rank", 0, "max_rank must be >= 1", ["resolved.cfg"]),
+        ("--max-rank", -1, "max_rank must be >= 1", ["resolved.cfg"]),
+        ("--k1", 0, "k1 and k2 must be >= 1", None),  # rejected before anything is written
+        ("--k2", -3, "k1 and k2 must be >= 1", None),
+    ])
+    def test_bound_below_one_rejected(self, trained, tmp_path, capsys, flag, value, message, leftover):
+        data, ckpt, _ = trained
+        out = tmp_path / "bad"
+        assert run_cli("eval", "--data", data, "--checkpoint", ckpt, "--out", out, "--rerank", flag, value) == 1
+        assert message in capsys.readouterr().err
+        assert (sorted(os.listdir(out)) if out.exists() else None) == leftover
+
     def test_dimension_mismatch_with_checkpoint(self, trained, tmp_path):
         _, ckpt, _ = trained
         other = tmp_path / "otherdata"

@@ -1,5 +1,6 @@
 """Retrieval metrics and k-reciprocal re-ranking against naive oracles."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from topdropnet import evaluation
 
+import oracles
 from oracles import ap_cmc_loops, distances_loops, rerank_transcription
 
 
@@ -58,6 +60,88 @@ class TestPairwiseEuclidean:
             evaluation.pairwise_euclidean(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """Run the row-block passes as if the process had 1, 2 or 3 CPUs."""
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestRowBlockSplit:
+    """The distance and neighbour passes, split by row block over threads,
+    give the bytes of the single-threaded passes kept in ``oracles`` for
+    any worker count, and leave no thread behind."""
+
+    # With d = 256 a block is 16 x 16 rows: one row, fewer rows than a
+    # block, row counts that are not a multiple of 16, and n_q != n_g.
+    @pytest.mark.parametrize("n_q, n_g", [(1, 1), (1, 40), (9, 9), (9, 50), (50, 9), (83, 83), (83, 121)])
+    def test_pairwise_euclidean_is_byte_equal(self, workers, n_q, n_g):
+        rng = np.random.default_rng(n_q * 1000 + n_g)
+        q, g = rng.normal(size=(n_q, 256)), rng.normal(size=(n_g, 256))
+        before = threading.active_count()
+        assert_same_bytes(evaluation.pairwise_euclidean(q, g), oracles.pairwise_euclidean_reference(q, g))
+        assert_same_bytes(evaluation.pairwise_euclidean(q, q), oracles.pairwise_euclidean_reference(q, q))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, d, k", [(9, 3, 4), (300, 8, 20), (701, 4, 12)])
+    def test_nearest_is_byte_equal_with_duplicates(self, workers, n, d, k):
+        rng = np.random.default_rng(n)
+        feats = rng.integers(0, 3, size=(n, d)).astype(np.float64)  # many exact copies
+        dist = oracles.pairwise_euclidean_reference(feats, feats)
+        before = threading.active_count()
+        assert_same_bytes(evaluation._nearest(dist, k), oracles.nearest_reference(dist, k))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_q, n_g, d", [(6, 20, 4), (120, 400, 16)])
+    def test_rerank_is_byte_equal(self, workers, monkeypatch, n_q, n_g, d):
+        rng = np.random.default_rng(n_q + n_g)
+        feats = np.round(rng.normal(size=(n_q + n_g, d)), 1)
+        feats[rng.choice(n_q + n_g, size=(n_q + n_g) // 5)] = feats[0]  # exact duplicates
+        q, g = feats[:n_q], feats[n_q:]
+        params = evaluation.RerankParams(k1=5, k2=3)
+        before = threading.active_count()
+        got = evaluation.rerank(q, g, params)
+        assert threading.active_count() == before
+        monkeypatch.setattr(evaluation, "pairwise_euclidean", oracles.pairwise_euclidean_reference)
+        monkeypatch.setattr(evaluation, "_nearest", oracles.nearest_reference)
+        assert_same_bytes(got, evaluation.rerank(q, g, params))
+
+    @pytest.mark.parametrize("in_caller", [True, False])
+    def test_error_is_raised_after_every_thread_ends(self, monkeypatch, in_caller):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 3)
+        caller = threading.current_thread()
+        first_failure = threading.Event()
+        done, failed = [], []
+
+        def work(starts):
+            if (threading.current_thread() is caller) != in_caller:
+                first_failure.wait(10)  # a failing thread claims a block first
+                done.extend(starts)
+                return
+            for start in starts:
+                failed.append(start)
+                first_failure.set()
+                raise RuntimeError("block failed")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            evaluation._by_row_blocks(work, 9, 1)
+        assert threading.active_count() == before
+        assert sorted(done + failed) == list(range(9))
+
+    def test_threads_capped_at_block_count_and_each_block_run_once(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 64)
+        calls = []
+        evaluation._by_row_blocks(lambda starts: calls.append(list(starts)), 5, 2)
+        assert len(calls) == 3
+        assert sorted(sum(calls, [])) == [0, 2, 4]
+
+
 class TestEvaluate:
     def test_hand_computed_ap(self):
         # Positives at kept ranks 1 and 3: AP = (1/1 + 2/3) / 2.
@@ -81,6 +165,11 @@ class TestEvaluate:
         # cross-camera positive first.
         assert res.mAP == 1.0
         assert np.all(res.cmc == 1.0)
+
+    @pytest.mark.parametrize("max_rank", [0, -1])
+    def test_max_rank_below_one_rejected(self, max_rank):
+        with pytest.raises(ValueError, match="max_rank must be >= 1"):
+            evaluation.evaluate(np.array([[1.0, 2.0]]), [5], [0], [5, 6], [1, 1], max_rank=max_rank)
 
     def test_no_valid_query_rejected(self):
         with pytest.raises(ValueError):

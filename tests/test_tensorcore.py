@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topdropnet import network, rng as rng_mod, tensorcore as tc
@@ -335,6 +335,7 @@ class TestRewrittenOpsMatchReferences:
         w=st.integers(0, 4),
         seed=st.integers(0, 2**16),
     )
+    @example(ksize=1, stride=1, pad=0, n=1, cin=1, cout=1, h=0, w=0, seed=0)  # a falsifying input seen once
     def test_conv2d_is_byte_equal(self, ksize, stride, pad, n, cin, cout, h, w, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, cin, ksize + h, ksize + w))

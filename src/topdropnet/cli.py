@@ -28,25 +28,24 @@ class Opt:
     required: bool = False
 
 
-def _parse_value(kind: str, text: str):
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "str":
-        return text
+_SCALARS = {"int": int, "float": float, "str": str}
+
+
+def _parse_value(opt: Opt, text: str):
+    kind = opt.kind
+    if kind in _SCALARS:
+        return _SCALARS[kind](text)
     if kind == "bool":
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"bad boolean {text!r}")
-    if kind == "ints":
-        return tuple(int(v) for v in text.split(",") if v != "")
-    if kind == "floats":
-        return tuple(float(v) for v in text.split(",") if v != "")
-    if kind == "strs":
-        return tuple(v for v in text.split(",") if v != "")
+    if kind[:-1] in _SCALARS:  # a comma-separated list; empty items are skipped
+        values = tuple(_SCALARS[kind[:-1]](v) for v in text.split(",") if v != "")
+        if not values:
+            raise ValueError(f"{opt.key} needs at least one value, got {text!r}")
+        return values
     raise ValueError(f"unknown option kind {kind}")
 
 
@@ -77,7 +76,7 @@ def _read_config_file(path, schema):
             if key not in allowed:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             opt = next(o for o in schema if o.key == key)
-            values[key] = _parse_value(opt.kind, text.strip())
+            values[key] = _parse_value(opt, text.strip())
     return values
 
 
@@ -236,9 +235,8 @@ def cmd_gendata(cfg: dict) -> None:
     print(f"wrote {len(records)} images under {out}")
 
 
-def _run_training(cfg: dict, dataset, variant: str, seed: int, run_dir: str):
+def _run_training(train_cfg: trainer.TrainConfig, dataset, run_dir: str):
     os.makedirs(run_dir, exist_ok=True)
-    train_cfg = _train_config(cfg, variant, seed)
     result = trainer.fit(train_cfg, dataset)
     trainer.save_checkpoint(os.path.join(run_dir, "checkpoint.ckpt"), result)
     trainer.write_history(os.path.join(run_dir, "history.csv"), result.history)
@@ -246,21 +244,22 @@ def _run_training(cfg: dict, dataset, variant: str, seed: int, run_dir: str):
 
 
 def cmd_train(cfg: dict) -> None:
-    dataset = synthdata.load_dataset(cfg["data"])
     variant = _variant_internal(cfg["variant"])
+    seeds = cfg["seeds"]
+    configs = [_train_config(cfg, variant, seed) for seed in ((cfg["seed"],) if seeds is None else seeds)]
+    dataset = synthdata.load_dataset(cfg["data"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["train"], cfg)
-    seeds = cfg["seeds"]
     if seeds is None:
-        result = _run_training(cfg, dataset, variant, cfg["seed"], out)
+        result = _run_training(configs[0], dataset, out)
         print(f"trained {variant} for {len(result.history)} epochs; final loss {result.history[-1]['loss_total']:.4f}")
         return
     finals = []
-    for seed in seeds:
-        result = _run_training(cfg, dataset, variant, seed, os.path.join(out, f"seed{seed}"))
+    for train_cfg in configs:
+        result = _run_training(train_cfg, dataset, os.path.join(out, f"seed{train_cfg.seed}"))
         finals.append(result.history[-1])
-        print(f"seed {seed}: final loss {result.history[-1]['loss_total']:.4f}")
+        print(f"seed {train_cfg.seed}: final loss {result.history[-1]['loss_total']:.4f}")
     rows = []
     for key in network.LOSS_KEYS:
         values = [row[key] for row in finals if row[key] is not None]
@@ -284,6 +283,7 @@ def _print_result(tag: str, result: evaluation.EvalResult) -> None:
 
 
 def cmd_eval(cfg: dict) -> None:
+    evaluation.check_max_rank(cfg["max-rank"])
     if not os.path.exists(cfg["checkpoint"]):
         raise FileNotFoundError(f"checkpoint {cfg['checkpoint']} does not exist")
     dataset = synthdata.load_dataset(cfg["data"])
@@ -299,7 +299,7 @@ def cmd_eval(cfg: dict) -> None:
 
     query = evaluation.embed_split(model, dataset, "query")
     gallery = evaluation.embed_split(model, dataset, "gallery")
-    raw, reranked = evaluation.evaluate_run(query, gallery, cfg["rerank"], params, cfg["max-rank"])
+    raw, reranked = evaluation.evaluate_run(query, gallery, params if cfg["rerank"] else None, cfg["max-rank"])
     evaluation.save_results(os.path.join(out, "metrics_raw.csv"), raw)
     _print_result("raw", raw)
     if reranked is not None:
@@ -329,6 +329,7 @@ def cmd_activations(cfg: dict) -> None:
     for path in cfg["images"]:
         if not os.path.exists(path):
             raise FileNotFoundError(f"input image {path} does not exist")
+    drop_cfg = topdrop.DropConfig(cfg["height-ratio"], cfg["power"])
     model = trainer.model_from_checkpoint(cfg["checkpoint"]).eval()
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -338,7 +339,7 @@ def cmd_activations(cfg: dict) -> None:
         img = ppm.read_ppm(path)
         h, w = img.shape[:2]
         features = model.backbone_forward(network.normalize_images(img[None], model.dtype)).data[0]
-        act = topdrop.activation_map(features, cfg["power"])
+        act = topdrop.activation_map(features, drop_cfg.p)
         base = os.path.splitext(os.path.basename(path))[0]
 
         act_up = _upscale_nearest(act, h, w)
@@ -354,7 +355,6 @@ def cmd_activations(cfg: dict) -> None:
         ppm.write_ppm(os.path.join(out, f"{base}_overlay.ppm"), np.clip(np.rint(overlay), 0, 255).astype(np.uint8))
 
         if cfg["show-dropmask"]:
-            drop_cfg = topdrop.DropConfig(cfg["height-ratio"], cfg["power"])
             dropped = topdrop.top_drop_mask(topdrop.stripe_relevance(act), drop_cfg)
             keep = _upscale_nearest(np.broadcast_to(~dropped[:, None], act.shape), h, w)
             ppm.write_pgm(os.path.join(out, f"{base}_dropmask.pgm"), keep.astype(np.uint8) * 255)
@@ -362,24 +362,25 @@ def cmd_activations(cfg: dict) -> None:
 
 
 def cmd_ablation(cfg: dict) -> None:
+    configs = {variant: [_train_config(cfg, variant, seed) for seed in cfg["seeds"]] for variant in network.VARIANTS}
     dataset = synthdata.load_dataset(cfg["data"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["ablation"], cfg)
 
     rows = []
-    for variant in network.VARIANTS:
+    for variant, train_cfgs in configs.items():
         maps, rank1s = [], []
-        for seed in cfg["seeds"]:
-            run_dir = os.path.join(out, _variant_public(variant), f"seed{seed}")
-            result = _run_training(cfg, dataset, variant, seed, run_dir)
+        for train_cfg in train_cfgs:
+            run_dir = os.path.join(out, _variant_public(variant), f"seed{train_cfg.seed}")
+            result = _run_training(train_cfg, dataset, run_dir)
             query = evaluation.embed_split(result.model, dataset, "query")
             gallery = evaluation.embed_split(result.model, dataset, "gallery")
             raw, _ = evaluation.evaluate_run(query, gallery)
             evaluation.save_results(os.path.join(run_dir, "metrics.csv"), raw)
             maps.append(raw.mAP)
             rank1s.append(float(raw.cmc[0]))
-            print(f"{_variant_public(variant)} seed {seed}: mAP {raw.mAP:.4f} rank-1 {raw.cmc[0]:.4f}")
+            print(f"{_variant_public(variant)} seed {train_cfg.seed}: mAP {raw.mAP:.4f} rank-1 {raw.cmc[0]:.4f}")
         rows.append([_variant_public(variant), np.mean(maps), np.std(maps), np.mean(rank1s), np.std(rank1s)])
     header = ["variant", "map_mean", "map_std", "rank1_mean", "rank1_std"]
     evaluation.write_csv(os.path.join(out, "ablation.csv"), header, rows)
@@ -420,7 +421,7 @@ def main(argv=None) -> int:
         flags = {}
         for opt in schema:
             value = args[opt.key.replace("-", "_")]
-            flags[opt.key] = value if value is None or opt.kind == "bool" else _parse_value(opt.kind, value)
+            flags[opt.key] = value if value is None or opt.kind == "bool" else _parse_value(opt, value)
         cfg = _resolve(schema, flags, args["config"])
         _COMMANDS[args["command"]](cfg)
         return 0

@@ -11,7 +11,6 @@ correct match lands in the top k. Distance ties break by gallery index.
 import csv
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,57 +70,38 @@ def _usable_cpus() -> int:
 
 
 def _by_row_blocks(work, n: int, rows: int) -> None:
-    """Run ``work(starts)`` over the row blocks ``range(0, n, rows)``.
-
-    One thread per usable CPU, capped at the number of blocks, calls
-    ``work`` with an iterator that hands out each block start once, to
-    whichever thread asks first, so a thread on a busy core takes fewer
-    blocks. The calling thread is one of them and pool threads opened for
-    this call are the others; the call returns once every thread is done,
-    re-raises an error any of them raised, and leaves no thread behind. ``work`` must write only its blocks' part of the output and
-    call nothing but numpy, so the result does not depend on which thread
-    ran a block.
+    """Call ``work(start)`` once per row block ``range(0, n, rows)``, in a
+    pool of one thread per usable CPU capped at the block count; a free
+    thread takes the next queued block. The pool's shutdown waits for
+    every block, so an error is re-raised only after all have run, and no
+    thread outlives the call. ``work`` must write only its own block's
+    part of the output and call nothing but numpy: the result then does
+    not depend on which thread ran a block, and perfbench's single span
+    stack is never touched from a pool thread.
     """
     starts = range(0, n, rows)
-    workers = max(1, min(_usable_cpus(), len(starts)))
-    if workers == 1:
-        work(starts)
-        return
     from concurrent.futures import ThreadPoolExecutor  # its import costs the CLI's start-up about 7 ms
 
-    pending, lock = iter(starts), threading.Lock()
-
-    def claimed():
-        while True:
-            with lock:
-                start = next(pending, None)
-            if start is None:
-                return
-            yield start
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(work, claimed()) for _ in range(workers - 1)]
-        work(claimed())
-        for future in futures:
-            future.result()
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
+        futures = [pool.submit(work, start) for start in starts]  # map would drop queued blocks on an error
+    for future in futures:
+        future.result()
 
 
 def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Exact Euclidean distances between the rows of ``q`` and ``g``.
 
     Distances come from explicit differences, not the quadratic expansion,
-    for accuracy. Both row sets are tiled so that one (rows_q, rows_g, d)
-    block of differences holds about ``_BLOCK_ELEMENTS`` values; the block
-    is squared in place and summed over d the way the unblocked
-    ``np.sqrt(((q[:, None] - g[None]) ** 2).sum(axis=2))`` sums it, so the
-    result is bitwise equal to that formula while no temporary grows past
-    one block per CPU. When ``q`` and ``g`` are the same object only the
-    blocks on and above the diagonal are computed and the others mirrored,
-    which is exact because (a - b)**2 == (b - a)**2 in IEEE arithmetic.
-
-    Row blocks of ``q`` are spread over every CPU the process may run on
-    (see ``_by_row_blocks``); each element is computed by the same
-    operations whatever the CPU count, so the bytes do not depend on it.
+    for accuracy. Both row sets are tiled by ``rows`` so that one
+    (rows, rows, d) block of differences holds about ``_BLOCK_ELEMENTS``
+    values; the block is squared in place and summed over d the way the
+    unblocked ``np.sqrt(((q[:, None] - g[None]) ** 2).sum(axis=2))`` sums
+    it, so the result is bitwise equal to that formula while no temporary
+    grows past one block per thread. When ``q`` and ``g`` are the same
+    object only the tiles on and above the diagonal are computed and the
+    others mirrored, which is exact because (a - b)**2 == (b - a)**2 in
+    IEEE arithmetic. Each row block of ``q`` is one ``_by_row_blocks``
+    task, so the bytes do not depend on the CPU count.
     """
     symmetric = q is g
     q = np.asarray(q, dtype=np.float64)
@@ -130,25 +110,28 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {q.shape} vs {g.shape}")
     n_q, n_g, d = q.shape[0], g.shape[0], q.shape[1]
     out = np.empty((n_q, n_g))
-    cols = max(1, min(n_g, math.isqrt(_BLOCK_ELEMENTS // max(1, d))))
-    rows = cols if symmetric else max(1, _BLOCK_ELEMENTS // (cols * max(1, d)))
+    rows = max(1, min(n_g, math.isqrt(_BLOCK_ELEMENTS // max(1, d))))
 
-    def work(starts):
-        buf = np.empty(rows * cols * d)
-        for i in starts:
-            qi = q[i : i + rows, None, :]
-            for j in range(i if symmetric else 0, n_g, cols):
-                gj = g[None, j : j + cols, :]
-                block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
-                np.subtract(qi, gj, out=block)
-                np.multiply(block, block, out=block)
-                tile = np.sqrt(block.sum(axis=2))
-                out[i : i + rows, j : j + cols] = tile
-                if symmetric and j != i:  # row block j never writes below its diagonal
-                    out[j : j + cols, i : i + rows] = tile.T
+    def work(i):
+        buf = np.empty(rows * rows * d)
+        qi = q[i : i + rows, None, :]
+        for j in range(i if symmetric else 0, n_g, rows):
+            gj = g[None, j : j + rows, :]
+            block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
+            np.subtract(qi, gj, out=block)
+            np.multiply(block, block, out=block)
+            tile = np.sqrt(block.sum(axis=2))
+            out[i : i + rows, j : j + rows] = tile
+            if symmetric and j != i:  # row block j never writes below its diagonal
+                out[j : j + rows, i : i + rows] = tile.T
 
     _by_row_blocks(work, n_q, rows)
     return out
+
+
+def check_max_rank(max_rank: int) -> None:
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
 
 
 def evaluate(
@@ -167,8 +150,7 @@ def evaluate(
     n_q, n_g = dist.shape
     if query_ids.shape != (n_q,) or gallery_ids.shape != (n_g,):
         raise ValueError("distance matrix does not match metadata")
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    check_max_rank(max_rank)
     max_rank = min(max_rank, n_g)
 
     cmc_sum = np.zeros(max_rank)
@@ -213,19 +195,18 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     then the lower column index, so every point is its own nearest
     neighbour even among exact copies. Only the entries up to each row's
     (k + 1)-th smallest value are sorted, not whole rows, one stripe of
-    about ``_BLOCK_ELEMENTS`` distances at a time."""
+    about ``_BLOCK_ELEMENTS`` distances per ``_by_row_blocks`` task."""
     n = dist.shape[0]
     order = np.empty((n, k + 1), dtype=np.intp)
     rows = max(1, _BLOCK_ELEMENTS // max(1, n))
 
-    def work(starts):
-        for s in starts:
-            stripe = dist[s : s + rows]
-            kth = np.partition(stripe, k, axis=1)[:, k : k + 1]
-            r, c = np.nonzero(stripe <= kth)  # columns ascend within each row
-            c = c[np.lexsort((c != r + s, stripe[r, c], r))]  # lexsort is stable
-            counts = np.bincount(r, minlength=stripe.shape[0])
-            order[s : s + rows] = c[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
+    def work(s):
+        stripe = dist[s : s + rows]
+        kth = np.partition(stripe, k, axis=1)[:, k : k + 1]
+        r, c = np.nonzero(stripe <= kth)  # columns ascend within each row
+        c = c[np.lexsort((c != r + s, stripe[r, c], r))]  # lexsort is stable
+        counts = np.bincount(r, minlength=stripe.shape[0])
+        order[s : s + rows] = c[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
 
     _by_row_blocks(work, n, rows)
     return order
@@ -308,9 +289,9 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     (N, k1 + 1, k1/2 + 1) neighbour tables. Besides the N x N distances
     and the (n_q, n_g) result, the working arrays grow linearly with N.
 
-    The N x N distance pass and the neighbour search are split by row
-    block over every CPU the process may run on; the result has the same
-    bytes for any CPU count.
+    The N x N distance pass and the neighbour search queue one task per
+    row block in a pool of one thread per usable CPU (``_by_row_blocks``);
+    the result has the same bytes for any CPU count.
     """
     q_feats = np.asarray(q_feats, dtype=np.float64)
     g_feats = np.asarray(g_feats, dtype=np.float64)
@@ -376,14 +357,15 @@ def embed_split(model, dataset, split: str) -> EmbeddingSet:
     )
 
 
-def evaluate_run(query: EmbeddingSet, gallery: EmbeddingSet, with_rerank: bool = False,
-                 params: RerankParams = RerankParams(), max_rank: int = MAX_RANK):
-    """Raw and (optionally) re-ranked results from one embedding pass."""
+def evaluate_run(query: EmbeddingSet, gallery: EmbeddingSet, rerank_params: RerankParams = None,
+                 max_rank: int = MAX_RANK):
+    """Raw results from one embedding pass, and re-ranked ones with
+    ``rerank_params``, else None in their place."""
     dist = pairwise_euclidean(query.features, gallery.features)
     raw = evaluate(dist, query.person_ids, query.camera_ids, gallery.person_ids, gallery.camera_ids, max_rank)
     reranked = None
-    if with_rerank:
-        dist_rr = rerank(query.features, gallery.features, params)
+    if rerank_params is not None:
+        dist_rr = rerank(query.features, gallery.features, rerank_params)
         reranked = evaluate(
             dist_rr, query.person_ids, query.camera_ids, gallery.person_ids, gallery.camera_ids, max_rank
         )

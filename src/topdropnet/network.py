@@ -53,6 +53,15 @@ VARIANTS = {
 }
 
 
+def _check_extents(**fields) -> None:
+    """Raise ValueError unless each field, an int or a non-empty tuple of
+    ints, holds only integers >= 1."""
+    for name, value in fields.items():
+        items = value if isinstance(value, tuple) else (value,)
+        if not items or not all(type(v) is int and v >= 1 for v in items):
+            raise ValueError(f"{name} must hold integers >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     stem_channels: int = 16
@@ -61,6 +70,8 @@ class BackboneConfig:
     input_size: tuple = (64, 32)
 
     def __post_init__(self):
+        _check_extents(stem_channels=self.stem_channels, stage_channels=self.stage_channels,
+                       strides=self.strides, input_size=self.input_size)
         if len(self.stage_channels) != len(self.strides):
             raise ValueError("stage_channels and strides must align")
         if self.strides[-1] != 1:
@@ -89,15 +100,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
-        object.__setattr__(self, "dtype", dtype_name(self.dtype))
-
-
-def dtype_name(dtype) -> str:
-    """The name of a model precision, from any numpy dtype spelling."""
-    name = np.dtype(dtype).name
-    if name not in MODEL_DTYPES:
-        raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {name!r}")
-    return name
+        _check_extents(d_global=self.d_global, d_drop=self.d_drop)
+        dtype = np.dtype(self.dtype).name  # any numpy spelling of the precision
+        if dtype not in MODEL_DTYPES:
+            raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {dtype!r}")
+        object.__setattr__(self, "dtype", dtype)
 
 
 @dataclass

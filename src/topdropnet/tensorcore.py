@@ -647,8 +647,10 @@ _DTYPE_TOKENS = {
     "u1": np.dtype("|u1"),
 }
 _TOKEN_FOR_KIND = {v.str: k for k, v in _DTYPE_TOKENS.items()}
+# An array name: no ASCII whitespace, which separates the header fields.
+_ARRAY_NAME = re.compile(r"\S+", re.ASCII)
 # name, comma-separated extents, dtype token, payload offset
-_HEADER_LINE = re.compile(r"(\S+) (\d+(?:,\d+)*) (\S+) (\d+)", re.ASCII)
+_HEADER_LINE = re.compile(rf"({_ARRAY_NAME.pattern}) (\d+(?:,\d+)*) (\S+) (\d+)", re.ASCII)
 
 
 def save_arrays(path, arrays: dict) -> None:
@@ -662,7 +664,7 @@ def save_arrays(path, arrays: dict) -> None:
     header = [CHECKPOINT_MAGIC]
     payload = bytearray()
     for name, arr in arrays.items():
-        if " " in name or "\n" in name:
+        if not _ARRAY_NAME.fullmatch(name):
             raise ValueError(f"invalid array name {name!r}")
         arr = np.ascontiguousarray(arr)
         token = _TOKEN_FOR_KIND.get(arr.dtype.newbyteorder("<").str)

@@ -41,9 +41,10 @@ class TrainConfig:
     dtype: str = network.MODEL_DTYPE
 
     def __post_init__(self):
-        if self.variant not in network.VARIANTS:
-            raise ValueError(f"variant must be one of {tuple(network.VARIANTS)}")
-        object.__setattr__(self, "dtype", network.dtype_name(self.dtype))
+        # The settings copied from the model and drop configs are checked by them.
+        model = network.ModelConfig(self.variant, self.d_global, self.d_drop, dtype=self.dtype)
+        topdrop.DropConfig(self.height_ratio, self.activation_power)
+        object.__setattr__(self, "dtype", model.dtype)
         ms = self.decay_milestones
         if not 0.0 < self.warmup_fraction < min(ms):
             raise ValueError("warmup must end before the first milestone")

@@ -221,9 +221,9 @@ class TestEval:
         np.testing.assert_array_equal(loaded.features, expected.features)
 
     @pytest.mark.parametrize("flag, value, message, leftover", [
-        ("--max-rank", 0, "max_rank must be >= 1", ["resolved.cfg"]),
-        ("--max-rank", -1, "max_rank must be >= 1", ["resolved.cfg"]),
-        ("--k1", 0, "k1 and k2 must be >= 1", None),  # rejected before anything is written
+        ("--max-rank", 0, "max_rank must be >= 1", None),  # rejected before anything is written
+        ("--max-rank", -1, "max_rank must be >= 1", None),
+        ("--k1", 0, "k1 and k2 must be >= 1", None),
         ("--k2", -3, "k1 and k2 must be >= 1", None),
     ])
     def test_bound_below_one_rejected(self, trained, tmp_path, capsys, flag, value, message, leftover):
@@ -350,6 +350,35 @@ class TestConfigMachinery:
     def test_bad_flag_value_exits_nonzero(self, tmp_path):
         assert run_cli("gendata", "--out", tmp_path / "x", "--ids", "eight") == 1
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("train", ("--epochs", 0), "total_epochs must be >= 1"),
+        ("train", ("--seeds", "1,2", "--height-ratio", 2), "height_ratio must be in (0, 1]"),
+        ("train", ("--d-global", 0), "d_global must hold integers >= 1"),
+        ("train", ("--seeds", ","), "seeds needs at least one value"),
+        ("ablation", ("--epochs", 0), "total_epochs must be >= 1"),
+        ("ablation", ("--power", 0.5), "p must be >= 1"),
+        ("ablation", ("--seeds", ","), "seeds needs at least one value"),
+        ("activations", ("--height-ratio", 2), "height_ratio must be in (0, 1]"),
+        ("activations", ("--images", ","), "images needs at least one value"),
+    ])
+    def test_bad_setting_rejected_before_out_is_created(self, trained, tmp_path, capsys, command, args, message):
+        data, ckpt, _ = trained
+        inputs = {"train": ("--data", data), "ablation": ("--data", data),
+                  "activations": ("--checkpoint", ckpt, "--images", data / "images" / "000_00_00.ppm")}
+        out = tmp_path / "bad"
+        assert run_cli(command, "--out", out, *inputs[command], *args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_list_in_config_file_rejected(self, trained, tmp_path, capsys):
+        data, _, _ = trained
+        cfgfile = tmp_path / "seeds.cfg"
+        cfgfile.write_text("seeds = ,\n")
+        out = tmp_path / "bad"
+        assert run_cli("train", "--data", data, "--out", out, "--config", cfgfile) == 1
+        assert "seeds needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDefaults:
     def test_defaults_are_the_config_classes(self):
@@ -425,7 +454,7 @@ class TestReadme:
             for opt in cli.SCHEMAS[argv[0]]:
                 value = args[opt.key.replace("-", "_")]
                 if value is not None and opt.kind != "bool":
-                    cli._parse_value(opt.kind, value)
+                    cli._parse_value(opt, value)
             if args.get("variant") is not None:
                 assert cli._variant_internal(args["variant"]) in network.VARIANTS, argv
 

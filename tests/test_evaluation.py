@@ -1,5 +1,8 @@
 """Retrieval metrics and k-reciprocal re-ranking against naive oracles."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -10,6 +13,8 @@ from topdropnet import evaluation
 
 import oracles
 from oracles import ap_cmc_loops, distances_loops, rerank_transcription
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 class TestPairwiseEuclidean:
@@ -111,35 +116,56 @@ class TestRowBlockSplit:
         monkeypatch.setattr(evaluation, "_nearest", oracles.nearest_reference)
         assert_same_bytes(got, evaluation.rerank(q, g, params))
 
-    @pytest.mark.parametrize("in_caller", [True, False])
-    def test_error_is_raised_after_every_thread_ends(self, monkeypatch, in_caller):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 3)
-        caller = threading.current_thread()
-        first_failure = threading.Event()
-        done, failed = [], []
+    def test_byte_equal_with_more_threads_than_cores_and_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        x = np.random.default_rng(5).normal(size=(1000, 16))  # 16 row blocks in each pass
+        dist = oracles.pairwise_euclidean_reference(x, x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got_dist, got_order = evaluation.pairwise_euclidean(x, x), evaluation._nearest(dist, 10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bytes(got_dist, dist)
+        assert_same_bytes(got_order, oracles.nearest_reference(dist, 10))
 
-        def work(starts):
-            if (threading.current_thread() is caller) != in_caller:
-                first_failure.wait(10)  # a failing thread claims a block first
-                done.extend(starts)
-                return
-            for start in starts:
-                failed.append(start)
-                first_failure.set()
+    def test_error_is_raised_after_every_thread_ends(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 3)
+        failed = threading.Event()
+        done = []
+
+        def work(start):
+            if start == 0:
+                failed.set()
                 raise RuntimeError("block failed")
+            failed.wait(10)  # the failing block raises first
+            done.append(start)
 
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
             evaluation._by_row_blocks(work, 9, 1)
         assert threading.active_count() == before
-        assert sorted(done + failed) == list(range(9))
+        assert sorted(done) == list(range(1, 9))
 
     def test_threads_capped_at_block_count_and_each_block_run_once(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 64)
-        calls = []
-        evaluation._by_row_blocks(lambda starts: calls.append(list(starts)), 5, 2)
-        assert len(calls) == 3
-        assert sorted(sum(calls, [])) == [0, 2, 4]
+        for cpus, n, rows in [(64, 5, 2), (2, 9, 1)]:  # 3 blocks on 64 CPUs, 9 blocks on 2
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+            starts, threads = [], set()
+
+            def work(start):
+                starts.append(start)
+                threads.add(threading.get_ident())
+
+            evaluation._by_row_blocks(work, n, rows)
+            assert sorted(starts) == list(range(0, n, rows))
+            assert len(threads) <= min(cpus, len(starts))
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self):
+        # concurrent.futures costs start-up time; only a split should load it.
+        code = "import sys, topdropnet.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestEvaluate:
@@ -341,7 +367,7 @@ class TestRerank:
         ids_g, cams_g = rng.integers(0, 3, 10), rng.integers(0, 2, 10)
         qs = evaluation.EmbeddingSet(q, ids_q, cams_q)
         gs = evaluation.EmbeddingSet(g, ids_g, cams_g)
-        raw, reranked = evaluation.evaluate_run(qs, gs, with_rerank=True, params=evaluation.RerankParams(k1=4, k2=2, lam=1.0))
+        raw, reranked = evaluation.evaluate_run(qs, gs, evaluation.RerankParams(k1=4, k2=2, lam=1.0))
         assert raw.mAP == reranked.mAP
         np.testing.assert_array_equal(raw.cmc, reranked.cmc)
 
@@ -349,8 +375,9 @@ class TestRerank:
         rng = np.random.default_rng(12)
         qs = evaluation.EmbeddingSet(rng.normal(size=(3, 4)), np.array([0, 1, 2]), np.array([0, 0, 0]))
         gs = evaluation.EmbeddingSet(rng.normal(size=(8, 4)), rng.integers(0, 3, 8), np.ones(8, dtype=int))
-        without, _ = evaluation.evaluate_run(qs, gs, with_rerank=False)
-        with_flag, _ = evaluation.evaluate_run(qs, gs, with_rerank=True, params=evaluation.RerankParams(k1=3, k2=2))
+        without, none = evaluation.evaluate_run(qs, gs)
+        with_flag, _ = evaluation.evaluate_run(qs, gs, evaluation.RerankParams(k1=3, k2=2))
+        assert none is None
         assert without.mAP == with_flag.mAP
 
 

@@ -71,6 +71,14 @@ class TestBackbone:
         with pytest.raises(ValueError):
             network.BackboneConfig(strides=(2, 2, 2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("stem_channels", 0), ("stage_channels", ()), ("strides", ()), ("strides", (0, 2, 1)),
+        ("stage_channels", (16, 32.0, 64)), ("input_size", (64, 0)), ("input_size", [64, 32]),
+    ])
+    def test_non_positive_or_non_int_extent_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must hold integers >= 1"):
+            network.BackboneConfig(**{field: value})
+
     def test_wrong_input_shape_rejected(self):
         model = small_model().eval()
         with pytest.raises(tc.TensorError):
@@ -379,6 +387,13 @@ class TestVariantAlgebra:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             network.ModelConfig(variant="dropless")
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_global", 0), ("d_drop", -1), ("d_global", 2.0), ("d_drop", True), ("d_global", np.int64(8)),
+    ])
+    def test_non_positive_or_non_int_width_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must hold integers >= 1"):
+            network.ModelConfig(**{field: value})
 
 
 class TestEndToEndGradient:

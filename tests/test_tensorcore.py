@@ -512,6 +512,22 @@ class TestCheckpointFile:
             np.testing.assert_array_equal(loaded[name], arrays[name])
             assert loaded[name].dtype == arrays[name].dtype
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\rb", "a\vb", "a\fb", "a\nb"])
+    def test_name_the_reader_refuses_is_not_written(self, tmp_path, name):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="invalid array name"):
+            tc.save_arrays(path, {name: np.zeros(2)})
+        assert not path.exists()
+
+    def test_any_other_name_round_trips(self, tmp_path):
+        # Everything but ASCII whitespace, including non-ASCII spaces.
+        names = ["x", "a\x00b", "a\x1cb", "caf\u00e9", "a\u00a0b", "a\u2028b", "-1,2"]
+        path = tmp_path / "model.ckpt"
+        tc.save_arrays(path, {name: np.full(1, i) for i, name in enumerate(names)})
+        loaded = tc.load_arrays(path)
+        assert list(loaded) == names
+        assert [int(v[0]) for v in loaded.values()] == list(range(len(names)))
+
     def test_version_tag_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"SOMETHING v9\n\n")

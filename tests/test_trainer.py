@@ -71,6 +71,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             trainer.TrainConfig(decay_milestones=(0.75, 0.5))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("variant", "dropless", "variant must be one of"),
+        ("d_global", 0, "d_global must hold integers >= 1"),
+        ("dtype", "int32", "dtype must be one of"),
+        ("height_ratio", 2.0, "height_ratio must be in"),
+        ("activation_power", 0.5, "p must be >= 1"),
+    ])
+    def test_model_and_drop_settings_checked_by_their_classes(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            trainer.TrainConfig(**{field: value})
+
 
 class TestAdam:
     def test_first_step_approaches_lr_times_sign(self):

@@ -4,7 +4,8 @@ Settings merge from an optional flat ``key = value`` config file and
 command-line flags (flags win); unknown file keys are rejected and the
 fully resolved configuration is echoed into the output directory, so any
 run can be reproduced bitwise from its echo. No command writes outside
-its --out directory.
+its --out directory, and each reads and checks its settings and inputs
+before it creates that directory; only a training run can fail after.
 """
 
 import argparse
@@ -26,6 +27,7 @@ class Opt:
     default: object
     help: str
     required: bool = False
+    field: str = None  # the TrainConfig field a training flag sets
 
 
 _SCALARS = {"int": int, "float": float, "str": str}
@@ -122,19 +124,24 @@ _RERANK = evaluation.RerankParams()
 _DROP = topdrop.DropConfig()
 _GENDATA = {name: p.default for name, p in inspect.signature(synthdata.generate_dataset).parameters.items()}
 
+
+def _train_opt(key: str, kind: str, field: str, help: str) -> Opt:
+    return Opt(key, kind, getattr(_TRAIN, field), help, field=field)
+
+
 _TRAIN_COMMON = [
-    Opt("base-lr", "float", _TRAIN.base_lr, "plateau learning rate"),
-    Opt("warmup-fraction", "float", _TRAIN.warmup_fraction, "fraction of epochs spent warming up"),
-    Opt("milestones", "floats", _TRAIN.decay_milestones, "decay milestones as fractions"),
-    Opt("decay-factor", "float", _TRAIN.decay_factor, "learning-rate decay per milestone"),
+    _train_opt("base-lr", "float", "base_lr", "plateau learning rate"),
+    _train_opt("warmup-fraction", "float", "warmup_fraction", "fraction of epochs spent warming up"),
+    _train_opt("milestones", "floats", "decay_milestones", "decay milestones as fractions"),
+    _train_opt("decay-factor", "float", "decay_factor", "learning-rate decay per milestone"),
     Opt("batch-p", "int", _TRAIN.batch.p, "identities per batch"),
     Opt("batch-k", "int", _TRAIN.batch.k, "instances per identity"),
-    Opt("margin", "float", _TRAIN.margin, "triplet margin"),
-    Opt("epsilon", "float", _TRAIN.label_epsilon, "label smoothing"),
-    Opt("height-ratio", "float", _TRAIN.height_ratio, "fraction of rows to drop"),
-    Opt("power", "float", _TRAIN.activation_power, "activation-map exponent"),
-    Opt("d-global", "int", _TRAIN.d_global, "global stream feature size"),
-    Opt("d-drop", "int", _TRAIN.d_drop, "drop stream feature size"),
+    _train_opt("margin", "float", "margin", "triplet margin"),
+    _train_opt("epsilon", "float", "label_epsilon", "label smoothing"),
+    _train_opt("height-ratio", "float", "height_ratio", "fraction of rows to drop"),
+    _train_opt("power", "float", "activation_power", "activation-map exponent"),
+    _train_opt("d-global", "int", "d_global", "global stream feature size"),
+    _train_opt("d-drop", "int", "d_drop", "drop stream feature size"),
 ]
 
 SCHEMAS = {
@@ -192,19 +199,10 @@ SCHEMAS = {
 def _train_config(cfg: dict, variant: str, seed: int) -> trainer.TrainConfig:
     return trainer.TrainConfig(
         total_epochs=cfg["epochs"],
-        base_lr=cfg["base-lr"],
-        warmup_fraction=cfg["warmup-fraction"],
-        decay_milestones=tuple(cfg["milestones"]),
-        decay_factor=cfg["decay-factor"],
         batch=synthdata.BatchSpec(cfg["batch-p"], cfg["batch-k"]),
         variant=variant,
-        margin=cfg["margin"],
-        label_epsilon=cfg["epsilon"],
-        height_ratio=cfg["height-ratio"],
-        activation_power=cfg["power"],
-        d_global=cfg["d-global"],
-        d_drop=cfg["d-drop"],
         seed=seed,
+        **{opt.field: cfg[opt.key] for opt in _TRAIN_COMMON if opt.field},
     )
 
 
@@ -215,6 +213,9 @@ def _train_config(cfg: dict, variant: str, seed: int) -> trainer.TrainConfig:
 
 def cmd_gendata(cfg: dict) -> None:
     out = cfg["out"]
+    settings = dict(num_ids=cfg["ids"], num_cams=cfg["cams"], imgs_per_id_per_cam=cfg["per"],
+                    occlusion_prob=cfg["occlusion"], size=(cfg["height"], cfg["width"]))
+    synthdata.check_generation(**settings)
     if os.path.exists(out) and not (os.path.isdir(out) and not os.listdir(out)):
         if not cfg["force"]:
             raise FileExistsError(f"{out} exists and is not empty; pass --force to overwrite")
@@ -223,15 +224,7 @@ def cmd_gendata(cfg: dict) -> None:
         shutil.rmtree(out)
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["gendata"], cfg)
-    records = synthdata.generate_dataset(
-        out,
-        num_ids=cfg["ids"],
-        num_cams=cfg["cams"],
-        imgs_per_id_per_cam=cfg["per"],
-        occlusion_prob=cfg["occlusion"],
-        size=(cfg["height"], cfg["width"]),
-        seed=cfg["seed"],
-    )
+    records = synthdata.generate_dataset(out, **settings, seed=cfg["seed"])
     print(f"wrote {len(records)} images under {out}")
 
 
@@ -283,23 +276,15 @@ def _print_result(tag: str, result: evaluation.EvalResult) -> None:
 
 
 def cmd_eval(cfg: dict) -> None:
-    evaluation.check_max_rank(cfg["max-rank"])
-    if not os.path.exists(cfg["checkpoint"]):
-        raise FileNotFoundError(f"checkpoint {cfg['checkpoint']} does not exist")
     dataset = synthdata.load_dataset(cfg["data"])
-    model = trainer.model_from_checkpoint(cfg["checkpoint"])
-    if tuple(dataset.image_size) != tuple(model.cfg.backbone.input_size):
-        raise ValueError(
-            f"dataset images are {dataset.image_size} but the checkpoint expects {model.cfg.backbone.input_size}"
-        )
     params = _rerank_params(cfg, dataset.indices("gallery").size)
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    _echo_config(out, SCHEMAS["eval"], cfg)
-
+    model = trainer.model_from_checkpoint(cfg["checkpoint"])
     query = evaluation.embed_split(model, dataset, "query")
     gallery = evaluation.embed_split(model, dataset, "gallery")
     raw, reranked = evaluation.evaluate_run(query, gallery, params if cfg["rerank"] else None, cfg["max-rank"])
+    out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
+    _echo_config(out, SCHEMAS["eval"], cfg)
     evaluation.save_results(os.path.join(out, "metrics_raw.csv"), raw)
     _print_result("raw", raw)
     if reranked is not None:
@@ -324,22 +309,19 @@ def _to_gray(values: np.ndarray) -> np.ndarray:
 
 
 def cmd_activations(cfg: dict) -> None:
-    if not os.path.exists(cfg["checkpoint"]):
-        raise FileNotFoundError(f"checkpoint {cfg['checkpoint']} does not exist")
-    for path in cfg["images"]:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"input image {path} does not exist")
     drop_cfg = topdrop.DropConfig(cfg["height-ratio"], cfg["power"])
     model = trainer.model_from_checkpoint(cfg["checkpoint"]).eval()
+    maps = []
+    for path in cfg["images"]:
+        img = ppm.read_ppm(path)
+        features = model.backbone_forward(network.normalize_images(img[None], model.dtype)).data[0]
+        maps.append((path, img, topdrop.activation_map(features, drop_cfg.p)))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["activations"], cfg)
 
-    for path in cfg["images"]:
-        img = ppm.read_ppm(path)
+    for path, img, act in maps:
         h, w = img.shape[:2]
-        features = model.backbone_forward(network.normalize_images(img[None], model.dtype)).data[0]
-        act = topdrop.activation_map(features, drop_cfg.p)
         base = os.path.splitext(os.path.basename(path))[0]
 
         act_up = _upscale_nearest(act, h, w)

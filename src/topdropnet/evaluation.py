@@ -28,6 +28,8 @@ class EmbeddingSet:
             raise ValueError(f"features must be (n, d), got {self.features.shape}")
         if self.person_ids.shape != (n,) or self.camera_ids.shape != (n,):
             raise ValueError("metadata length mismatch")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
 
 
 # Length of a CMC curve unless the caller asks for another.
@@ -129,11 +131,6 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_max_rank(max_rank: int) -> None:
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-
-
 def evaluate(
     dist: np.ndarray,
     query_ids,
@@ -150,7 +147,8 @@ def evaluate(
     n_q, n_g = dist.shape
     if query_ids.shape != (n_q,) or gallery_ids.shape != (n_g,):
         raise ValueError("distance matrix does not match metadata")
-    check_max_rank(max_rank)
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     max_rank = min(max_rank, n_g)
 
     cmc_sum = np.zeros(max_rank)
@@ -404,7 +402,7 @@ def load_embeddings(path) -> EmbeddingSet:
 
     Raises ValueError for an empty file, a header without feature columns,
     a row of the wrong width or with a non-numeric field, a file without
-    rows, and a NaN or infinite feature, which would poison every distance.
+    rows, and (through ``EmbeddingSet``) a NaN or infinite feature.
     """
     with open(path, "r", newline="") as f:
         reader = csv.reader(f)
@@ -421,10 +419,7 @@ def load_embeddings(path) -> EmbeddingSet:
             rows.append([float(v) for v in row[2:]])
     if not rows:
         raise ValueError(f"{path}: no embeddings")
-    features = np.array(rows, dtype=np.float64)
-    if not np.isfinite(features).all():
-        raise ValueError(f"{path}: non-finite feature value")
-    return EmbeddingSet(features, np.array(pids), np.array(cams))
+    return EmbeddingSet(np.array(rows, dtype=np.float64), np.array(pids), np.array(cams))
 
 
 def save_results(path, result: EvalResult) -> None:

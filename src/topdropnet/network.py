@@ -53,13 +53,14 @@ VARIANTS = {
 }
 
 
-def _check_extents(**fields) -> None:
-    """Raise ValueError unless each field, an int or a non-empty tuple of
-    ints, holds only integers >= 1."""
+def _check_extents(scalar: bool, **fields) -> None:
+    """Raise ValueError unless each field holds only integers >= 1: one
+    int if ``scalar``, else a non-empty tuple of them."""
     for name, value in fields.items():
-        items = value if isinstance(value, tuple) else (value,)
+        items = (value,) if scalar else value if isinstance(value, tuple) else ()
         if not items or not all(type(v) is int and v >= 1 for v in items):
-            raise ValueError(f"{name} must hold integers >= 1, got {value!r}")
+            shape = "" if scalar else " in a non-empty tuple"
+            raise ValueError(f"{name} must hold integers >= 1{shape}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,10 @@ class BackboneConfig:
     input_size: tuple = (64, 32)
 
     def __post_init__(self):
-        _check_extents(stem_channels=self.stem_channels, stage_channels=self.stage_channels,
-                       strides=self.strides, input_size=self.input_size)
+        _check_extents(True, stem_channels=self.stem_channels)
+        _check_extents(False, stage_channels=self.stage_channels, strides=self.strides, input_size=self.input_size)
+        if len(self.input_size) != 2:
+            raise ValueError(f"input_size must be (height, width), got {self.input_size!r}")
         if len(self.stage_channels) != len(self.strides):
             raise ValueError("stage_channels and strides must align")
         if self.strides[-1] != 1:
@@ -100,7 +103,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
-        _check_extents(d_global=self.d_global, d_drop=self.d_drop)
+        _check_extents(True, d_global=self.d_global, d_drop=self.d_drop)
         dtype = np.dtype(self.dtype).name  # any numpy spelling of the precision
         if dtype not in MODEL_DTYPES:
             raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {dtype!r}")

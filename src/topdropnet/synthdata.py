@@ -152,6 +152,20 @@ def render_image(identity: IdentityAppearance, camera, size, occlusion_prob: flo
     return img
 
 
+def check_generation(num_ids: int, num_cams: int, imgs_per_id_per_cam: int, occlusion_prob: float, size: tuple) -> None:
+    """Raise ValueError unless ``generate_dataset`` can render these settings."""
+    if num_ids < 4:
+        raise ValueError(f"need at least 4 identities, got {num_ids}")
+    if num_cams < 2:
+        raise ValueError(f"need at least 2 cameras for cross-camera evaluation, got {num_cams}")
+    if imgs_per_id_per_cam < 1:
+        raise ValueError("need at least one image per (id, camera)")
+    if not 0.0 <= occlusion_prob <= 1.0:
+        raise ValueError(f"occlusion_prob must be in [0, 1], got {occlusion_prob}")
+    if len(size) != 2 or min(size) < 1:
+        raise ValueError(f"image size must be (height, width) with both >= 1, got {size}")
+
+
 def generate_dataset(
     out_dir,
     num_ids: int = 32,
@@ -167,13 +181,7 @@ def generate_dataset(
     evaluation (id, camera) the first image goes to the query split and
     the rest to the gallery.
     """
-    if num_ids < 4:
-        raise ValueError(f"need at least 4 identities, got {num_ids}")
-    if num_cams < 2:
-        raise ValueError(f"need at least 2 cameras for cross-camera evaluation, got {num_cams}")
-    if imgs_per_id_per_cam < 1:
-        raise ValueError("need at least one image per (id, camera)")
-
+    check_generation(num_ids, num_cams, imgs_per_id_per_cam, occlusion_prob, size)
     num_train = num_ids // 2
     identities = _sample_identities(num_ids, rng_mod.generator(seed, "identity"))
     cameras = _camera_params(num_cams, rng_mod.generator(seed, "camera"))

@@ -806,11 +806,13 @@ class Module:
 
 
 def stored_like(state: dict, key: str, current: np.ndarray) -> np.ndarray:
-    """``state[key]``, which must exist and have the shape and dtype of
-    ``current``; loading never rounds."""
+    """``state[key]``, which must exist, have the shape and dtype of
+    ``current`` and hold only finite values; loading never rounds."""
     arr = state.get(key)
     if arr is None:
         raise ValueError(f"state is missing {key}")
     if tuple(arr.shape) != current.shape or arr.dtype != current.dtype:
         raise ValueError(f"{key} is {arr.dtype} {tuple(arr.shape)}, the model holds {current.dtype} {current.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key} holds a non-finite value")
     return arr

@@ -89,6 +89,15 @@ class TestGendata:
         assert run_cli(*args, *(("--force",) if force else ())) == 0
         assert tree_bytes(out) == fresh
 
+    @pytest.mark.parametrize("flag, value", [("--ids", 2), ("--occlusion", 1.5), ("--height", 0)])
+    def test_bad_setting_with_force_keeps_the_old_dataset(self, tmp_path, flag, value):
+        out = tmp_path / "ds"
+        args = ("gendata", "--out", out, "--ids", 8, "--cams", 2, "--per", 2, "--height", 32, "--width", 16)
+        assert run_cli(*args) == 0
+        first = tree_bytes(out)
+        assert run_cli(*args, flag, value, "--force") == 1
+        assert tree_bytes(out) == first
+
     def test_single_camera_rejected(self, tmp_path):
         assert run_cli("gendata", "--out", tmp_path / "x", "--cams", 1) == 1
         assert not (tmp_path / "x" / "manifest.csv").exists()
@@ -233,6 +242,27 @@ class TestEval:
         assert message in capsys.readouterr().err
         assert (sorted(os.listdir(out)) if out.exists() else None) == leftover
 
+    def test_dataset_without_query_rows_leaves_no_out(self, trained, tmp_path):
+        data, ckpt, _ = trained
+        no_query = tmp_path / "noquery"
+        shutil.copytree(data, no_query)
+        manifest = no_query / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(b",query,", b",gallery,"))
+        out = tmp_path / "o"
+        assert run_cli("eval", "--data", no_query, "--checkpoint", ckpt, "--out", out) == 1
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_leaves_no_out(self, trained, tmp_path, capsys):
+        data, ckpt, _ = trained
+        arrays = tc.load_arrays(ckpt)
+        arrays["param.backbone.stem_conv.weight"].flat[0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        tc.save_arrays(bad, arrays)
+        out = tmp_path / "o"
+        assert run_cli("eval", "--data", data, "--checkpoint", bad, "--out", out) == 1
+        assert "param.backbone.stem_conv.weight holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_with_checkpoint(self, trained, tmp_path):
         _, ckpt, _ = trained
         other = tmp_path / "otherdata"
@@ -270,6 +300,23 @@ class TestActivations:
         dropped_image_rows = np.flatnonzero(np.all(dropmask == 0, axis=1))
         expected_rows = sorted(r * scale + i for r in np.flatnonzero(expected) for i in range(scale))
         assert dropped_image_rows.tolist() == expected_rows
+
+    @pytest.mark.parametrize("fault", ["truncated", "wrong_size", "missing_image", "missing_checkpoint"])
+    def test_bad_input_leaves_no_out(self, trained, tmp_path, fault):
+        # The first image is valid, so its exports could be written before the fault is seen.
+        data, ckpt, _ = trained
+        first = data / "images" / "000_00_00.ppm"
+        second = tmp_path / "second.ppm"  # never written for "missing_image"
+        if fault == "truncated":
+            second.write_bytes(first.read_bytes()[:-1])
+        elif fault == "wrong_size":
+            ppm.write_ppm(second, np.zeros((16, 16, 3), dtype=np.uint8))
+        elif fault == "missing_checkpoint":
+            shutil.copy(first, second)
+            ckpt = tmp_path / "nope.ckpt"
+        out = tmp_path / "act"
+        assert run_cli("activations", "--checkpoint", ckpt, "--out", out, "--images", f"{first},{second}") == 1
+        assert not out.exists()
 
     def test_zero_init_model_yields_all_zero_maps(self, trained, tmp_path):
         data, ckpt, _ = trained
@@ -360,10 +407,15 @@ class TestConfigMachinery:
         ("ablation", ("--seeds", ","), "seeds needs at least one value"),
         ("activations", ("--height-ratio", 2), "height_ratio must be in (0, 1]"),
         ("activations", ("--images", ","), "images needs at least one value"),
+        ("gendata", ("--ids", 2), "need at least 4 identities"),
+        ("gendata", ("--occlusion", 1.5), "occlusion_prob must be in [0, 1]"),
+        ("gendata", ("--occlusion", -0.1), "occlusion_prob must be in [0, 1]"),
+        ("gendata", ("--height", 0), "both >= 1"),
+        ("gendata", ("--width", 0), "both >= 1"),
     ])
     def test_bad_setting_rejected_before_out_is_created(self, trained, tmp_path, capsys, command, args, message):
         data, ckpt, _ = trained
-        inputs = {"train": ("--data", data), "ablation": ("--data", data),
+        inputs = {"gendata": (), "train": ("--data", data), "ablation": ("--data", data),
                   "activations": ("--checkpoint", ckpt, "--images", data / "images" / "000_00_00.ppm")}
         out = tmp_path / "bad"
         assert run_cli(command, "--out", out, *inputs[command], *args) == 1

@@ -381,6 +381,24 @@ class TestRerank:
         assert without.mAP == with_flag.mAP
 
 
+class TestNonFiniteEmbeddings:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_embedding_set_rejects_non_finite_features(self, bad):
+        features = np.ones((3, 4))
+        features[1, 2] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            evaluation.EmbeddingSet(features, np.arange(3), np.zeros(3, dtype=int))
+
+    def test_embed_split_output_is_checked(self, tiny_dataset):
+        from topdropnet import network
+
+        model = network.ReidModel(4, network.ModelConfig(d_global=8, d_drop=8,
+                                                         backbone=network.BackboneConfig(input_size=(32, 16))))
+        model.backbone.stem_conv.weight.data.flat[0] = np.nan
+        with pytest.raises(ValueError, match="features must be finite"):
+            evaluation.embed_split(model, tiny_dataset, "query")
+
+
 class TestEmbeddingFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

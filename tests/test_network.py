@@ -74,10 +74,16 @@ class TestBackbone:
     @pytest.mark.parametrize("field, value", [
         ("stem_channels", 0), ("stage_channels", ()), ("strides", ()), ("strides", (0, 2, 1)),
         ("stage_channels", (16, 32.0, 64)), ("input_size", (64, 0)), ("input_size", [64, 32]),
+        ("stage_channels", 16), ("strides", 2), ("input_size", 64), ("stem_channels", (16,)),
     ])
     def test_non_positive_or_non_int_extent_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must hold integers >= 1"):
             network.BackboneConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [(64,), (64, 32, 5)])
+    def test_input_size_other_than_height_width_rejected(self, value):
+        with pytest.raises(ValueError, match=r"input_size must be \(height, width\)"):
+            network.BackboneConfig(input_size=value)
 
     def test_wrong_input_shape_rejected(self):
         model = small_model().eval()

@@ -89,6 +89,22 @@ class TestGeneration:
         with pytest.raises(ValueError):
             synthdata.generate_dataset(tmp_path / "y", num_cams=1)
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(num_ids=2), "need at least 4 identities"),
+        (dict(num_cams=1), "need at least 2 cameras"),
+        (dict(imgs_per_id_per_cam=0), "need at least one image"),
+        (dict(occlusion_prob=1.5), "occlusion_prob must be in"),
+        (dict(occlusion_prob=-0.1), "occlusion_prob must be in"),
+        (dict(occlusion_prob=float("nan")), "occlusion_prob must be in"),
+        (dict(size=(0, 16)), "both >= 1"),
+        (dict(size=(32, 0)), "both >= 1"),
+        (dict(size=(32,)), "both >= 1"),
+    ])
+    def test_bad_setting_rejected_before_anything_is_written(self, tmp_path, setting, message):
+        with pytest.raises(ValueError, match=message):
+            synthdata.generate_dataset(tmp_path / "x", **setting)
+        assert not (tmp_path / "x").exists()
+
     def test_any_two_identities_separated_somewhere(self):
         identities = synthdata._sample_identities(10, rng_mod.generator(4, "identity"))
         for i in range(10):

@@ -451,6 +451,22 @@ class TestMalformedCheckpoints:
         with pytest.raises(ValueError, match="model_json"):
             trainer.model_from_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["param.backbone.stem_conv.weight", "buffer.backbone.stem_bn.running_var",
+                                     "adam.m.backbone.stem_conv.weight", "adam.v.backbone.stem_bn.gamma"])
+    def test_non_finite_array_rejected(self, tiny_dataset, tmp_path, key):
+        cfg = quick_config(total_epochs=2)
+        ckpt = tmp_path / "mid.ckpt"
+        trainer.save_checkpoint(ckpt, trainer.fit(cfg, tiny_dataset, stop_after=1))
+        arrays = tc.load_arrays(ckpt)
+        arrays[key].flat[0] = np.nan
+        tc.save_arrays(ckpt, arrays)
+        readers = [lambda: trainer.fit(cfg, tiny_dataset, resume=ckpt)]
+        if not key.startswith("adam."):
+            readers.append(lambda: trainer.model_from_checkpoint(ckpt))
+        for read in readers:
+            with pytest.raises(ValueError, match=f"{key} holds a non-finite value"):
+                read()
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_truncated_or_flipped_byte_loads_or_raises_value_error(self, small_checkpoint, data):

@@ -228,6 +228,15 @@ def cmd_gendata(cfg: dict) -> None:
     print(f"wrote {len(records)} images under {out}")
 
 
+def _fitting_dataset(root, configs):
+    """The dataset at ``root``, once every training config can build its
+    model for it."""
+    dataset = synthdata.load_dataset(root)
+    for train_cfg in configs:
+        trainer.model_config(train_cfg, dataset)
+    return dataset
+
+
 def _run_training(train_cfg: trainer.TrainConfig, dataset, run_dir: str):
     os.makedirs(run_dir, exist_ok=True)
     result = trainer.fit(train_cfg, dataset)
@@ -240,7 +249,7 @@ def cmd_train(cfg: dict) -> None:
     variant = _variant_internal(cfg["variant"])
     seeds = cfg["seeds"]
     configs = [_train_config(cfg, variant, seed) for seed in ((cfg["seed"],) if seeds is None else seeds)]
-    dataset = synthdata.load_dataset(cfg["data"])
+    dataset = _fitting_dataset(cfg["data"], configs)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["train"], cfg)
@@ -345,7 +354,7 @@ def cmd_activations(cfg: dict) -> None:
 
 def cmd_ablation(cfg: dict) -> None:
     configs = {variant: [_train_config(cfg, variant, seed) for seed in cfg["seeds"]] for variant in network.VARIANTS}
-    dataset = synthdata.load_dataset(cfg["data"])
+    dataset = _fitting_dataset(cfg["data"], [c for run in configs.values() for c in run])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["ablation"], cfg)

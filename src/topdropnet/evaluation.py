@@ -10,10 +10,11 @@ correct match lands in the top k. Distance ties break by gallery index.
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import blocks
 
 
 @dataclass(frozen=True)
@@ -64,32 +65,6 @@ class RerankParams:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _by_row_blocks(work, n: int, rows: int) -> None:
-    """Call ``work(start)`` once per row block ``range(0, n, rows)``, in a
-    pool of one thread per usable CPU capped at the block count; a free
-    thread takes the next queued block. The pool's shutdown waits for
-    every block, so an error is re-raised only after all have run, and no
-    thread outlives the call. ``work`` must write only its own block's
-    part of the output and call nothing but numpy: the result then does
-    not depend on which thread ran a block, and perfbench's single span
-    stack is never touched from a pool thread.
-    """
-    starts = range(0, n, rows)
-    from concurrent.futures import ThreadPoolExecutor  # its import costs the CLI's start-up about 7 ms
-
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
-        futures = [pool.submit(work, start) for start in starts]  # map would drop queued blocks on an error
-    for future in futures:
-        future.result()
-
-
 def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Exact Euclidean distances between the rows of ``q`` and ``g``.
 
@@ -102,7 +77,7 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     grows past one block per thread. When ``q`` and ``g`` are the same
     object only the tiles on and above the diagonal are computed and the
     others mirrored, which is exact because (a - b)**2 == (b - a)**2 in
-    IEEE arithmetic. Each row block of ``q`` is one ``_by_row_blocks``
+    IEEE arithmetic. Each row block of ``q`` is one ``blocks.split``
     task, so the bytes do not depend on the CPU count.
     """
     symmetric = q is g
@@ -127,7 +102,7 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
             if symmetric and j != i:  # row block j never writes below its diagonal
                 out[j : j + rows, i : i + rows] = tile.T
 
-    _by_row_blocks(work, n_q, rows)
+    blocks.split(work, range(0, n_q, rows))
     return out
 
 
@@ -193,7 +168,7 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     then the lower column index, so every point is its own nearest
     neighbour even among exact copies. Only the entries up to each row's
     (k + 1)-th smallest value are sorted, not whole rows, one stripe of
-    about ``_BLOCK_ELEMENTS`` distances per ``_by_row_blocks`` task."""
+    about ``_BLOCK_ELEMENTS`` distances per ``blocks.split`` task."""
     n = dist.shape[0]
     order = np.empty((n, k + 1), dtype=np.intp)
     rows = max(1, _BLOCK_ELEMENTS // max(1, n))
@@ -206,7 +181,7 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
         counts = np.bincount(r, minlength=stripe.shape[0])
         order[s : s + rows] = c[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
 
-    _by_row_blocks(work, n, rows)
+    blocks.split(work, range(0, n, rows))
     return order
 
 
@@ -288,8 +263,8 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     and the (n_q, n_g) result, the working arrays grow linearly with N.
 
     The N x N distance pass and the neighbour search queue one task per
-    row block in a pool of one thread per usable CPU (``_by_row_blocks``);
-    the result has the same bytes for any CPU count.
+    row block on the process's thread pool (``blocks.split``); the result
+    has the same bytes for any CPU count.
     """
     q_feats = np.asarray(q_feats, dtype=np.float64)
     g_feats = np.asarray(g_feats, dtype=np.float64)

@@ -19,6 +19,14 @@ it builds them, so max-pooling keeps no argmax, relu no mask, and
 eval-mode batch norm no normalized copy of its input. The output has the
 same bytes either way, so evaluation-mode code pays no graph cost.
 
+Convolution, batch norm, relu and max-pooling work on a batch of at least
+``blocks.SPLIT_VALUES`` values and ``blocks.SPLIT_IMAGES`` images in two
+fixed halves of its images, on the
+process's thread pool (:func:`blocks.halves`). The calling thread
+allocates every output and scratch array, and the halves write into them
+through ``out=``. Batch-norm statistics and the conv kernel gradient stay
+whole-batch reductions, so the bytes do not depend on the split.
+
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
 operations require exactly equal shapes (the only broadcast is the
@@ -31,6 +39,8 @@ import re
 import threading
 
 import numpy as np
+
+from . import blocks
 
 DEFAULT_DTYPE = np.float64
 
@@ -336,13 +346,23 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    if not will_record(x):
+    y = np.empty_like(x.data)
+    mask = np.empty(x.shape, dtype=bool) if will_record(x) else None
+
+    def forward(b):
+        np.maximum(x.data[b], 0.0, out=y[b])
+        if mask is not None:
+            np.greater(x.data[b], 0, out=mask[b])
+
+    blocks.halves(forward, y)
+    out = Tensor(y)
+    if mask is None:
         return out
-    mask = x.data > 0
 
     def back(g):
-        accumulate_grad(x, g * mask)
+        gx = np.empty_like(g)
+        blocks.halves(lambda b: np.multiply(g[b], mask[b], out=gx[b]), gx)
+        accumulate_grad(x, gx)
 
     return record_op(out, (x,), back)
 
@@ -375,6 +395,13 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
+def _reshapes_as_view(shape, strides) -> bool:
+    """Whether C-order axes of this shape and these strides merge into one
+    axis without a copy: numpy's reshape rule, size-1 axes ignored."""
+    dims = [(size, stride) for size, stride in zip(shape, strides) if size != 1]
+    return all(outer == size * inner for (_, outer), (size, inner) in zip(dims, dims[1:]))
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding, no bias.
 
@@ -398,16 +425,32 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise TensorError(f"conv2d: non-positive output extent for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, pad {pad}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    # im2col: the (n*ho*wo, cin*kh*kw) column matrix, built from a strided
-    # window view with the same transpose and C-order reshape that
-    # np.tensordot would use, so np.dot sees the same operands.
+    # im2col: the (n*ho*wo, cin*kh*kw) column matrix, laid out as the C-order
+    # copy of a strided window view that np.tensordot would make, so np.dot
+    # sees the same operands.
     sn, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(n, ho, wo, cin, kh, kw), strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False
     )
-    cols = windows.reshape(n * ho * wo, cin * kh * kw)
-    val = np.dot(cols, k.data.transpose(1, 2, 3, 0).reshape(cin * kh * kw, cout))
-    out = Tensor(np.ascontiguousarray(val.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)))
+    kmat = k.data.transpose(1, 2, 3, 0).reshape(cin * kh * kw, cout)
+    shape, strides = windows.shape, windows.strides
+    if _reshapes_as_view(shape[:3], strides[:3]) and _reshapes_as_view(shape[3:], strides[3:]):
+        # A view, multiplied whole as it is: its C-order copy can give other bytes.
+        cols = windows.reshape(n * ho * wo, cin * kh * kw)
+        out = Tensor(np.ascontiguousarray(np.dot(cols, kmat).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)))
+    else:
+        cols = np.empty((n, ho, wo, cin, kh, kw), dtype=x.data.dtype)
+        val = np.empty((n, ho, wo, cout), dtype=x.data.dtype)
+        y = np.empty((n, cout, ho, wo), dtype=x.data.dtype)
+
+        def forward(b):
+            cols[b] = windows[b]
+            np.dot(cols[b].reshape(-1, cin * kh * kw), kmat, out=val[b].reshape(-1, cout))
+            y[b] = val[b].transpose(0, 3, 1, 2)
+
+        blocks.halves(forward, y)
+        cols = cols.reshape(n * ho * wo, cin * kh * kw)
+        out = Tensor(y)
 
     def back(g):
         if k.requires_grad:
@@ -435,7 +478,10 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
 
     Works on one strided plane per window offset: a running maximum that
     moves only on a strictly greater value keeps the first (lowest linear
-    index) of tied maxima.
+    index) of tied maxima. Each select goes through the values' bit
+    patterns, ``v ^ ((v ^ p) & m)`` with ``m`` all ones where ``p`` is
+    greater, which is ``np.where(greater, p, v)`` bit for bit without its
+    branches or a new array.
     """
     if x.data.ndim != 4:
         raise TensorError("maxpool2d expects 4-d input")
@@ -454,23 +500,45 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         return arr[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
 
     recording = will_record(x)
-    val = plane(x.data, 0).copy()
+    bits = np.dtype(f"u{x.data.dtype.itemsize}")  # unsigned integers of the values' width
+    val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    mask = np.empty(val.shape, dtype=bits)
+    diff = np.empty(val.shape, dtype=bits)
     idx = np.zeros(val.shape, dtype=np.min_scalar_type(wh * ww - 1)) if recording else None
-    for k in range(1, wh * ww):
-        p = plane(x.data, k)
-        greater = p > val
-        val = np.where(greater, p, val)
-        if recording:
-            # k exceeds every index stored so far, so a max is a branch-free select.
-            np.maximum(idx, np.multiply(greater, k, dtype=idx.dtype), out=idx)
+
+    def forward(b):
+        xb, vb, mb, db = x.data[b], val[b], mask[b], diff[b]
+        vb[...] = plane(xb, 0)
+        for k in range(1, wh * ww):
+            p = plane(xb, k)
+            np.greater(p, vb, out=mb)
+            np.negative(mb, out=mb)
+            np.bitwise_xor(vb.view(bits), p.view(bits), out=db)
+            np.bitwise_and(db, mb, out=db)
+            np.bitwise_xor(vb.view(bits), db, out=vb.view(bits))
+            if recording:
+                # k exceeds every index stored so far, so a max is the select.
+                np.maximum(idx[b], np.bitwise_and(mb, k, out=db), out=idx[b])
+
+    blocks.halves(forward, val)
     out = Tensor(val)
     if not recording:
         return out
 
     def back(g):
         gx = np.zeros_like(x.data)
-        for k in range(wh * ww):
-            plane(gx, k)[...] += np.where(idx == k, g, 0.0)
+        routed = np.empty(g.shape, dtype=bits)
+
+        def backward(b):
+            gxb, rb = gx[b], routed[b]
+            for k in range(wh * ww):
+                # g where idx == k, else the bits of +0.0: np.where(idx == k, g, 0.0)
+                np.equal(idx[b], k, out=rb)
+                np.negative(rb, out=rb)
+                np.bitwise_and(rb, g[b].view(bits), out=rb)
+                np.add(plane(gxb, k), rb.view(g.dtype), out=plane(gxb, k))
+
+        blocks.halves(backward, gx)
         accumulate_grad(x, gx)
 
     return record_op(out, (x,), back)
@@ -551,43 +619,78 @@ def batchnorm(
         mean = x.data.mean(axis=axes)
         # One x - mean pass serves the variance and xhat. Summing its
         # square and dividing by the count is what np.var does, bit for bit.
-        xhat = np.subtract(x.data, mean.reshape(bshape))
-        var = np.true_divide(np.add.reduce(np.square(xhat), axis=axes), count)
+        # The reductions run over the whole batch; the elementwise passes
+        # run by halves, and y holds the square before the output.
+        xhat = np.empty_like(x.data)
+        y = np.empty_like(x.data)
+
+        def center(b):
+            np.subtract(x.data[b], mean.reshape(bshape), out=xhat[b])
+            np.square(xhat[b], out=y[b])
+
+        blocks.halves(center, y)
+        var = np.true_divide(np.add.reduce(y, axis=axes), count)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
         ivar = 1.0 / np.sqrt(var + eps)
-        np.multiply(xhat, ivar.reshape(bshape), out=xhat)
-        y = np.multiply(xhat, gview)
-        out = Tensor(np.add(y, bview, out=y))
+
+        def scale(b):
+            np.multiply(xhat[b], ivar.reshape(bshape), out=xhat[b])
+            np.multiply(xhat[b], gview, out=y[b])
+            np.add(y[b], bview, out=y[b])
+
+        blocks.halves(scale, y)
+        out = Tensor(y)
 
         def back(g):
             # One scratch buffer holds g * xhat, dxhat * xhat and
             # xhat * s2 / count in turn; each product keeps the operand
             # order of gx = (dxhat - s1 / count - xhat * s2 / count) * ivar.
-            scratch = np.multiply(g, xhat)
+            scratch = np.empty_like(g)
+            dxhat = np.empty_like(g) if x.requires_grad else None
+
+            def products(b):
+                np.multiply(g[b], xhat[b], out=scratch[b])
+                if dxhat is not None:
+                    np.multiply(g[b], gview, out=dxhat[b])
+
+            blocks.halves(products, g)
             accumulate_grad(beta, g.sum(axis=axes))
             accumulate_grad(gamma, scratch.sum(axis=axes))
-            if x.requires_grad:
-                dxhat = g * gview
-                s1 = dxhat.sum(axis=axes).reshape(bshape)
-                s2 = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes).reshape(bshape)
-                dxhat -= s1 / count
-                np.multiply(xhat, s2, out=scratch)
-                scratch /= count
-                dxhat -= scratch
-                dxhat *= ivar.reshape(bshape)
-                accumulate_grad(x, dxhat)
+            if dxhat is None:
+                return
+            s1 = dxhat.sum(axis=axes).reshape(bshape)
+            blocks.halves(lambda b: np.multiply(dxhat[b], xhat[b], out=scratch[b]), g)
+            s2 = scratch.sum(axis=axes).reshape(bshape)
+            mean1 = s1 / count
+
+            def combine(b):
+                db, sb = dxhat[b], scratch[b]
+                db -= mean1
+                np.multiply(xhat[b], s2, out=sb)
+                sb /= count
+                db -= sb
+                db *= ivar.reshape(bshape)
+
+            blocks.halves(combine, g)
+            accumulate_grad(x, dxhat)
 
     else:
         ivar = 1.0 / np.sqrt(running_var + eps)
         if not will_record(x, gamma, beta):
             # The recorded path's operations in its order, in one buffer.
-            y = np.subtract(x.data, running_mean.reshape(bshape))
-            y *= ivar.reshape(bshape)
-            y *= gview
-            y += bview
+            y = np.empty_like(x.data)
+
+            def affine(b):
+                yb = y[b]
+                np.subtract(x.data[b], running_mean.reshape(bshape), out=yb)
+                yb *= ivar.reshape(bshape)
+                yb *= gview
+                yb += bview
+
+            blocks.halves(affine, y)
             return Tensor(y)
         xhat = (x.data - running_mean.reshape(bshape)) * ivar.reshape(bshape)
         out = Tensor(xhat * gview + bview)

@@ -135,14 +135,20 @@ def adam_step(named_params, state: AdamState, lr: float) -> None:
 HISTORY_COLUMNS = ("epoch", "lr") + network.LOSS_KEYS
 
 
-def build_model(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> network.ReidModel:
+def model_config(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> tuple:
+    """The class count and model config that ``cfg`` trains on ``dataset``;
+    ValueError when the dataset cannot train that model."""
     num_classes = len(dataset.train_label_map())
     if num_classes < 2:
         raise ValueError("training needs at least two identities")
     backbone = network.BackboneConfig(input_size=tuple(dataset.image_size))
-    model_cfg = network.ModelConfig(
+    return num_classes, network.ModelConfig(
         variant=cfg.variant, d_global=cfg.d_global, d_drop=cfg.d_drop, backbone=backbone, dtype=cfg.dtype
     )
+
+
+def build_model(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> network.ReidModel:
+    num_classes, model_cfg = model_config(cfg, dataset)
     return network.ReidModel(num_classes, model_cfg, seed=cfg.seed)
 
 

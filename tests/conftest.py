@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("reproducible", derandomize=True)
 settings.load_profile("reproducible")
 
-from topdropnet import synthdata
+from topdropnet import blocks, synthdata
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,28 @@ def tiny_dataset_dir(tmp_path_factory):
         root, num_ids=8, num_cams=2, imgs_per_id_per_cam=3, occlusion_prob=0.0, size=(32, 16), seed=3
     )
     return root
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """``pool_of(threads)`` swaps the process pool of ``blocks`` for a new
+    one of that many threads until the test ends, then shuts it down."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pools = []
+
+    def swap(threads):
+        pools.append(ThreadPoolExecutor(threads))
+        monkeypatch.setattr(blocks, "_pool", pools[-1])
+        return pools[-1]
+
+    yield swap
+    for pool in pools:
+        pool.shutdown()
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, pool_of):
+    """Run the block-split passes on a pool of 1, 2 or 3 threads."""
+    pool_of(request.param)
+    return request.param

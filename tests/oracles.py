@@ -289,6 +289,18 @@ def batchnorm_train_reference(x, gamma, beta, running_mean, running_var, momentu
     return out, back
 
 
+def batchnorm_eval_reference(x, gamma, beta, running_mean, running_var, eps):
+    """Eval-mode output: the affine map of the running statistics."""
+    bshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    ivar = 1.0 / np.sqrt(running_var + eps)
+    return (x - running_mean.reshape(bshape)) * ivar.reshape(bshape) * gamma.reshape(bshape) + beta.reshape(bshape)
+
+
+def relu_reference(x):
+    """Output and ``back(g) -> gx`` through a boolean mask."""
+    return np.maximum(x, 0.0), lambda g: g * (x > 0)
+
+
 def augment_reference(image, cfg, draw):
     """Flip, zoom and erase with the flip and the whole resized image
     materialized, then center-cropped or zero-padded, in ``augment``'s

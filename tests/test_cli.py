@@ -46,6 +46,20 @@ def trained(tmp_path_factory):
     return data, out / "checkpoint.ckpt", base
 
 
+@pytest.fixture(scope="module")
+def unfit_data(tmp_path_factory):
+    """Datasets no model trains on, by placeholder: 12-pixel-high images
+    (feature height 2) and a train split of one identity."""
+    base = tmp_path_factory.mktemp("unfit")
+    short, one_id = base / "short", base / "one_id"
+    assert run_cli("gendata", "--out", short, "--ids", 4, "--cams", 2, "--per", 2, "--height", 12, "--width", 8) == 0
+    assert run_cli("gendata", "--out", one_id, "--ids", 4, "--cams", 2, "--per", 2, "--height", 32, "--width", 16) == 0
+    manifest = one_id / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.startswith("1,")))  # id 0 trains alone
+    return {"<short>": short, "<one-id>": one_id}
+
+
 class TestGendata:
     def test_artifact_counts(self, tmp_path):
         out = tmp_path / "ds"
@@ -412,12 +426,19 @@ class TestConfigMachinery:
         ("gendata", ("--occlusion", -0.1), "occlusion_prob must be in [0, 1]"),
         ("gendata", ("--height", 0), "both >= 1"),
         ("gendata", ("--width", 0), "both >= 1"),
+        # A later --data replaces the shared dataset with one no model fits.
+        ("train", ("--data", "<short>", "--batch-p", 2, "--batch-k", 2), "feature height 2 < 4"),
+        ("train", ("--data", "<one-id>", "--seeds", "1,2"), "training needs at least two identities"),
+        ("ablation", ("--data", "<short>", "--batch-p", 2, "--batch-k", 2), "feature height 2 < 4"),
+        ("ablation", ("--data", "<one-id>"), "training needs at least two identities"),
     ])
-    def test_bad_setting_rejected_before_out_is_created(self, trained, tmp_path, capsys, command, args, message):
+    def test_bad_setting_rejected_before_out_is_created(self, trained, unfit_data, tmp_path, capsys,
+                                                        command, args, message):
         data, ckpt, _ = trained
         inputs = {"gendata": (), "train": ("--data", data), "ablation": ("--data", data),
                   "activations": ("--checkpoint", ckpt, "--images", data / "images" / "000_00_00.ppm")}
         out = tmp_path / "bad"
+        args = [unfit_data.get(a, a) if isinstance(a, str) else a for a in args]
         assert run_cli(command, "--out", out, *inputs[command], *args) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()

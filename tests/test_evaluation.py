@@ -1,5 +1,6 @@
 """Retrieval metrics and k-reciprocal re-ranking against naive oracles."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from topdropnet import evaluation
+from topdropnet import blocks, evaluation
 
 import oracles
 from oracles import ap_cmc_loops, distances_loops, rerank_transcription
@@ -65,22 +66,22 @@ class TestPairwiseEuclidean:
             evaluation.pairwise_euclidean(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-@pytest.fixture(params=[1, 2, 3])
-def workers(request, monkeypatch):
-    """Run the row-block passes as if the process had 1, 2 or 3 CPUs."""
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 def assert_same_bytes(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
 
 
+def split_three_blocks():
+    done = []
+    blocks.split(done.append, range(3))
+    sys.exit(0 if sorted(done) == [0, 1, 2] else 1)
+
+
 class TestRowBlockSplit:
-    """The distance and neighbour passes, split by row block over threads,
-    give the bytes of the single-threaded passes kept in ``oracles`` for
-    any worker count, and leave no thread behind."""
+    """The distance and neighbour passes, split by row block over the
+    process's thread pool, give the bytes of the single-threaded passes
+    kept in ``oracles`` for any pool size. The pool's threads outlive a
+    call by design; no call adds threads beyond the pool's."""
 
     # With d = 256 a block is 16 x 16 rows: one row, fewer rows than a
     # block, row counts that are not a multiple of 16, and n_q != n_g.
@@ -91,7 +92,7 @@ class TestRowBlockSplit:
         before = threading.active_count()
         assert_same_bytes(evaluation.pairwise_euclidean(q, g), oracles.pairwise_euclidean_reference(q, g))
         assert_same_bytes(evaluation.pairwise_euclidean(q, q), oracles.pairwise_euclidean_reference(q, q))
-        assert threading.active_count() == before
+        assert threading.active_count() <= before + workers
 
     @pytest.mark.parametrize("n, d, k", [(9, 3, 4), (300, 8, 20), (701, 4, 12)])
     def test_nearest_is_byte_equal_with_duplicates(self, workers, n, d, k):
@@ -100,7 +101,7 @@ class TestRowBlockSplit:
         dist = oracles.pairwise_euclidean_reference(feats, feats)
         before = threading.active_count()
         assert_same_bytes(evaluation._nearest(dist, k), oracles.nearest_reference(dist, k))
-        assert threading.active_count() == before
+        assert threading.active_count() <= before + workers
 
     @pytest.mark.parametrize("n_q, n_g, d", [(6, 20, 4), (120, 400, 16)])
     def test_rerank_is_byte_equal(self, workers, monkeypatch, n_q, n_g, d):
@@ -111,13 +112,13 @@ class TestRowBlockSplit:
         params = evaluation.RerankParams(k1=5, k2=3)
         before = threading.active_count()
         got = evaluation.rerank(q, g, params)
-        assert threading.active_count() == before
+        assert threading.active_count() <= before + workers
         monkeypatch.setattr(evaluation, "pairwise_euclidean", oracles.pairwise_euclidean_reference)
         monkeypatch.setattr(evaluation, "_nearest", oracles.nearest_reference)
         assert_same_bytes(got, evaluation.rerank(q, g, params))
 
-    def test_byte_equal_with_more_threads_than_cores_and_fast_switching(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+    def test_byte_equal_with_more_threads_than_cores_and_fast_switching(self, pool_of):
+        pool_of(8)
         x = np.random.default_rng(5).normal(size=(1000, 16))  # 16 row blocks in each pass
         dist = oracles.pairwise_euclidean_reference(x, x)
         interval = sys.getswitchinterval()
@@ -129,8 +130,8 @@ class TestRowBlockSplit:
         assert_same_bytes(got_dist, dist)
         assert_same_bytes(got_order, oracles.nearest_reference(dist, 10))
 
-    def test_error_is_raised_after_every_thread_ends(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 3)
+    def test_error_is_raised_after_every_thread_ends(self, pool_of):
+        pool_of(3)
         failed = threading.Event()
         done = []
 
@@ -141,24 +142,74 @@ class TestRowBlockSplit:
             failed.wait(10)  # the failing block raises first
             done.append(start)
 
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
-            evaluation._by_row_blocks(work, 9, 1)
-        assert threading.active_count() == before
+            blocks.split(work, range(9))
         assert sorted(done) == list(range(1, 9))
 
-    def test_threads_capped_at_block_count_and_each_block_run_once(self, monkeypatch):
-        for cpus, n, rows in [(64, 5, 2), (2, 9, 1)]:  # 3 blocks on 64 CPUs, 9 blocks on 2
-            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+    def test_first_error_in_block_order_is_raised(self, pool_of):
+        pool_of(2)
+        late = threading.Event()
+
+        def work(start):
+            if start == 1:
+                late.wait(10)  # block 2 raises first
+                raise ValueError("block 1")
+            if start == 2:
+                late.set()
+                raise RuntimeError("block 2")
+
+        with pytest.raises(ValueError, match="block 1"):
+            blocks.split(work, range(3))
+
+    def test_threads_capped_at_block_count_and_each_block_run_once(self, pool_of):
+        for cpus, n, rows in [(64, 5, 2), (2, 9, 1)]:  # 3 blocks on 64 threads, 9 blocks on 2
+            pool_of(cpus)
             starts, threads = [], set()
 
             def work(start):
                 starts.append(start)
                 threads.add(threading.get_ident())
 
-            evaluation._by_row_blocks(work, n, rows)
+            blocks.split(work, range(0, n, rows))
             assert sorted(starts) == list(range(0, n, rows))
             assert len(threads) <= min(cpus, len(starts))
+
+    def test_one_pool_for_the_process(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_pool", None)
+        x = np.random.default_rng(6).normal(size=(300, 8))  # 5 row blocks in each pass
+        before = threading.active_count()
+        try:
+            dist = evaluation.pairwise_euclidean(x, x)
+            pool = blocks._pool
+            assert pool is not None
+            evaluation._nearest(dist, 5)
+            evaluation.pairwise_euclidean(x, x[:40])
+            assert blocks._pool is pool
+            assert threading.active_count() <= before + blocks.usable_cpus()
+        finally:
+            if blocks._pool is not None:
+                blocks._pool.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    def test_forked_child_makes_its_own_pool(self, pool_of):
+        pool_of(2)
+        both = threading.Barrier(2, timeout=10)
+        blocks.split(lambda start: both.wait(), range(2))  # both pool threads exist and are idle
+        child = multiprocessing.get_context("fork").Process(target=split_three_blocks)
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_single_block_pass_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_pool", None)
+        x = np.random.default_rng(7).normal(size=(256, 8))
+        dist = oracles.pairwise_euclidean_reference(x, x)
+        before = threading.active_count()
+        assert_same_bytes(evaluation._nearest(dist, 20), oracles.nearest_reference(dist, 20))  # one 256-row block
+        assert blocks._pool is None
+        assert threading.active_count() == before
 
     def test_cli_import_leaves_the_thread_pool_unloaded(self):
         # concurrent.futures costs start-up time; only a split should load it.

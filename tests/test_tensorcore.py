@@ -1,5 +1,6 @@
 """Tensor engine: construction, op semantics, backward, checkpoint file."""
 
+import itertools
 import weakref
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topdropnet import network, rng as rng_mod, tensorcore as tc
+from topdropnet import blocks, network, rng as rng_mod, tensorcore as tc
 
 import gradcheck
 import oracles
@@ -154,6 +155,13 @@ class TestPooling:
 
     def test_relu(self):
         np.testing.assert_array_equal(tc.relu(tc.astensor([-1.0, 2.0])).data, [0.0, 2.0])
+
+    def test_relu_of_a_scalar(self):
+        x = tc.Tensor(-2.0, requires_grad=True)
+        with tc.Tape() as tape:
+            y = tc.relu(x)
+        tc.backward(y, tape)
+        assert y.data == 0.0 and y.data.shape == () and x.grad == 0.0
 
     def test_maxpool_shape_exhaustive(self):
         for h in range(1, 9):
@@ -348,6 +356,158 @@ class TestRewrittenOpsMatchReferences:
         assert_same_bytes(out, ref_out)
         assert_same_bytes(gx, ref_gx)
         assert_same_bytes(gk, ref_gk)
+
+
+# The default model's stem: the 3 -> 16 conv at full resolution and the
+# batch norm, relu and 2 x 2 max-pool on its output. At these batch sizes
+# every other tensor of the default model stays below blocks.SPLIT_VALUES.
+STEM_CHANNELS = network.BackboneConfig().stem_channels
+STEM_SIZE = network.BackboneConfig().input_size
+# Batch sizes at the default input, and batches of 2 and 3 images whose
+# 128 x 64 stem maps reach the split size but would leave a 1-image half.
+SPLIT_BATCHES = [(n, STEM_SIZE) for n in (4, 5, 17, 24, 32, 33)] + [(2, (128, 64)), (3, (128, 64))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, size", SPLIT_BATCHES)
+class TestSplitPassesMatchReferences:
+    """The stem-sized passes, run by halves of the batch on a pool of 1, 2
+    or 3 threads, give the bytes of the whole-batch references in
+    ``oracles``: outputs, running statistics and every gradient."""
+
+    @staticmethod
+    def stem_map(n, size, dtype, seed):
+        return np.random.default_rng(seed).normal(size=(n, STEM_CHANNELS) + size).astype(dtype)
+
+    def test_conv2d(self, workers, n, size, dtype):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3) + size).astype(dtype)
+        k = rng.normal(size=(STEM_CHANNELS, 3, 3, 3)).astype(dtype)
+        ref_out, ref_back = oracles.conv2d_reference(x, k, 1, 1)
+        assert ref_out.size >= blocks.SPLIT_VALUES
+        g = rng.normal(size=ref_out.shape).astype(dtype)
+        inputs = [tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True)]
+        out, (gx, gk) = run_with_upstream(lambda a, b: tc.conv2d(a, b, 1, 1), inputs, g)
+        ref_gx, ref_gk = ref_back(g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(gx, ref_gx)
+        assert_same_bytes(gk, ref_gk)
+        assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k), 1, 1).data, ref_out)
+
+    def test_maxpool2d(self, workers, n, size, dtype):
+        x = np.maximum(self.stem_map(n, size, dtype, n), 0.0)  # ties at zero, as after the stem relu
+        ref_out, ref_back = oracles.maxpool2d_reference(x, 2, 2)
+        g = np.random.default_rng(n + 1).normal(size=ref_out.shape).astype(dtype)
+        out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, 2), [tc.Tensor(x, requires_grad=True)], g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(gx, ref_back(g))
+        assert_same_bytes(tc.maxpool2d(tc.Tensor(x), 2).data, ref_out)
+
+    def test_batchnorm_train(self, workers, n, size, dtype):
+        rng = np.random.default_rng(n)
+        x = self.stem_map(n, size, dtype, n) * 2 + 1
+        gamma, beta = rng.normal(size=(2, STEM_CHANNELS)).astype(dtype)
+        stats = rng.uniform(0.5, 2.0, size=(2, STEM_CHANNELS)).astype(dtype)
+        ref_mean, ref_var = stats[0].copy(), stats[1].copy()
+        ref_out, ref_back = oracles.batchnorm_train_reference(x, gamma, beta, ref_mean, ref_var, 0.1, 1e-5)
+        g = rng.normal(size=x.shape).astype(dtype)
+        run_mean, run_var = stats[0].copy(), stats[1].copy()
+        inputs = [tc.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+
+        def op(xt, gt, bt):
+            return tc.batchnorm(xt, gt, bt, run_mean, run_var, training=True)
+
+        out, grads = run_with_upstream(op, inputs, g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(run_mean, ref_mean)
+        assert_same_bytes(run_var, ref_var)
+        for actual, expected in zip(grads, ref_back(g)):
+            assert_same_bytes(actual, expected)
+
+    def test_batchnorm_eval(self, workers, n, size, dtype):
+        rng = np.random.default_rng(n)
+        x = self.stem_map(n, size, dtype, n)
+        gamma, beta = rng.normal(size=(2, STEM_CHANNELS)).astype(dtype)
+        mean, var = rng.normal(size=STEM_CHANNELS).astype(dtype), rng.uniform(0.5, 2.0, STEM_CHANNELS).astype(dtype)
+        out = tc.batchnorm(tc.Tensor(x), tc.Tensor(gamma), tc.Tensor(beta), mean, var, training=False)
+        assert_same_bytes(out.data, oracles.batchnorm_eval_reference(x, gamma, beta, mean, var, 1e-5))
+
+    def test_relu(self, workers, n, size, dtype):
+        x = self.stem_map(n, size, dtype, n)
+        ref_out, ref_back = oracles.relu_reference(x)
+        g = np.random.default_rng(n + 1).normal(size=x.shape).astype(dtype)
+        out, (gx,) = run_with_upstream(tc.relu, [tc.Tensor(x, requires_grad=True)], g)
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(gx, ref_back(g))
+        assert_same_bytes(tc.relu(tc.Tensor(x)).data, ref_out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wide_conv_of_few_images(workers, n, dtype):
+    # One output pixel and 2^16 channels per image: numpy multiplies a
+    # 1-row matrix by another BLAS call, whose bytes differ from the whole
+    # batch's, so a batch of 2 or 3 images must not be halved.
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 1, 4, 4)).astype(dtype)
+    k = rng.normal(size=(1 << 16, 1, 3, 3)).astype(dtype)
+    ref_out, _ = oracles.conv2d_reference(x, k, 2, 0)
+    assert ref_out.size >= blocks.SPLIT_VALUES
+    assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k), 2).data, ref_out)
+
+
+class TestSmallBatchesStayOnTheCallingThread:
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a pass below the split size reached the pool")
+
+    # (n, c, h, w): just under 2^17 values in 3 images, one image of 2^18,
+    # and 2 or 3 images of 2^17 values each.
+    @pytest.mark.parametrize(
+        "shape", [(3, 1, 43690, 1), (3, 16, 64, 32), (1, 16, 128, 128), (2, 16, 128, 64), (3, 16, 128, 64)]
+    )
+    def test_no_pass_touches_the_pool(self, monkeypatch, shape):
+        monkeypatch.setattr(blocks, "_pool", self.NoPool())
+        rng = np.random.default_rng(0)
+        n, c = shape[:2]
+        x = tc.Tensor(rng.normal(size=shape), requires_grad=True)
+        k = tc.Tensor(rng.normal(size=(c, c, 3, 3)), requires_grad=True)
+        gamma, beta = tc.Tensor(np.ones(c), requires_grad=True), tc.Tensor(np.zeros(c), requires_grad=True)
+        stats = np.zeros(c), np.ones(c)
+        with tc.Tape() as tape:
+            y = tc.batchnorm(tc.conv2d(x, k, 1, 1), gamma, beta, *stats, training=n > 1)  # train mode needs 2 images
+            y = tc.maxpool2d(tc.relu(y), 1)
+            loss = tc.sum_all(y)
+        tc.backward(loss, tape)
+        tc.batchnorm(x, gamma, beta, *stats, training=False)
+        assert y.size < blocks.SPLIT_VALUES or n < blocks.SPLIT_IMAGES
+
+
+class TestConvColumnView:
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+    def test_view_rule_matches_numpy(self, layout):
+        # conv2d multiplies the column matrix whole exactly when numpy's
+        # reshape of the window view makes no copy, as np.tensordot's did.
+        rng = np.random.default_rng(0)
+        for n, cin, h, w, kh, kw, stride, pad in itertools.product(
+            (1, 2), (1, 3), (1, 2, 5), (1, 2, 5), (1, 2, 3), (1, 2), (1, 2), (0, 1)
+        ):
+            if h + 2 * pad < kh or w + 2 * pad < kw:
+                continue
+            if layout == "contiguous":
+                x = rng.normal(size=(n, cin, h, w))
+            elif layout == "transposed":
+                x = rng.normal(size=(n, cin, w, h)).transpose(0, 1, 3, 2)
+            else:
+                x = rng.normal(size=(n, cin, h, 2 * w))[..., ::2]
+            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+            ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+            sn, sc, sh, sw = xp.strides
+            shape, strides = (n, ho, wo, cin, kh, kw), (sn, sh * stride, sw * stride, sc, sh, sw)
+            windows = np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
+            is_view = np.may_share_memory(windows.reshape(n * ho * wo, cin * kh * kw), xp)
+            rule = tc._reshapes_as_view(shape[:3], strides[:3]) and tc._reshapes_as_view(shape[3:], strides[3:])
+            assert rule == is_view, (n, cin, h, w, kh, kw, stride, pad)
 
 
 class TestSoftmaxAndNorms:

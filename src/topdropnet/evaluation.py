@@ -77,7 +77,10 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     grows past one block per thread. When ``q`` and ``g`` are the same
     object only the tiles on and above the diagonal are computed and the
     others mirrored, which is exact because (a - b)**2 == (b - a)**2 in
-    IEEE arithmetic. Each row block of ``q`` is one ``blocks.split``
+    IEEE arithmetic. Every entry on or above the diagonal is then computed
+    as row minus column and never mirrored, so the block of rows ``a`` and
+    columns ``b`` of the rows of ``vstack([a, b])`` has the bytes of
+    ``pairwise_euclidean(a, b)``. Each row block of ``q`` is one ``blocks.split``
     task, so the bytes do not depend on the CPU count.
     """
     symmetric = q is g
@@ -266,17 +269,25 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     row block on the process's thread pool (``blocks.split``); the result
     has the same bytes for any CPU count.
     """
-    q_feats = np.asarray(q_feats, dtype=np.float64)
-    g_feats = np.asarray(g_feats, dtype=np.float64)
-    n_q, n_g = q_feats.shape[0], g_feats.shape[0]
-    total = n_q + n_g
-    if params.k1 >= total:
-        raise ValueError(f"k1 ({params.k1}) must be < number of points ({total})")
-    feats = np.vstack([q_feats, g_feats])
+    return _rerank_distances(_union_distances(q_feats, g_feats, params.k1), len(q_feats), params)
+
+
+def _union_distances(q_feats: np.ndarray, g_feats: np.ndarray, k1: int) -> np.ndarray:
+    """The N x N distances over the query rows, then the gallery rows,
+    that re-ranking at ``k1`` starts from. Its ``[:n_q, n_q:]`` block has
+    the bytes of ``pairwise_euclidean(q_feats, g_feats)``."""
+    feats = np.vstack([np.asarray(q_feats, dtype=np.float64), np.asarray(g_feats, dtype=np.float64)])
+    if k1 >= feats.shape[0]:
+        raise ValueError(f"k1 ({k1}) must be < number of points ({feats.shape[0]})")
     if not np.isfinite(feats).all():
         raise ValueError("features must be finite")
+    return pairwise_euclidean(feats, feats)
 
-    original = pairwise_euclidean(feats, feats)
+
+def _rerank_distances(original: np.ndarray, n_q: int, params: RerankParams) -> np.ndarray:
+    """:func:`rerank` from its N x N distances ``original``, whose first
+    ``n_q`` rows and columns are the queries."""
+    total = original.shape[0]
     order = _nearest(original, params.k1)  # (N, k1 + 1), nearest first
 
     rows, cols = _expanded_sets(order, params.k1)
@@ -334,15 +345,14 @@ def evaluate_run(query: EmbeddingSet, gallery: EmbeddingSet, rerank_params: Rera
                  max_rank: int = MAX_RANK):
     """Raw results from one embedding pass, and re-ranked ones with
     ``rerank_params``, else None in their place."""
-    dist = pairwise_euclidean(query.features, gallery.features)
-    raw = evaluate(dist, query.person_ids, query.camera_ids, gallery.person_ids, gallery.camera_ids, max_rank)
-    reranked = None
-    if rerank_params is not None:
-        dist_rr = rerank(query.features, gallery.features, rerank_params)
-        reranked = evaluate(
-            dist_rr, query.person_ids, query.camera_ids, gallery.person_ids, gallery.camera_ids, max_rank
-        )
-    return raw, reranked
+    ids = (query.person_ids, query.camera_ids, gallery.person_ids, gallery.camera_ids)
+    if rerank_params is None:
+        return evaluate(pairwise_euclidean(query.features, gallery.features), *ids, max_rank), None
+    # One distance pass: re-ranking's N x N matrix holds the raw distances.
+    n_q = query.features.shape[0]
+    original = _union_distances(query.features, gallery.features, rerank_params.k1)
+    raw = evaluate(original[:n_q, n_q:], *ids, max_rank)
+    return raw, evaluate(_rerank_distances(original, n_q, rerank_params), *ids, max_rank)
 
 
 def _csv_field(value) -> str:

@@ -328,11 +328,23 @@ class ReidModel(tc.Module):
 def normalize_images(images: np.ndarray, dtype=MODEL_DTYPE) -> tc.Tensor:
     """uint8 (n, h, w, 3) pixels -> (n, 3, h, w) floats in [-1, 1].
 
-    Computed in float64 and rounded once to ``dtype``, the model's.
+    Computed in float64 and rounded once to ``dtype``, the model's. uint8
+    pixels are looked up in a 256-entry table of that expression, built
+    per call, so each value has the bytes the arithmetic gives it; any
+    other input, such as training's float augmented batch, takes the
+    arithmetic itself.
     """
-    x = np.asarray(images, dtype=np.float64) / 255.0
-    x = (x - 0.5) / 0.5
+    images = np.asarray(images)
+    if images.dtype == np.uint8:
+        table = _unit_range(np.arange(256, dtype=np.float64)).astype(dtype)
+        return tc.Tensor(np.take(table, images.transpose(0, 3, 1, 2)))
+    x = _unit_range(np.asarray(images, dtype=np.float64))
     return tc.Tensor(np.ascontiguousarray(x.transpose(0, 3, 1, 2), dtype=dtype))
+
+
+def _unit_range(pixels: np.ndarray) -> np.ndarray:
+    """float64 pixel values in [0, 255] -> [-1, 1]."""
+    return (pixels / 255.0 - 0.5) / 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,12 @@ allocates every output and scratch array, and the halves write into them
 through ``out=``. Batch-norm statistics and the conv kernel gradient stay
 whole-batch reductions, so the bytes do not depend on the split.
 
+Two forward passes move fewer, wider elements and keep their bytes by
+construction. Convolution copies its im2col windows one kernel row at a
+time, each row one element of ``kw`` values. Max-pooling with no tape,
+over an input with no sign bit and no NaN (as after relu), takes a
+running maximum of the values' unsigned bit patterns.
+
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
 operations require exactly equal shapes (the only broadcast is the
@@ -402,11 +408,33 @@ def _reshapes_as_view(shape, strides) -> bool:
     return all(outer == size * inner for (_, outer), (size, inner) in zip(dims, dims[1:]))
 
 
+def _window_copy(xp: np.ndarray, windows: np.ndarray, cols: np.ndarray):
+    """Source and destination whose copy ``dst[b] = src[b]``, over all
+    of the images or by slices ``b`` of them, fills the C-contiguous
+    ``cols`` with the values of the window view ``windows`` of ``xp``.
+
+    A kernel row of a C-contiguous ``xp`` is ``kw`` adjacent values, so it
+    is copied as one element of ``kw * itemsize`` bytes, the same bytes.
+    A one-column kernel, or another layout of ``xp``, is copied value by
+    value, which is faster at ``kw = 1``.
+    """
+    kw = windows.shape[-1]
+    if kw == 1 or not xp.flags.c_contiguous:
+        return windows, cols
+    row = np.dtype((np.void, kw * xp.itemsize))
+    return np.ndarray(windows.shape[:-1], dtype=row, buffer=xp, strides=windows.strides[:-1]), cols.view(row)[..., 0]
+
+
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding, no bias.
 
     x: (n, cin, h, w), k: (cout, cin, kh, kw) -> (n, cout, h', w') with
     h' = (h + 2 pad - kh) // stride + 1.
+
+    The windows are copied into the column matrix one kernel row at a
+    time whenever the kernel is wider than one column and the padded
+    input is C-contiguous (:func:`_window_copy`). The column matrix gets
+    the bytes of a value-by-value copy either way.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise TensorError("conv2d expects 4-d input and kernel")
@@ -442,9 +470,10 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         cols = np.empty((n, ho, wo, cin, kh, kw), dtype=x.data.dtype)
         val = np.empty((n, ho, wo, cout), dtype=x.data.dtype)
         y = np.empty((n, cout, ho, wo), dtype=x.data.dtype)
+        src, dst = _window_copy(xp, windows, cols)
 
         def forward(b):
-            cols[b] = windows[b]
+            dst[b] = src[b]
             np.dot(cols[b].reshape(-1, cin * kh * kw), kmat, out=val[b].reshape(-1, cout))
             y[b] = val[b].transpose(0, 3, 1, 2)
 
@@ -482,6 +511,14 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
     patterns, ``v ^ ((v ^ p) & m)`` with ``m`` all ones where ``p`` is
     greater, which is ``np.where(greater, p, v)`` bit for bit without its
     branches or a new array.
+
+    With no tape, an input whose every unsigned bit pattern is at most
+    that of +inf (no sign bit and no NaN, as after relu) is pooled by a
+    running ``np.maximum`` of the planes' unsigned bit patterns instead.
+    For such values unsigned order is float order and equal values have
+    equal bits, so the result is the select loop's first maximum. An
+    input holding -0.0, a negative value or a NaN, and every recorded
+    pass, takes the select loop.
     """
     if x.data.ndim != 4:
         raise TensorError("maxpool2d expects 4-d input")
@@ -502,11 +539,26 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
     recording = will_record(x)
     bits = np.dtype(f"u{x.data.dtype.itemsize}")  # unsigned integers of the values' width
     val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    xbits = x.data.view(bits)
+    if not recording and xbits.max(initial=0) <= np.array(np.inf, x.data.dtype).view(bits):
+        # No sign bit and no NaN: unsigned order is float order and equal
+        # values have equal bits, so a running maximum of the bit patterns
+        # is the first maximum of the values.
+        vbits = val.view(bits)
+
+        def running_max(b):
+            vb, xb = vbits[b], xbits[b]
+            vb[...] = plane(xb, 0)
+            for k in range(1, wh * ww):
+                np.maximum(vb, plane(xb, k), out=vb)
+
+        blocks.halves(running_max, val)
+        return Tensor(val)
     mask = np.empty(val.shape, dtype=bits)
     diff = np.empty(val.shape, dtype=bits)
     idx = np.zeros(val.shape, dtype=np.min_scalar_type(wh * ww - 1)) if recording else None
 
-    def forward(b):
+    def select_max(b):
         xb, vb, mb, db = x.data[b], val[b], mask[b], diff[b]
         vb[...] = plane(xb, 0)
         for k in range(1, wh * ww):
@@ -520,7 +572,7 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
                 # k exceeds every index stored so far, so a max is the select.
                 np.maximum(idx[b], np.bitwise_and(mb, k, out=db), out=idx[b])
 
-    blocks.halves(forward, val)
+    blocks.halves(select_max, val)
     out = Tensor(val)
     if not recording:
         return out

@@ -65,6 +65,16 @@ class TestPairwiseEuclidean:
         with pytest.raises(ValueError):
             evaluation.pairwise_euclidean(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("n_q, n_g, dim", [(312, 936, 256), (3, 8, 4), (17, 40, 5), (40, 17, 64), (1, 1, 2)])
+    def test_query_gallery_block_of_the_union_pass(self, n_q, n_g, dim):
+        # Every entry of the symmetric pass on or above the diagonal is
+        # computed as row minus column, whatever tile it falls in.
+        rng = np.random.default_rng(n_q * n_g)
+        q, g = rng.normal(size=(n_q, dim)), rng.normal(size=(n_g, dim))
+        feats = np.vstack([q, g])
+        union = evaluation.pairwise_euclidean(feats, feats)
+        assert union[:n_q, n_q:].tobytes() == evaluation.pairwise_euclidean(q, g).tobytes()
+
 
 def assert_same_bytes(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
@@ -421,6 +431,24 @@ class TestRerank:
         raw, reranked = evaluation.evaluate_run(qs, gs, evaluation.RerankParams(k1=4, k2=2, lam=1.0))
         assert raw.mAP == reranked.mAP
         np.testing.assert_array_equal(raw.cmc, reranked.cmc)
+
+    def test_evaluate_run_makes_one_distance_pass(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        qs = evaluation.EmbeddingSet(rng.normal(size=(6, 4)), np.arange(6) % 3, np.zeros(6, dtype=int))
+        gs = evaluation.EmbeddingSet(rng.normal(size=(20, 4)), np.arange(20) % 3, np.ones(20, dtype=int))
+        params = evaluation.RerankParams(k1=5, k2=3)
+        raw_alone, _ = evaluation.evaluate_run(qs, gs)
+        ids = (qs.person_ids, qs.camera_ids, gs.person_ids, gs.camera_ids)
+        reranked_alone = evaluation.evaluate(evaluation.rerank(qs.features, gs.features, params), *ids)
+        passes = []
+        pairwise = evaluation.pairwise_euclidean
+        monkeypatch.setattr(evaluation, "pairwise_euclidean", lambda q, g: passes.append(q.shape) or pairwise(q, g))
+        raw, reranked = evaluation.evaluate_run(qs, gs, params)
+        assert passes == [(26, 4)]
+        for got, want in ((raw, raw_alone), (reranked, reranked_alone)):
+            assert got.mAP == want.mAP
+            assert got.per_query_ap.tobytes() == want.per_query_ap.tobytes()
+            assert got.cmc.tobytes() == want.cmc.tobytes()
 
     def test_raw_result_independent_of_rerank_flag(self):
         rng = np.random.default_rng(12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from topdropnet import network, tensorcore as tc, topdrop
+from topdropnet import evaluation, network, synthdata, tensorcore as tc, topdrop
 
 import gradcheck
 from oracles import ce_label_smoothing_loops, triplet_batch_hard_loops
@@ -30,6 +30,25 @@ class TestModelDtype:
         expected = ((pixels.astype(np.float64) / 255.0 - 0.5) / 0.5).transpose(0, 3, 1, 2).astype(dtype)
         assert x.dtype == dtype and x.data.flags.c_contiguous
         assert x.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pixel_dtype", [np.float32, np.float64])
+    def test_float_pixels_take_the_arithmetic(self, dtype, pixel_dtype):
+        # Training's augmented batch: floats between the uint8 levels.
+        pixels = np.random.default_rng(0).uniform(0, 255, size=(3, 8, 4, 3)).astype(pixel_dtype)
+        x = network.normalize_images(pixels, dtype)
+        expected = ((pixels.astype(np.float64) / 255.0 - 0.5) / 0.5).transpose(0, 3, 1, 2).astype(dtype)
+        assert x.dtype == dtype and x.data.flags.c_contiguous
+        assert x.data.tobytes() == expected.tobytes()
+
+    def test_embed_split_pools_the_stem_on_bit_patterns(self, tmp_path, pool_passes):
+        # The stem relu emits no -0.0, so the eval stem max-pool takes the
+        # bit-pattern pass; a relu that did would lose it silently.
+        synthdata.generate_dataset(tmp_path, num_ids=4, num_cams=2, imgs_per_id_per_cam=2, size=(64, 32), seed=0)
+        dataset = synthdata.load_dataset(tmp_path)
+        model = network.ReidModel(4, network.ModelConfig(), seed=0)
+        evaluation.embed_split(model, dataset, "query")
+        assert pool_passes == ["running_max"]
 
     def test_float32_is_the_default(self):
         assert network.normalize_images(np.zeros((1, 2, 2, 3), np.uint8)).dtype == np.float32

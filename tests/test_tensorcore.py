@@ -960,3 +960,113 @@ class TestModuleDtype:
         for (n, a), (_, b) in zip(f64.named_parameters(), f32.named_parameters()):
             assert_same_bytes(b.data, a.data.astype(np.float32))
         f32.load_state_arrays({k: v.astype(np.float32) for k, v in f64.state_arrays().items()})
+
+
+class TestKernelRowCopy:
+    """conv2d copies its im2col windows one kernel row at a time; the
+    column matrix and every output keep the bytes of the value copy."""
+
+    @staticmethod
+    def windows(xp, kh, kw, stride, ho, wo):
+        """conv2d's window view: (n, ho, wo, cin, kh, kw)."""
+        return oracles._windows(xp, kh, kw, stride, ho, wo).transpose(0, 2, 3, 1, 4, 5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_copy_equals_the_value_copy(self, dtype):
+        rng = np.random.default_rng(0)
+        for kw, stride, pad, n in itertools.product(range(1, 6), range(1, 4), range(3), (1, 4, 5, 32)):
+            xp = np.pad(rng.normal(size=(n, 2, 9, 8)).astype(dtype), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            ho, wo = (xp.shape[2] - 3) // stride + 1, (xp.shape[3] - kw) // stride + 1
+            windows = self.windows(xp, 3, kw, stride, ho, wo)
+            cols = np.empty(windows.shape, dtype)
+            src, dst = tc._window_copy(xp, windows, cols)
+            assert (src is windows) == (kw == 1)
+            mid = (n + 1) // 2
+            dst[:mid] = src[:mid]  # by halves, as conv2d copies a split batch
+            dst[mid:] = src[mid:]
+            assert_same_bytes(cols, np.ascontiguousarray(windows))
+
+    def test_non_contiguous_input_copies_values(self):
+        x = np.random.default_rng(1).normal(size=(4, 3, 8, 9)).transpose(0, 1, 3, 2)
+        windows = self.windows(x, 3, 3, 1, 7, 6)
+        cols = np.empty(windows.shape)
+        src, dst = tc._window_copy(x, windows, cols)
+        assert src is windows and dst is cols
+        k = np.random.default_rng(2).normal(size=(5, 3, 3, 3))
+        assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k)).data, oracles.conv2d_reference(x, k, 1, 0)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_matches_reference(self, workers, dtype):
+        # n = 32 at this size reaches the split, so the rows go by halves.
+        rng = np.random.default_rng(3)
+        for kw, stride, pad, n in itertools.product(range(1, 6), range(1, 4), range(3), (1, 4, 5, 32)):
+            x = rng.normal(size=(n, 3, 20, 16)).astype(dtype)
+            k = rng.normal(size=(16, 3, 3, kw)).astype(dtype)
+            ref_out, ref_back = oracles.conv2d_reference(x, k, stride, pad)
+            g = rng.normal(size=ref_out.shape).astype(dtype)
+            inputs = [tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True)]
+            out, (gx, gk) = run_with_upstream(lambda a, b: tc.conv2d(a, b, stride, pad), inputs, g)
+            ref_gx, ref_gk = ref_back(g)
+            assert_same_bytes(out, ref_out)
+            assert_same_bytes(gk, ref_gk)
+            assert_same_bytes(gx, ref_gx)
+            assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k), stride, pad).data, ref_out)
+
+
+class TestMaxpoolBitPatterns:
+    """Max-pooling with no tape runs on unsigned bit patterns when no value
+    has a sign bit or is a NaN; other inputs keep the select loop and its
+    first maximum."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["relu", "zeros", "inf"])
+    @pytest.mark.parametrize("n, size", [(2, (7, 6)), (32, STEM_SIZE)])
+    def test_bit_path_matches_reference(self, pool_passes, workers, dtype, kind, n, size):
+        rng = np.random.default_rng(n)
+        x = np.maximum(rng.normal(size=(n, STEM_CHANNELS) + size), 0.0)
+        if kind == "zeros":
+            x[:, :, :4] = 0.0  # whole windows of zeros
+        elif kind == "inf":
+            x[rng.random(x.shape) < 0.05] = np.inf
+        x = x.astype(dtype)
+        for window, stride in ((2, 2), (3, 1), (3, 2)):
+            expected, _ = oracles.maxpool2d_reference(x, window, stride)
+            assert_same_bytes(tc.maxpool2d(tc.Tensor(x), window, stride).data, expected)
+        assert pool_passes == ["running_max"] * 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_before_zero_takes_the_select_loop(self, pool_passes, dtype):
+        x = np.zeros((1, 1, 2, 4), dtype)
+        x[0, 0, 0, 0] = -0.0  # the first of four tied zeros
+        out = tc.maxpool2d(tc.Tensor(x), 2).data
+        assert pool_passes == ["select_max"]
+        assert np.signbit(out[0, 0, 0, 0]) and not np.signbit(out[0, 0, 0, 1])
+        assert_same_bytes(out, oracles.maxpool2d_reference(x, 2, 2)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_negative_value_takes_the_select_loop(self, pool_passes, dtype):
+        x = np.maximum(np.random.default_rng(4).normal(size=(2, 3, 6, 6)), 0.0).astype(dtype)
+        x[1, 2, 5, 5] = -1.0
+        assert_same_bytes(tc.maxpool2d(tc.Tensor(x), 2).data, oracles.maxpool2d_reference(x, 2, 2)[0])
+        assert pool_passes == ["select_max"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_nan_takes_the_select_loop(self, pool_passes, dtype):
+        x = np.maximum(np.random.default_rng(5).normal(size=(2, 3, 6, 6)), 0.0).astype(dtype)
+        x[0, 0, 0, 0] = np.nan  # first in its window: the select loop keeps it
+        x[1, 1, 3, 3] = np.nan  # last in its window: the select loop skips it
+        recorded = run_with_upstream(lambda t: tc.maxpool2d(t, 2), [tc.Tensor(x, requires_grad=True)],
+                                     np.ones((2, 3, 3, 3), dtype))[0]
+        out = tc.maxpool2d(tc.Tensor(x), 2).data
+        assert pool_passes == ["select_max", "select_max"]  # recorded, then not
+        assert_same_bytes(out, recorded)
+        assert np.isnan(out[0, 0, 0, 0]) and not np.isnan(out[1, 1, 1, 1])
+
+    def test_a_recorded_pass_takes_the_select_loop(self, pool_passes):
+        x = np.maximum(np.random.default_rng(6).normal(size=(2, 3, 6, 6)), 0.0)
+        with tc.Tape():
+            tc.maxpool2d(tc.Tensor(x, requires_grad=True), 2)
+        assert pool_passes == ["select_max"]
+
+    def test_an_empty_batch(self):
+        assert tc.maxpool2d(tc.Tensor(np.zeros((0, 2, 4, 4))), 2).shape == (0, 2, 2, 2)

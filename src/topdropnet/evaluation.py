@@ -69,43 +69,63 @@ def pairwise_euclidean(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Exact Euclidean distances between the rows of ``q`` and ``g``.
 
     Distances come from explicit differences, not the quadratic expansion,
-    for accuracy. Both row sets are tiled by ``rows`` so that one
-    (rows, rows, d) block of differences holds about ``_BLOCK_ELEMENTS``
+    for accuracy. Both row sets are cut into tiles (:func:`_tiles`) so that
+    one (rows, rows, d) block of differences holds about ``_BLOCK_ELEMENTS``
     values; the block is squared in place and summed over d the way the
     unblocked ``np.sqrt(((q[:, None] - g[None]) ** 2).sum(axis=2))`` sums
     it, so the result is bitwise equal to that formula while no temporary
-    grows past one block per thread. When ``q`` and ``g`` are the same
-    object only the tiles on and above the diagonal are computed and the
-    others mirrored, which is exact because (a - b)**2 == (b - a)**2 in
-    IEEE arithmetic. Every entry on or above the diagonal is then computed
-    as row minus column and never mirrored, so the block of rows ``a`` and
-    columns ``b`` of the rows of ``vstack([a, b])`` has the bytes of
-    ``pairwise_euclidean(a, b)``. Each row block of ``q`` is one ``blocks.split``
-    task, so the bytes do not depend on the CPU count.
+    grows past one block per thread. An entry's bytes depend only on its
+    two rows, which :func:`_pair_distances` relies on. Each row block of
+    ``q`` is one ``blocks.split`` task, so the bytes do not depend on the
+    CPU count.
     """
-    symmetric = q is g
     q = np.asarray(q, dtype=np.float64)
-    g = q if symmetric else np.asarray(g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape} vs {g.shape}")
-    n_q, n_g, d = q.shape[0], g.shape[0], q.shape[1]
-    out = np.empty((n_q, n_g))
-    rows = max(1, min(n_g, math.isqrt(_BLOCK_ELEMENTS // max(1, d))))
+    out = np.empty((q.shape[0], g.shape[0]))
+    rows = _tile_rows(g)
+    blocks.split(lambda i: _tiles(q[i : i + rows], g, out[i : i + rows]), range(0, q.shape[0], rows))
+    return out
 
-    def work(i):
-        buf = np.empty(rows * rows * d)
+
+def _tile_rows(g: np.ndarray) -> int:
+    """Rows on a side of a tile of about ``_BLOCK_ELEMENTS`` differences."""
+    return max(1, min(g.shape[0], math.isqrt(_BLOCK_ELEMENTS // max(1, g.shape[1]))))
+
+
+def _tiles(q: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """:func:`pairwise_euclidean` into ``out``, tile by tile, on the
+    calling thread."""
+    rows, d = _tile_rows(g), g.shape[1]
+    buf = np.empty(rows * rows * d)
+    for i in range(0, q.shape[0], rows):
         qi = q[i : i + rows, None, :]
-        for j in range(i if symmetric else 0, n_g, rows):
+        for j in range(0, g.shape[0], rows):
             gj = g[None, j : j + rows, :]
             block = buf[: qi.shape[0] * gj.shape[1] * d].reshape(qi.shape[0], gj.shape[1], d)
             np.subtract(qi, gj, out=block)
             np.multiply(block, block, out=block)
-            tile = np.sqrt(block.sum(axis=2))
-            out[i : i + rows, j : j + rows] = tile
-            if symmetric and j != i:  # row block j never writes below its diagonal
-                out[j : j + rows, i : i + rows] = tile.T
+            out[i : i + rows, j : j + rows] = np.sqrt(block.sum(axis=2))
 
-    blocks.split(work, range(0, n_q, rows))
+
+def _pair_distances(feats: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact distances between ``feats[rows]`` and ``feats[cols]``, pair
+    by pair, with the bytes :func:`pairwise_euclidean` gives each pair:
+    the same difference, squared and summed over d. Pairs go through two
+    buffers of a quarter of ``_BLOCK_ELEMENTS`` values each, reused chunk
+    by chunk: as fast as larger ones, and a pool thread keeps less."""
+    out = np.empty(rows.size)
+    step = max(1, _BLOCK_ELEMENTS // 4 // feats.shape[1])
+    a = np.empty((min(step, rows.size), feats.shape[1]))
+    b = np.empty_like(a)
+    for s in range(0, rows.size, step):
+        x, y = a[: rows.size - s], b[: rows.size - s]  # the last chunk may be short
+        np.take(feats, rows[s : s + step], axis=0, out=x, mode="clip")  # "clip" writes out unbuffered
+        np.take(feats, cols[s : s + step], axis=0, out=y, mode="clip")
+        np.subtract(x, y, out=x)
+        np.multiply(x, x, out=x)
+        np.sqrt(x.sum(axis=1), out=out[s : s + step])
     return out
 
 
@@ -265,35 +285,135 @@ def rerank(q_feats: np.ndarray, g_feats: np.ndarray, params: RerankParams = Rera
     (N, k1 + 1, k1/2 + 1) neighbour tables. Besides the N x N distances
     and the (n_q, n_g) result, the working arrays grow linearly with N.
 
-    The N x N distance pass and the neighbour search queue one task per
-    row block on the process's thread pool (``blocks.split``); the result
-    has the same bytes for any CPU count.
+    Only the query x gallery distances are read in full. The query x
+    query and gallery x gallery ones serve to find each point's k1 + 1
+    nearest neighbours and a few expanded-set entries, so they are
+    bounded from norms and one product per row block, and computed
+    exactly only where the bound cannot rule out a nearest neighbour, or
+    where an expanded set reads them (:func:`_union_distances`). Every
+    value re-ranking reads has the bytes of the exact all-pairs pass. The
+    distance passes and the neighbour search queue one task per row block
+    on the process's thread pool (``blocks.split``); the result has the
+    same bytes for any CPU count.
     """
-    return _rerank_distances(_union_distances(q_feats, g_feats, params.k1), len(q_feats), params)
+    return _rerank_distances(_union_distances(q_feats, g_feats, params.k1), q_feats, g_feats, params)
 
 
 def _union_distances(q_feats: np.ndarray, g_feats: np.ndarray, k1: int) -> np.ndarray:
     """The N x N distances over the query rows, then the gallery rows,
-    that re-ranking at ``k1`` starts from. Its ``[:n_q, n_q:]`` block has
-    the bytes of ``pairwise_euclidean(q_feats, g_feats)``."""
-    feats = np.vstack([np.asarray(q_feats, dtype=np.float64), np.asarray(g_feats, dtype=np.float64)])
-    if k1 >= feats.shape[0]:
-        raise ValueError(f"k1 ({k1}) must be < number of points ({feats.shape[0]})")
-    if not np.isfinite(feats).all():
+    that re-ranking at ``k1`` starts from.
+
+    The ``[:n_q, n_q:]`` block is ``pairwise_euclidean(q_feats,
+    g_feats)``, and its mirror is that block transposed. In the query x
+    query and gallery x gallery blocks, an entry that may rank among its
+    row's k1 + 1 nearest has the bytes of the exact pass; every other
+    entry is +inf. Each row block of about ``_BLOCK_ELEMENTS`` values
+    bounds its own set's distances (:func:`_distance_bounds`), keeps the
+    entries whose lower bound does not exceed the row's (k1 + 1)-th
+    smallest upper bound, the exact cross distances bounding themselves,
+    and computes those exactly. An entry left out is strictly farther
+    than k1 + 1 other columns, so :func:`_nearest` gives the neighbours,
+    order and ties of the full matrix. A NaN upper bound ranks last: a
+    row with fewer than k1 + 1 upper bounds that are not NaN keeps every
+    entry, as does a row whose bounds say nothing, such as in a
+    collapsed gallery. A row block that keeps more than half its entries
+    is computed whole by :func:`_tiles`, which costs less per pair.
+    """
+    q = np.asarray(q_feats, dtype=np.float64)
+    g = np.asarray(g_feats, dtype=np.float64)
+    n_q, total = q.shape[0], q.shape[0] + g.shape[0]
+    if k1 >= total:
+        raise ValueError(f"k1 ({k1}) must be < number of points ({total})")
+    if not (np.isfinite(q).all() and np.isfinite(g).all()):
         raise ValueError("features must be finite")
-    return pairwise_euclidean(feats, feats)
+    out = np.empty((total, total))
+    out[:n_q, n_q:] = pairwise_euclidean(q, g)
+    out[n_q:, :n_q] = out[:n_q, n_q:].T
+    with np.errstate(over="ignore"):  # an infinite norm gives NaN bounds
+        sets = [(0, q, np.einsum("ij,ij->i", q, q)), (n_q, g, np.einsum("ij,ij->i", g, g))]
+    rows = max(1, _BLOCK_ELEMENTS // total)
+
+    def work(start):
+        first, feats, sq_norms = sets[0 if start < n_q else 1]  # the row block's own set
+        i, stop = start - first, min(start - first + rows, len(feats))
+        own = out[start : first + stop, first : first + len(feats)]
+        lower = _distance_bounds(feats[i:stop], sq_norms[i:stop], feats, sq_norms, upper=own)
+        kth = np.partition(out[start : first + stop], k1, axis=1)[:, k1 : k1 + 1]
+        r, c = np.nonzero(~(lower > kth))  # a NaN kth keeps the whole row
+        if 2 * r.size > own.size:
+            _tiles(feats[i:stop], feats, own)
+        else:
+            own.fill(np.inf)
+            own[r, c] = _pair_distances(feats, i + r, c)
+
+    blocks.split(work, [s for first, feats, _ in sets for s in range(first, first + len(feats), rows)])
+    return out
 
 
-def _rerank_distances(original: np.ndarray, n_q: int, params: RerankParams) -> np.ndarray:
-    """:func:`rerank` from its N x N distances ``original``, whose first
-    ``n_q`` rows and columns are the queries."""
-    total = original.shape[0]
+def _distance_bounds(x: np.ndarray, x_sq: np.ndarray, y: np.ndarray, y_sq: np.ndarray,
+                     upper: np.ndarray) -> np.ndarray:
+    """Lower bounds on ``pairwise_euclidean(x, y)``, returned, and upper
+    bounds, written to ``upper``, from the rows' squared norms ``x_sq``
+    and ``y_sq``, summed in any order, and one GEMM. Where a norm, the
+    product or the estimate overflows, the upper bound is NaN or +inf and
+    the lower bound 0.
+
+    With u = 2**-53 and g(n) = n u / (1 - n u), take rows x, y with
+    s = |x - y|**2 and T = |x|**2 + |y|**2 >= s / 2. The exact pass gives
+    D = sqrt(sum_k (x_k - y_k)**2), rounding each difference, square,
+    addition and the root: with three roundings per term and d - 1
+    additions of non-negative terms in any order,
+    |D**2 - s| <= g(d + 4) s <= 2 g(d + 4) T. The estimate is
+    e = (a + b) - 2 p, with a, b the squared norms and p the GEMM's dot
+    product. In any summation order, with or without FMA,
+    |a + b - T| <= g(d) T and |p - x.y| <= g(d) |x| |y| <= g(d) T / 2, and
+    the two additions add at most 3 u T, so
+    |e - s| <= (2 g(d + 1) + 3 u) T. As A = fl(a + b) >= (1 - g(d + 1)) T,
+    |D**2 - e| <= (4 d + 14) u A for any d with d u small. The margin
+    m = (d + 8) 2**-50 (A + tiny) = (8 d + 64) u (A + tiny) is more than
+    twice that: the rest covers the rounding of e - m, e + m and their
+    square roots, and the tiny term, (4 d + 32) 2**-1074, covers
+    underflow, where each of the at most 5 d products behind a, b, p and
+    D loses up to 2**-1075. So sqrt(max(e - m, 0)) <= D <= sqrt(e + m).
+    Rounding is monotone, so where D overflows to +inf, e + m does too.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = x_sq[:, None] + y_sq[None, :]
+        estimate = x @ y.T
+        estimate *= -2.0
+        estimate += margin
+        margin += np.finfo(np.float64).tiny
+        margin *= (x.shape[1] + 8) * 2.0**-50
+        np.sqrt(np.add(estimate, margin, out=upper), out=upper)
+        estimate -= margin
+        estimate[~(estimate < np.inf)] = 0.0  # NaN or overflowed: no lower bound
+        return np.sqrt(np.maximum(estimate, 0.0, out=estimate), out=estimate)
+
+
+def _exact_entries(original: np.ndarray, rows: np.ndarray, cols: np.ndarray, q_feats: np.ndarray,
+                   g_feats: np.ndarray) -> np.ndarray:
+    """``original[rows, cols]``, for ``rows`` in ascending order, with the
+    exact distance in place of each +inf that :func:`_union_distances`
+    left in a query x query or gallery x gallery block."""
+    n_q = len(q_feats)
+    dists = original[rows, cols]
+    left_out = np.flatnonzero((dists == np.inf) & ((rows < n_q) == (cols < n_q)))
+    split = np.searchsorted(rows[left_out], n_q)
+    for first, feats, pick in ((0, q_feats, left_out[:split]), (n_q, g_feats, left_out[split:])):
+        dists[pick] = _pair_distances(np.asarray(feats, dtype=np.float64), rows[pick] - first, cols[pick] - first)
+    return dists
+
+
+def _rerank_distances(original: np.ndarray, q_feats: np.ndarray, g_feats: np.ndarray,
+                      params: RerankParams) -> np.ndarray:
+    """:func:`rerank` from the distances of :func:`_union_distances`."""
+    n_q, total = len(q_feats), original.shape[0]
     order = _nearest(original, params.k1)  # (N, k1 + 1), nearest first
 
     rows, cols = _expanded_sets(order, params.k1)
     row_len = np.bincount(rows, minlength=total)
     starts = np.cumsum(row_len) - row_len
-    dists = original[rows, cols]
+    dists = _exact_entries(original, rows, cols, q_feats, g_feats)
     weights = np.exp(-(dists - np.minimum.reduceat(dists, starts)[rows]))
     values = weights / np.bincount(rows, weights=weights, minlength=total)[rows]
 
@@ -352,7 +472,7 @@ def evaluate_run(query: EmbeddingSet, gallery: EmbeddingSet, rerank_params: Rera
     n_q = query.features.shape[0]
     original = _union_distances(query.features, gallery.features, rerank_params.k1)
     raw = evaluate(original[:n_q, n_q:], *ids, max_rank)
-    return raw, evaluate(_rerank_distances(original, n_q, rerank_params), *ids, max_rank)
+    return raw, evaluate(_rerank_distances(original, query.features, gallery.features, rerank_params), *ids, max_rank)
 
 
 def _csv_field(value) -> str:

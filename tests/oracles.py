@@ -4,9 +4,10 @@ Most of what is here is written as plain scalar loops straight from the
 definitions, deliberately ignoring how the package implements the same
 quantities, so the two sides can disagree. The exception is the section of
 byte-level references: the earlier vectorised conv2d, maxpool2d,
-train-mode batchnorm and per-image augmentation, and the single-threaded
-distance and neighbour passes of re-ranking, kept so that their faster
-replacements can be required to produce the same bytes.
+train-mode batchnorm and per-image augmentation, the single-threaded
+distance and neighbour passes of re-ranking, and re-ranking over all
+N x N exact distances, kept so that their faster replacements can be
+required to produce the same bytes.
 """
 
 import math
@@ -379,3 +380,94 @@ def nearest_reference(dist, k):
     cols = cols[np.lexsort((cols != rows, dist[rows, cols], rows))]
     counts = np.bincount(rows, minlength=dist.shape[0])
     return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Byte-level reference for re-ranking
+# ---------------------------------------------------------------------------
+# ``evaluation.rerank`` as it was while it computed all N x N exact
+# distances, with the single-threaded passes above in place of the
+# row-block-parallel ones.
+
+
+def _ranges(starts, counts):
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())
+
+
+def _reciprocal_table(order, k):
+    nb = order[:, : k + 1]
+    mutual = (nb[nb] == np.arange(nb.shape[0])[:, None, None]).any(axis=2)
+    return np.where(mutual, nb, -1)
+
+
+def _expanded_sets(order, k1):
+    n = order.shape[0]
+    reciprocal = _reciprocal_table(order, k1)  # (N, k1 + 1)
+    half_reciprocal = _reciprocal_table(order, int(np.floor(k1 / 2.0 + 0.5)))
+    valid = reciprocal >= 0
+    candidates = half_reciprocal[np.where(valid, reciprocal, 0)]  # (N, k1 + 1, half + 1)
+    in_candidate = candidates >= 0
+    offsets = np.arange(n)[:, None] * (n + 1)
+    members = (np.sort(np.where(valid, reciprocal, n), axis=1) + offsets).ravel()
+    probes = candidates + offsets[:, :, None]
+    found = members[np.minimum(np.searchsorted(members, probes), members.size - 1)] == probes
+    overlap = (found & in_candidate).sum(axis=2)
+    accepted = valid & (overlap >= (2.0 / 3.0) * in_candidate.sum(axis=2))
+    grown = np.where(accepted[:, :, None] & in_candidate, candidates, -1).reshape(n, -1)
+    union = np.sort(np.concatenate([reciprocal, grown], axis=1), axis=1)
+    keep = union >= 0
+    keep[:, 1:] &= union[:, 1:] != union[:, :-1]
+    return np.nonzero(keep)[0], union[keep]
+
+
+def _jaccard(rows, cols, values, n_q, n):
+    n_g = n - n_q
+    split = np.searchsorted(rows, n_q)  # query entries come first
+    by_col = split + np.argsort(cols[split:], kind="stable")  # gallery entries by column
+    col_count = np.bincount(cols[by_col], minlength=n)
+    pairs = col_count[cols[:split]]
+    entry = np.repeat(np.arange(split), pairs)
+    partner = by_col[_ranges((np.cumsum(col_count) - col_count)[cols[:split]], pairs)]
+    mins = np.minimum(values[entry], values[partner])
+    min_sum = np.bincount(rows[entry] * n_g + rows[partner] - n_q, weights=mins, minlength=n_q * n_g)
+    min_sum = min_sum.reshape(n_q, n_g)
+    row_sums = np.bincount(rows, weights=values, minlength=n)
+    return 1.0 - min_sum / (row_sums[:n_q, None] + row_sums[None, n_q:] - min_sum)
+
+
+def rerank_full_matrix_reference(q_feats, g_feats, params):
+    return _rerank_distances(_union_distances(q_feats, g_feats, params.k1), len(q_feats), params)
+
+
+def _union_distances(q_feats, g_feats, k1):
+    feats = np.vstack([np.asarray(q_feats, dtype=np.float64), np.asarray(g_feats, dtype=np.float64)])
+    if k1 >= feats.shape[0]:
+        raise ValueError(f"k1 ({k1}) must be < number of points ({feats.shape[0]})")
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
+    return pairwise_euclidean_reference(feats, feats)
+
+
+def _rerank_distances(original, n_q, params):
+    total = original.shape[0]
+    order = nearest_reference(original, params.k1)  # (N, k1 + 1), nearest first
+
+    rows, cols = _expanded_sets(order, params.k1)
+    row_len = np.bincount(rows, minlength=total)
+    starts = np.cumsum(row_len) - row_len
+    dists = original[rows, cols]
+    weights = np.exp(-(dists - np.minimum.reduceat(dists, starts)[rows]))
+    values = weights / np.bincount(rows, weights=weights, minlength=total)[rows]
+
+    if params.k2 > 1:
+        # Mean over the k2 nearest neighbours' rows: gather their entries
+        # in neighbour order, then merge equal (row, column) keys.
+        group = order[:, : params.k2].ravel()
+        src = _ranges(starts[group], row_len[group])
+        keys = np.repeat(np.arange(total).repeat(params.k2), row_len[group]) * total + cols[src]
+        keys, inverse = np.unique(keys, return_inverse=True)
+        values = np.bincount(inverse, weights=values[src]) / params.k2
+        rows, cols = keys // total, keys % total
+
+    return (1.0 - params.lam) * _jaccard(rows, cols, values, n_q, total) + params.lam * original[:n_q, n_q:]

@@ -1,5 +1,6 @@
 """Retrieval metrics and k-reciprocal re-ranking against naive oracles."""
 
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -444,7 +445,7 @@ class TestRerank:
         pairwise = evaluation.pairwise_euclidean
         monkeypatch.setattr(evaluation, "pairwise_euclidean", lambda q, g: passes.append(q.shape) or pairwise(q, g))
         raw, reranked = evaluation.evaluate_run(qs, gs, params)
-        assert passes == [(26, 4)]
+        assert passes == [(6, 4)]
         for got, want in ((raw, raw_alone), (reranked, reranked_alone)):
             assert got.mAP == want.mAP
             assert got.per_query_ap.tobytes() == want.per_query_ap.tobytes()
@@ -458,6 +459,186 @@ class TestRerank:
         with_flag, _ = evaluation.evaluate_run(qs, gs, evaluation.RerankParams(k1=3, k2=2))
         assert none is None
         assert without.mAP == with_flag.mAP
+
+
+def clustered(rng, n_ids, per_id, d, noise=0.4):
+    centers = rng.normal(size=(n_ids, d))
+    return centers[np.repeat(np.arange(n_ids), per_id)] + noise * rng.normal(size=(n_ids * per_id, d))
+
+
+def rerank_case(name):
+    """(q, g, params) of a re-ranking case. Most are built to strain the
+    bounds: ties, exact copies, bounds that say nothing, overflow."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name.startswith("d="):  # clustered, at each width
+        d = int(name[2:])
+        feats = rng.permutation(clustered(rng, 16, 6, d))
+        return feats[:24], feats[24:], evaluation.RerankParams(k1=8, k2=3)
+    if name == "collapsed":
+        return np.zeros((10, 4)), np.zeros((30, 4)), evaluation.RerankParams(k1=20)
+    if name == "copies":  # more than k1 exact copies of one point
+        feats = rng.normal(size=(60, 5))
+        feats[rng.choice(60, size=12, replace=False)] = feats[7]
+        return feats[:15], feats[15:], evaluation.RerankParams(k1=6, k2=3)
+    if name == "ties":
+        feats = np.round(rng.normal(size=(80, 3)), 1)
+        return feats[:20], feats[20:], evaluation.RerankParams(k1=10, k2=4)
+    if name.startswith("scale="):  # 1e-150 squares to near the smallest normal; 1e154 overflows the norms
+        feats = float(name[6:]) * clustered(rng, 12, 6, 256)
+        return feats[:18], feats[18:], evaluation.RerankParams(k1=6, k2=3)
+    if name == "offset-overflow":  # NaN bounds, finite distances; a gallery row has 3 exact ones
+        feats = 1e154 * (1.0 + 1e-3 * rng.permutation(clustered(rng, 12, 6, 256)))
+        return feats[:3], feats[3:], evaluation.RerankParams(k1=6, k2=3)
+    if name == "k1=N-1":
+        feats = rng.normal(size=(14, 3))
+        return feats[:4], feats[4:], evaluation.RerankParams(k1=13, k2=5)
+    if name == "one-query":
+        feats = clustered(rng, 10, 4, 6)
+        return feats[:1], feats[1:], evaluation.RerankParams(k1=5, k2=2)
+    if name == "312x936":  # the shape of perfbench's retrieval workload
+        feats = clustered(rng, 156, 8, 256, noise=0.5).reshape(156, 8, 256)
+        return feats[:, :2].reshape(312, 256), feats[:, 2:].reshape(936, 256), evaluation.RerankParams()
+    raise KeyError(name)
+
+
+RERANK_CASES = ["d=1", "d=2", "d=8", "d=256", "collapsed", "copies", "ties", "scale=1e-150", "scale=1e150",
+                "scale=1e154", "offset-overflow", "k1=N-1", "one-query", "312x936"]
+
+
+@functools.lru_cache(maxsize=None)
+def full_matrix_rerank(name):
+    return oracles.rerank_full_matrix_reference(*rerank_case(name))
+
+
+def embedding_sets(q, g):
+    m = min(len(q), len(g))  # every query id has gallery entries on the other camera
+    return (evaluation.EmbeddingSet(q, np.arange(len(q)) % m, np.zeros(len(q), dtype=int)),
+            evaluation.EmbeddingSet(g, np.arange(len(g)) % m, np.ones(len(g), dtype=int)))
+
+
+def assert_same_result(got, want):
+    assert got.num_valid_queries == want.num_valid_queries
+    for a, b in ((got.mAP, want.mAP), (got.cmc, want.cmc), (got.per_query_ap, want.per_query_ap)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBoundAndVerify:
+    """Re-ranking bounds the query x query and gallery x gallery distances
+    and computes exactly only those that can change its result. Its output
+    must keep the bytes of re-ranking over all N x N exact distances."""
+
+    # The overflow cases square to +inf, on pool threads as well.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", RERANK_CASES)
+    def test_rerank_matches_the_full_matrix(self, workers, name):
+        assert_same_bytes(evaluation.rerank(*rerank_case(name)), full_matrix_rerank(name))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", RERANK_CASES)
+    def test_evaluate_run_matches_the_full_matrix(self, workers, name):
+        q, g, params = rerank_case(name)
+        qs, gs = embedding_sets(q, g)
+        ids = (qs.person_ids, qs.camera_ids, gs.person_ids, gs.camera_ids)
+        raw, reranked = evaluation.evaluate_run(qs, gs, params)
+        assert_same_result(raw, evaluation.evaluate(oracles.pairwise_euclidean_reference(q, g), *ids))
+        assert_same_result(reranked, evaluation.evaluate(full_matrix_rerank(name), *ids))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", RERANK_CASES)
+    def test_left_out_entries_are_beyond_the_neighbours(self, workers, name):
+        # Where the scale drowns the Jaccard term, the neighbour tables are
+        # the only place a wrongly left-out entry shows.
+        q, g, params = rerank_case(name)
+        feats = np.vstack([q, g])
+        union = evaluation._union_distances(q, g, params.k1)
+        full = oracles.pairwise_euclidean_reference(feats, feats)
+        kept = union != np.inf
+        assert_same_bytes(union[kept], full[kept])
+        assert_same_bytes(evaluation._nearest(union, params.k1), oracles.nearest_reference(full, params.k1))
+
+    def test_far_pairs_are_left_out(self):
+        q, g, params = rerank_case("312x936")
+        union = evaluation._union_distances(q, g, params.k1)
+        n_q, total = len(q), len(q) + len(g)
+        own_pairs = n_q**2 + (total - n_q) ** 2
+        computed = np.isfinite(union).sum() - 2 * q.shape[0] * g.shape[0]
+        assert total <= computed < own_pairs / 10  # the diagonal, and few more
+        assert_same_bytes(union[:n_q, n_q:], oracles.pairwise_euclidean_reference(q, g))
+        assert_same_bytes(union[n_q:, :n_q], union[:n_q, n_q:].T.copy())
+
+    def test_nan_bounds_compute_every_pair(self):
+        q, g, params = rerank_case("offset-overflow")
+        union = evaluation._union_distances(q, g, params.k1)
+        feats = np.vstack([q, g])
+        assert_same_bytes(union, oracles.pairwise_euclidean_reference(feats, feats))
+
+    def test_peak_memory_within_the_full_matrix_pass(self, monkeypatch):
+        # With the package's own striped neighbour search, the full-matrix
+        # reference allocates what re-ranking allocated before the bounds,
+        # array for array, but for one distance-pass buffer per thread.
+        monkeypatch.setattr(oracles, "nearest_reference", evaluation._nearest)
+        q, g, params = rerank_case("312x936")
+        peaks = []
+        for run in (evaluation.rerank, oracles.rerank_full_matrix_reference):
+            run(q, g, params)  # first-call allocations (pool, caches) out of the way
+            tracemalloc.start()
+            try:
+                run(q, g, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 2**14  # up to 16 KiB of interpreter objects: frames, futures
+
+
+class TestDistanceBounds:
+    @staticmethod
+    def bounds(x, y):
+        upper = np.empty((len(x), len(y)))
+        lower = evaluation._distance_bounds(x, np.einsum("ij,ij->i", x, x), y, np.einsum("ij,ij->i", y, y), upper)
+        return lower, upper
+
+    @staticmethod
+    def assert_bounds_hold(x, y):
+        lower, upper = TestDistanceBounds.bounds(x, y)
+        exact = evaluation.pairwise_euclidean(x, y)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        return lower, upper, exact
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 37, 256])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150])
+    def test_every_pair_within_its_bounds(self, d, scale):
+        rng = np.random.default_rng(d)
+        x = scale * np.vstack([clustered(rng, 6, 5, d, noise=0.01), rng.normal(size=(10, d)) * 1e-4])
+        x[3] = x[4]  # an exact copy
+        x[5] = -x[6]  # a point and its opposite
+        lower, upper, exact = self.assert_bounds_hold(x, x)
+        assert np.all(np.diag(lower) == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 256])
+    def test_one_ulp_apart_at_norm_1e6(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(20, d))
+        x *= 1e6 / np.linalg.norm(x, axis=1, keepdims=True)
+        y = np.nextafter(x, np.inf)
+        lower, upper, exact = self.assert_bounds_hold(x, y)
+        assert np.all(np.diag(exact) > 0.0)  # the estimate cancels to noise; the bounds still hold
+
+    def test_bounds_separate_distinct_points(self):
+        # Unit vectors at distance sqrt(2): the bounds are tight enough to rank them.
+        x = np.eye(64)
+        lower, upper, exact = self.assert_bounds_hold(x, x)
+        off = ~np.eye(64, dtype=bool)
+        assert np.all(lower[off] > 1.41) and np.all(upper[off] < 1.42) and np.all(upper.diagonal() < 1e-6)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_gives_nan_or_infinite_upper_bounds(self):
+        rng = np.random.default_rng(3)
+        x = 1e154 * rng.normal(size=(12, 256))
+        lower, upper = self.bounds(x, x)
+        exact = evaluation.pairwise_euclidean(x, x)
+        assert np.isinf(exact).any()
+        assert np.all(np.isnan(upper) | (upper == np.inf))
+        assert np.all(lower <= exact) and np.all(lower[np.isnan(upper)] == 0.0)
 
 
 class TestNonFiniteEmbeddings:

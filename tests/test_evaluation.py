@@ -529,7 +529,7 @@ class TestBoundAndVerify:
 
     # The overflow cases square to +inf, on pool threads as well.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("name", RERANK_CASES)
+    @pytest.mark.parametrize("name", ["d=0", *RERANK_CASES])  # EmbeddingSet refuses d = 0; rerank does not
     def test_rerank_matches_the_full_matrix(self, workers, name):
         assert_same_bytes(evaluation.rerank(*rerank_case(name)), full_matrix_rerank(name))
 
@@ -572,10 +572,13 @@ class TestBoundAndVerify:
         feats = np.vstack([q, g])
         assert_same_bytes(union, oracles.pairwise_euclidean_reference(feats, feats))
 
-    def test_peak_memory_within_the_full_matrix_pass(self, monkeypatch):
+    def test_peak_memory_within_the_full_matrix_pass(self, monkeypatch, pool_of):
         # With the package's own striped neighbour search, the full-matrix
         # reference allocates what re-ranking allocated before the bounds,
         # array for array, but for one distance-pass buffer per thread.
+        # Both run on the same fixed pool: each thread holds its own
+        # block's buffers, so the peaks depend on the thread count.
+        pool_of(2)
         monkeypatch.setattr(oracles, "nearest_reference", evaluation._nearest)
         q, g, params = rerank_case("312x936")
         peaks = []

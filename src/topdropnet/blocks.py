@@ -17,12 +17,9 @@ not depend on the CPU count, so neither do the bytes.
 import os
 import threading
 
-# A batch array of at least this many values, and at least this many
-# images, is worked on in two halves. Halves of at least 2 images keep
-# each half's conv GEMM on the bytes of the whole-batch one; a 1-image
-# half can move them.
+# A batch array of at least this many values, and of at least 2 images, is
+# worked on in two halves.
 SPLIT_VALUES = 1 << 17
-SPLIT_IMAGES = 4
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -76,12 +73,12 @@ def split(work, starts) -> None:
 def halves(work, arr) -> None:
     """Call ``work(index)`` with indices whose parts of the batch array
     ``arr`` together cover it. When ``arr`` holds at least
-    ``SPLIT_VALUES`` values and at least ``SPLIT_IMAGES`` images, they are the image
+    ``SPLIT_VALUES`` values and at least 2 images, they are the image
     slices ``[0, ceil(n/2))`` and ``[ceil(n/2), n)``, run through
     :func:`split`; otherwise ``work(...)`` runs once on the calling
     thread."""
     n = arr.shape[0] if arr.ndim else 0
-    if n < SPLIT_IMAGES or arr.size < SPLIT_VALUES:
+    if n < 2 or arr.size < SPLIT_VALUES:
         work(...)
         return
     mid = (n + 1) // 2

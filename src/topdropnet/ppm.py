@@ -18,7 +18,11 @@ def _read_header(f, magic: bytes):
             raise ValueError("truncated header")
         body = line.split(b"#", 1)[0]
         fields.extend(body.split())
-    width, height, maxval = (int(x) for x in fields[:3])
+    if len(fields) > 3:
+        raise ValueError(f"header has {len(fields)} fields, expected width, height and maxval")
+    width, height, maxval = (int(x) for x in fields)
+    if width <= 0 or height <= 0:
+        raise ValueError(f"non-positive image size {width}x{height}")
     if maxval != 255:
         raise ValueError(f"only maxval 255 supported, got {maxval}")
     return width, height

@@ -20,18 +20,18 @@ eval-mode batch norm no normalized copy of its input. The output has the
 same bytes either way, so evaluation-mode code pays no graph cost.
 
 Convolution, batch norm, relu and max-pooling work on a batch of at least
-``blocks.SPLIT_VALUES`` values and ``blocks.SPLIT_IMAGES`` images in two
-fixed halves of its images, on the
-process's thread pool (:func:`blocks.halves`). The calling thread
-allocates every output and scratch array, and the halves write into them
-through ``out=``. Batch-norm statistics and the conv kernel gradient stay
-whole-batch reductions, so the bytes do not depend on the split.
+``blocks.SPLIT_VALUES`` values and 2 images in two fixed halves of its
+images, on the process's thread pool (:func:`blocks.halves`). The calling
+thread allocates every output and scratch array, and the halves write
+into them through ``out=``. Batch-norm statistics and the conv kernel
+gradient stay whole-batch reductions, and the conv forward is one product
+per image, so the bytes do not depend on the split.
 
-Two forward passes move fewer, wider elements and keep their bytes by
-construction. Convolution copies its im2col windows one kernel row at a
-time, each row one element of ``kw`` values. Max-pooling with no tape,
-over an input with no sign bit and no NaN (as after relu), takes a
-running maximum of the values' unsigned bit patterns.
+Convolution works in the NCHW layout of its tensors: each image's
+channel-major im2col columns are multiplied straight into its output, with
+no transpose. Max-pooling with no tape, over an input with no sign bit and
+no NaN (as after relu), takes a running maximum of the values' unsigned
+bit patterns, which keeps the select loop's bytes by construction.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -408,33 +408,17 @@ def _reshapes_as_view(shape, strides) -> bool:
     return all(outer == size * inner for (_, outer), (size, inner) in zip(dims, dims[1:]))
 
 
-def _window_copy(xp: np.ndarray, windows: np.ndarray, cols: np.ndarray):
-    """Source and destination whose copy ``dst[b] = src[b]``, over all
-    of the images or by slices ``b`` of them, fills the C-contiguous
-    ``cols`` with the values of the window view ``windows`` of ``xp``.
-
-    A kernel row of a C-contiguous ``xp`` is ``kw`` adjacent values, so it
-    is copied as one element of ``kw * itemsize`` bytes, the same bytes.
-    A one-column kernel, or another layout of ``xp``, is copied value by
-    value, which is faster at ``kw = 1``.
-    """
-    kw = windows.shape[-1]
-    if kw == 1 or not xp.flags.c_contiguous:
-        return windows, cols
-    row = np.dtype((np.void, kw * xp.itemsize))
-    return np.ndarray(windows.shape[:-1], dtype=row, buffer=xp, strides=windows.strides[:-1]), cols.view(row)[..., 0]
-
-
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding, no bias.
 
     x: (n, cin, h, w), k: (cout, cin, kh, kw) -> (n, cout, h', w') with
     h' = (h + 2 pad - kh) // stride + 1.
 
-    The windows are copied into the column matrix one kernel row at a
-    time whenever the kernel is wider than one column and the padded
-    input is C-contiguous (:func:`_window_copy`). The column matrix gets
-    the bytes of a value-by-value copy either way.
+    The columns are channel-major: one (cin*kh*kw, h'*w') matrix per image,
+    multiplied by the (cout, cin*kh*kw) kernel matrix straight into that
+    image's NCHW output, one product per image. An image's output bytes
+    therefore do not depend on the batch around it. A 1x1 stride-1 conv
+    multiplies the (padded) input itself and copies no columns.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise TensorError("conv2d expects 4-d input and kernel")
@@ -452,38 +436,48 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise TensorError(f"conv2d: non-positive output extent for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, pad {pad}")
 
+    dtype = x.data.dtype
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    # im2col: the (n*ho*wo, cin*kh*kw) column matrix, laid out as the C-order
-    # copy of a strided window view that np.tensordot would make, so np.dot
-    # sees the same operands.
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, ho, wo, cin, kh, kw), strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False
-    )
-    kmat = k.data.transpose(1, 2, 3, 0).reshape(cin * kh * kw, cout)
-    shape, strides = windows.shape, windows.strides
-    if _reshapes_as_view(shape[:3], strides[:3]) and _reshapes_as_view(shape[3:], strides[3:]):
-        # A view, multiplied whole as it is: its C-order copy can give other bytes.
-        cols = windows.reshape(n * ho * wo, cin * kh * kw)
-        out = Tensor(np.ascontiguousarray(np.dot(cols, kmat).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)))
+    ncols = cin * kh * kw
+    kmat = k.data.reshape(cout, ncols)
+    y = np.empty((n, cout, ho, wo), dtype=dtype)
+    if kh == kw == 1 and stride == 1:
+        cols = np.ascontiguousarray(xp).reshape(n, ncols, ho * wo)
+        windows = None
     else:
-        cols = np.empty((n, ho, wo, cin, kh, kw), dtype=x.data.dtype)
-        val = np.empty((n, ho, wo, cout), dtype=x.data.dtype)
-        y = np.empty((n, cout, ho, wo), dtype=x.data.dtype)
-        src, dst = _window_copy(xp, windows, cols)
+        # im2col, channel-major: cols[b, (c, i, j), (oh, ow)] = xp[b, c, oh*stride + i, ow*stride + j].
+        sn, sc, sh, sw = xp.strides
+        shape = (n, cin, kh, kw, ho, wo)
+        windows = np.lib.stride_tricks.as_strided(xp, shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+        cols = np.empty((n, ncols, ho * wo), dtype=dtype)
+        dst = cols.reshape(shape)
 
-        def forward(b):
-            dst[b] = src[b]
-            np.dot(cols[b].reshape(-1, cin * kh * kw), kmat, out=val[b].reshape(-1, cout))
-            y[b] = val[b].transpose(0, 3, 1, 2)
+    def forward(b):
+        if windows is not None:
+            dst[b] = windows[b]
+        np.matmul(kmat, cols[b], out=y[b].reshape(-1, cout, ho * wo))
 
-        blocks.halves(forward, y)
-        cols = cols.reshape(n * ho * wo, cin * kh * kw)
-        out = Tensor(y)
+    blocks.halves(forward, y)
+    out = Tensor(y)
 
     def back(g):
         if k.requires_grad:
-            gk = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo), cols)
+            # gk multiplies the row-major (n*ho*wo, cin*kh*kw) column matrix
+            # that np.tensordot would: the window view itself where it
+            # reshapes without a copy, else its C-order copy, here made from
+            # the transposed columns by the forward's halves.
+            sn, sc, sh, sw = xp.strides
+            shape, strides = (n, ho, wo, cin, kh, kw), (sn, sh * stride, sw * stride, sc, sh, sw)
+            if _reshapes_as_view(shape[:3], strides[:3]) and _reshapes_as_view(shape[3:], strides[3:]):
+                rows = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
+            else:
+                rows = np.empty((n, ho * wo, ncols), dtype=dtype)
+
+                def transpose(b):
+                    rows[b] = cols[b].transpose(0, 2, 1)
+
+                blocks.halves(transpose, y)
+            gk = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo), rows.reshape(n * ho * wo, ncols))
             accumulate_grad(k, gk.reshape(cout, cin, kh, kw))
         if x.requires_grad:
             # (n, cout, ho, wo) x (cout, cin, kh, kw) -> (n, ho, wo, cin, kh, kw);

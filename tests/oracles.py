@@ -206,7 +206,8 @@ def rerank_transcription(q_feats, g_feats, k1, k2, lam):
 # ---------------------------------------------------------------------------
 # Each returns the forward output and a function mapping the upstream
 # gradient to the input gradients, computed exactly as tensorcore did before
-# its plane-wise max-pool, single-pass batchnorm and reused im2col matrix.
+# its plane-wise max-pool, single-pass batchnorm and reused im2col matrix
+# (conv2d's forward: as it does now, one image at a time).
 
 
 def _windows(xp, kh, kw, stride, ho, wo):
@@ -219,15 +220,20 @@ def _windows(xp, kh, kw, stride, ho, wo):
 
 
 def conv2d_reference(x, k, stride, pad):
-    """Output and ``back(g) -> (gx, gk)`` through ``np.tensordot``."""
+    """Output, one ``np.matmul`` of the kernel matrix by the channel-major
+    column matrix of each image on its own, and ``back(g) -> (gx, gk)``
+    through ``np.tensordot``."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     cols = _windows(xp, kh, kw, stride, ho, wo)
-    val = np.tensordot(cols, k, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(val.transpose(0, 3, 1, 2))
+    kmat = k.reshape(cout, cin * kh * kw)
+    out = np.empty((n, cout, ho, wo), dtype=x.dtype)
+    for b in range(n):
+        image = np.ascontiguousarray(cols[b].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, ho * wo)
+        out[b] = np.matmul(kmat, image).reshape(cout, ho, wo)
 
     def back(g):
         gk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 2, 3]))

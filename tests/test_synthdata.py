@@ -326,3 +326,19 @@ class TestPPM:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
         with pytest.raises(ValueError):
             ppm.read_ppm(path)
+
+    @pytest.mark.parametrize("read, magic, channels", [(ppm.read_ppm, b"P6", 3), (ppm.read_pgm, b"P5", 1)])
+    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -2", b"-2 2"])
+    def test_non_positive_size_rejected(self, tmp_path, read, magic, channels, size):
+        path = tmp_path / "empty.img"
+        path.write_bytes(magic + b"\n" + size + b"\n255\n" + bytes(16 * channels))
+        with pytest.raises(ValueError, match="non-positive image size"):
+            read(path)
+
+    @pytest.mark.parametrize("read, magic, channels", [(ppm.read_ppm, b"P6", 3), (ppm.read_pgm, b"P5", 1)])
+    @pytest.mark.parametrize("header", [b"2 2 255 7\n", b"2 2\n255 7\n", b"2 2 255 7 # maxval 255\n"])
+    def test_extra_header_field_rejected(self, tmp_path, read, magic, channels, header):
+        path = tmp_path / "extra.img"
+        path.write_bytes(magic + b"\n" + header + bytes(4 * channels))
+        with pytest.raises(ValueError, match="header has 4 fields"):
+            read(path)

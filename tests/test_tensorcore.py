@@ -364,7 +364,7 @@ class TestRewrittenOpsMatchReferences:
 STEM_CHANNELS = network.BackboneConfig().stem_channels
 STEM_SIZE = network.BackboneConfig().input_size
 # Batch sizes at the default input, and batches of 2 and 3 images whose
-# 128 x 64 stem maps reach the split size but would leave a 1-image half.
+# 128 x 64 stem maps reach the split size and leave a 1-image half.
 SPLIT_BATCHES = [(n, STEM_SIZE) for n in (4, 5, 17, 24, 32, 33)] + [(2, (128, 64)), (3, (128, 64))]
 
 
@@ -445,9 +445,9 @@ class TestSplitPassesMatchReferences:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_wide_conv_of_few_images(workers, n, dtype):
-    # One output pixel and 2^16 channels per image: numpy multiplies a
-    # 1-row matrix by another BLAS call, whose bytes differ from the whole
-    # batch's, so a batch of 2 or 3 images must not be halved.
+    # One output pixel and 2^16 channels per image: each image is a
+    # matrix-vector product, so the 1-image halves of a batch of 2 or 3
+    # images keep the bytes of one product per image.
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 1, 4, 4)).astype(dtype)
     k = rng.normal(size=(1 << 16, 1, 3, 3)).astype(dtype)
@@ -461,11 +461,8 @@ class TestSmallBatchesStayOnTheCallingThread:
         def submit(self, *args):
             raise AssertionError("a pass below the split size reached the pool")
 
-    # (n, c, h, w): just under 2^17 values in 3 images, one image of 2^18,
-    # and 2 or 3 images of 2^17 values each.
-    @pytest.mark.parametrize(
-        "shape", [(3, 1, 43690, 1), (3, 16, 64, 32), (1, 16, 128, 128), (2, 16, 128, 64), (3, 16, 128, 64)]
-    )
+    # (n, c, h, w): just under 2^17 values in 3 images, and one image of 2^18.
+    @pytest.mark.parametrize("shape", [(3, 1, 43690, 1), (3, 16, 64, 32), (1, 16, 128, 128)])
     def test_no_pass_touches_the_pool(self, monkeypatch, shape):
         monkeypatch.setattr(blocks, "_pool", self.NoPool())
         rng = np.random.default_rng(0)
@@ -480,14 +477,15 @@ class TestSmallBatchesStayOnTheCallingThread:
             loss = tc.sum_all(y)
         tc.backward(loss, tape)
         tc.batchnorm(x, gamma, beta, *stats, training=False)
-        assert y.size < blocks.SPLIT_VALUES or n < blocks.SPLIT_IMAGES
+        assert y.size < blocks.SPLIT_VALUES or n < 2
 
 
 class TestConvColumnView:
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
     def test_view_rule_matches_numpy(self, layout):
-        # conv2d multiplies the column matrix whole exactly when numpy's
-        # reshape of the window view makes no copy, as np.tensordot's did.
+        # conv2d's kernel gradient multiplies the row-major window view
+        # itself exactly when numpy's reshape of it makes no copy, as
+        # np.tensordot's does.
         rng = np.random.default_rng(0)
         for n, cin, h, w, kh, kw, stride, pad in itertools.product(
             (1, 2), (1, 3), (1, 2, 5), (1, 2, 5), (1, 2, 3), (1, 2), (1, 2), (0, 1)
@@ -963,37 +961,23 @@ class TestModuleDtype:
 
 
 class TestKernelRowCopy:
-    """conv2d copies its im2col windows one kernel row at a time; the
-    column matrix and every output keep the bytes of the value copy."""
-
-    @staticmethod
-    def windows(xp, kh, kw, stride, ho, wo):
-        """conv2d's window view: (n, ho, wo, cin, kh, kw)."""
-        return oracles._windows(xp, kh, kw, stride, ho, wo).transpose(0, 2, 3, 1, 4, 5)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_copy_equals_the_value_copy(self, dtype):
-        rng = np.random.default_rng(0)
-        for kw, stride, pad, n in itertools.product(range(1, 6), range(1, 4), range(3), (1, 4, 5, 32)):
-            xp = np.pad(rng.normal(size=(n, 2, 9, 8)).astype(dtype), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            ho, wo = (xp.shape[2] - 3) // stride + 1, (xp.shape[3] - kw) // stride + 1
-            windows = self.windows(xp, 3, kw, stride, ho, wo)
-            cols = np.empty(windows.shape, dtype)
-            src, dst = tc._window_copy(xp, windows, cols)
-            assert (src is windows) == (kw == 1)
-            mid = (n + 1) // 2
-            dst[:mid] = src[:mid]  # by halves, as conv2d copies a split batch
-            dst[mid:] = src[mid:]
-            assert_same_bytes(cols, np.ascontiguousarray(windows))
+    """Kernels of 3 x kw for kw 1-5, every stride 1-3 and pad 0-2, and
+    non-contiguous inputs: conv2d gives the bytes of the reference, its
+    forward one product per image."""
 
     def test_non_contiguous_input_copies_values(self):
-        x = np.random.default_rng(1).normal(size=(4, 3, 8, 9)).transpose(0, 1, 3, 2)
-        windows = self.windows(x, 3, 3, 1, 7, 6)
-        cols = np.empty(windows.shape)
-        src, dst = tc._window_copy(x, windows, cols)
-        assert src is windows and dst is cols
-        k = np.random.default_rng(2).normal(size=(5, 3, 3, 3))
-        assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k)).data, oracles.conv2d_reference(x, k, 1, 0)[0])
+        rng = np.random.default_rng(1)
+        transposed = rng.normal(size=(4, 3, 8, 9)).transpose(0, 1, 3, 2)
+        sliced = rng.normal(size=(4, 3, 9, 16))[..., ::2]
+        for x, (ksize, pad) in itertools.product((transposed, sliced), ((1, 0), (1, 1), (3, 0), (3, 1))):
+            k = rng.normal(size=(5, 3, ksize, ksize))
+            ref_out, ref_back = oracles.conv2d_reference(x, k, 1, pad)
+            g = rng.normal(size=ref_out.shape)
+            inputs = [tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True)]
+            out, grads = run_with_upstream(lambda a, b: tc.conv2d(a, b, 1, pad), inputs, g)
+            assert_same_bytes(out, ref_out)
+            for actual, expected in zip(grads, ref_back(g)):
+                assert_same_bytes(actual, expected)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv2d_matches_reference(self, workers, dtype):
@@ -1011,6 +995,53 @@ class TestKernelRowCopy:
             assert_same_bytes(gk, ref_gk)
             assert_same_bytes(gx, ref_gx)
             assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k), stride, pad).data, ref_out)
+
+
+class TestOneProductPerImage:
+    """conv2d multiplies each image's columns on their own, so an image's
+    output has the same bytes alone as in any batch, whole or halved."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (3, 5)])
+    def test_each_image_equals_its_rows_in_the_batch(self, workers, dtype, kh, kw):
+        # n = 32 at stride 1 reaches the split, so the batch goes by halves.
+        rng = np.random.default_rng(kh * kw)
+        k = rng.normal(size=(16, 3, kh, kw)).astype(dtype)
+        for n, stride, pad in itertools.product((1, 2, 3, 5, 32), range(1, 4), range(3)):
+            x = rng.normal(size=(n, 3, 20, 16)).astype(dtype)
+            batch = tc.conv2d(tc.Tensor(x), tc.Tensor(k), stride, pad).data
+            for i in range(n):
+                assert_same_bytes(tc.conv2d(tc.Tensor(x[i : i + 1]), tc.Tensor(k), stride, pad).data, batch[i : i + 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_pixel_output(self, workers, dtype):
+        # A 1 x 1 output makes each image's product a matrix-vector one; at
+        # 2^15 channels 5 images reach the split.
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(5, 2, 5, 5)).astype(dtype)
+        k = rng.normal(size=(1 << 15, 2, 5, 5)).astype(dtype)
+        batch = tc.conv2d(tc.Tensor(x), tc.Tensor(k)).data
+        assert batch.shape == (5, 1 << 15, 1, 1) and batch.size >= blocks.SPLIT_VALUES
+        assert_same_bytes(batch, oracles.conv2d_reference(x, k, 1, 0)[0])
+        for i in range(5):
+            assert_same_bytes(tc.conv2d(tc.Tensor(x[i : i + 1]), tc.Tensor(k)).data, batch[i : i + 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_padded_one_by_one_conv_matches_reference(self, dtype, pad):
+        # The output is (h + 2 pad) x (w + 2 pad): the padded input is the
+        # column matrix, with no copy.
+        rng = np.random.default_rng(pad)
+        x = rng.normal(size=(3, 4, 6, 5)).astype(dtype)
+        k = rng.normal(size=(7, 4, 1, 1)).astype(dtype)
+        ref_out, ref_back = oracles.conv2d_reference(x, k, 1, pad)
+        assert ref_out.shape == (3, 7, 6 + 2 * pad, 5 + 2 * pad)
+        g = rng.normal(size=ref_out.shape).astype(dtype)
+        inputs = [tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True)]
+        out, grads = run_with_upstream(lambda a, b: tc.conv2d(a, b, 1, pad), inputs, g)
+        assert_same_bytes(out, ref_out)
+        for actual, expected in zip(grads, ref_back(g)):
+            assert_same_bytes(actual, expected)
 
 
 class TestMaxpoolBitPatterns:

@@ -65,7 +65,7 @@ def _format_value(kind: str, value) -> str:
 
 def _read_config_file(path, schema):
     allowed = {opt.key for opt in schema}
-    values = {}
+    values, set_on = {}, {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             body = line.split("#", 1)[0].strip()
@@ -77,8 +77,14 @@ def _read_config_file(path, schema):
             key = key.strip()
             if key not in allowed:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+            set_on[key] = lineno
             opt = next(o for o in schema if o.key == key)
-            values[key] = _parse_value(opt, text.strip())
+            try:
+                values[key] = _parse_value(opt, text.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

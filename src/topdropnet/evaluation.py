@@ -520,9 +520,12 @@ def load_embeddings(path) -> EmbeddingSet:
         for row in reader:
             if len(row) != d + 2:
                 raise ValueError(f"{path}:{reader.line_num}: expected {d + 2} fields, got {len(row)}")
-            pids.append(int(row[0]))
-            cams.append(int(row[1]))
-            rows.append([float(v) for v in row[2:]])
+            try:
+                pids.append(int(row[0]))
+                cams.append(int(row[1]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no embeddings")
     return EmbeddingSet(np.array(rows, dtype=np.float64), np.array(pids), np.array(cams))

@@ -13,7 +13,7 @@ feature. At test time the global and drop stream neck features are
 concatenated (global and regularizer for the variant without dropping).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class ModelConfig:
     dtype: str = MODEL_DTYPE
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
         _check_extents(True, d_global=self.d_global, d_drop=self.d_drop)
         dtype = np.dtype(self.dtype).name  # any numpy spelling of the precision
@@ -235,6 +235,10 @@ class BNNeckHead(tc.Module):
 # The model
 # ---------------------------------------------------------------------------
 
+# The ModelConfig fields a model description stores beside its backbone's;
+# the dtype is that of the stored parameters.
+_DESCRIBED_FIELDS = ("variant", "d_global", "d_drop")
+
 
 class ReidModel(tc.Module):
     """Initial weights are drawn in float64 from the ``init`` stream, then
@@ -262,6 +266,12 @@ class ReidModel(tc.Module):
         self.num_classes = num_classes
         self.variant = cfg.variant
         self.dtype = np.dtype(cfg.dtype)
+
+    def description(self) -> dict:
+        """The flat JSON-ready dict a checkpoint stores to rebuild this
+        model; :func:`from_description` reads it back."""
+        described = {k: getattr(self.cfg, k) for k in _DESCRIBED_FIELDS}
+        return {"num_classes": self.num_classes, **described, **asdict(self.cfg.backbone)}
 
     # -- streams ----------------------------------------------------------
 
@@ -323,6 +333,19 @@ class ReidModel(tc.Module):
             raise tc.TensorError("inference_embed requires eval mode")
         out = self._run_streams(images, VARIANTS[self.variant].embedded)
         return np.concatenate([s.neck_feature.data for s in out.values()], axis=1)
+
+
+def from_description(desc) -> tuple:
+    """(num_classes, ModelConfig) of a :meth:`ReidModel.description`, its
+    JSON lists read as tuples, in the default dtype (a description stores
+    none). ValueError unless the config classes accept every value."""
+    backbone_fields = [f.name for f in fields(BackboneConfig)]
+    keys = {"num_classes", *_DESCRIBED_FIELDS, *backbone_fields}
+    if not isinstance(desc, dict) or set(desc) != keys:
+        raise ValueError(f"expected exactly the keys {sorted(keys)}, got {desc!r}")
+    _check_extents(True, num_classes=desc["num_classes"])
+    backbone = BackboneConfig(**{k: tuple(desc[k]) if isinstance(desc[k], list) else desc[k] for k in backbone_fields})
+    return desc["num_classes"], ModelConfig(**{k: desc[k] for k in _DESCRIBED_FIELDS}, backbone=backbone)
 
 
 def normalize_images(images: np.ndarray, dtype=MODEL_DTYPE) -> tc.Tensor:

@@ -725,21 +725,20 @@ def batchnorm(
 
     else:
         ivar = 1.0 / np.sqrt(running_var + eps)
-        if not will_record(x, gamma, beta):
-            # The recorded path's operations in its order, in one buffer.
-            y = np.empty_like(x.data)
+        y = np.empty_like(x.data)
+        xhat = np.empty_like(x.data) if will_record(x, gamma, beta) else None  # kept for the backward
 
-            def affine(b):
-                yb = y[b]
-                np.subtract(x.data[b], running_mean.reshape(bshape), out=yb)
-                yb *= ivar.reshape(bshape)
-                yb *= gview
-                yb += bview
+        def affine(b):
+            yb = y[b]
+            np.subtract(x.data[b], running_mean.reshape(bshape), out=yb)
+            yb *= ivar.reshape(bshape)
+            if xhat is not None:
+                xhat[b] = yb
+            yb *= gview
+            yb += bview
 
-            blocks.halves(affine, y)
-            return Tensor(y)
-        xhat = (x.data - running_mean.reshape(bshape)) * ivar.reshape(bshape)
-        out = Tensor(xhat * gview + bview)
+        blocks.halves(affine, y)
+        out = Tensor(y)
 
         def back(g):
             accumulate_grad(beta, g.sum(axis=axes))
@@ -853,6 +852,8 @@ def load_arrays(path) -> dict:
         if match is None:
             raise ValueError(f"malformed checkpoint header line {line!r}")
         name, shape_s, token, offset_s = match.groups()
+        if name in arrays:
+            raise ValueError(f"array {name!r} is named twice in the checkpoint header")
         if token not in _DTYPE_TOKENS:
             raise ValueError(f"unknown dtype token {token!r} for {name!r}")
         shape = tuple(int(s) for s in shape_s.split(","))

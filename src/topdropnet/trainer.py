@@ -171,8 +171,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
     sums = {}
     batches = synthdata.epoch_batches(dataset.records, cfg.batch, cfg.seed, epoch)
     for batch_no, batch in enumerate(batches):
-        raw = dataset.images[batch].astype(np.float64)
-        augmented = np.stack([synthdata.augment(img, aug_cfg, aug_gen) for img in raw])
+        augmented = np.stack([synthdata.augment(img, aug_cfg, aug_gen) for img in dataset.images[batch]])
         x = network.normalize_images(augmented, model.dtype)
         labels = np.array([label_map[dataset.records[i].person_id] for i in batch])
 
@@ -217,17 +216,15 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
     state = AdamState()
     start_epoch = 0
     fingerprint = dataset.fingerprint()
+    model = build_model(cfg, dataset)
     if resume is not None:
         arrays, meta = load_checkpoint(resume)
         if meta["config_hash"] != config_hash(cfg, fingerprint):
             raise ValueError("checkpoint was written by a different configuration or for a different dataset")
-        model = build_model(cfg, dataset)
         model.load_state_arrays(arrays)
         _load_adam(arrays, state, model)
         state.t = meta["adam_t"]
         start_epoch = meta["epoch"]
-    else:
-        model = build_model(cfg, dataset)
 
     end = cfg.total_epochs if stop_after is None else min(stop_after, cfg.total_epochs)
     if end < start_epoch:
@@ -243,17 +240,6 @@ def fit(cfg: TrainConfig, dataset: synthdata.LoadedDataset, resume=None, stop_af
 # ---------------------------------------------------------------------------
 
 
-def _model_meta(model: network.ReidModel) -> dict:
-    cfg = model.cfg
-    return {
-        "num_classes": model.num_classes,
-        "variant": cfg.variant,
-        "d_global": cfg.d_global,
-        "d_drop": cfg.d_drop,
-        **dataclasses.asdict(cfg.backbone),
-    }
-
-
 def save_checkpoint(path, result: FitResult) -> None:
     model, state, cfg = result.model, result.adam, result.config
     arrays = dict(model.state_arrays())
@@ -265,9 +251,7 @@ def save_checkpoint(path, result: FitResult) -> None:
     arrays["meta.adam_t"] = np.array([state.t], dtype=np.int64)
     arrays["meta.seed"] = np.array([cfg.seed], dtype=np.int64)
     arrays["meta.config_hash"] = np.frombuffer(config_hash(cfg, result.dataset_fingerprint).encode(), dtype=np.uint8)
-    arrays["meta.model_json"] = np.frombuffer(
-        json.dumps(_model_meta(model), sort_keys=True).encode(), dtype=np.uint8
-    )
+    arrays["meta.model_json"] = np.frombuffer(json.dumps(model.description(), sort_keys=True).encode(), dtype=np.uint8)
     tc.save_arrays(path, arrays)
 
 
@@ -278,36 +262,21 @@ def _meta(arrays, key: str) -> np.ndarray:
     return value
 
 
-_MODEL_INTS = ("num_classes", "d_global", "d_drop", "stem_channels")
-_MODEL_LISTS = ("stage_channels", "strides", "input_size")
-
-
-def _model_json(arrays) -> dict:
-    """The model description stored by :func:`_model_meta`, checked for
-    exactly its keys, positive integer extents and a known variant."""
+def _model_json(arrays) -> tuple:
+    """(num_classes, ModelConfig) of the stored :meth:`network.ReidModel.description`."""
     try:
-        m = json.loads(_meta(arrays, "model_json").tobytes().decode("utf-8"))
+        desc = json.loads(_meta(arrays, "model_json").tobytes().decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise ValueError(f"checkpoint meta.model_json is not valid JSON: {exc}") from None
-
-    def extent(v):
-        return type(v) is int and v >= 1
-
-    valid = (
-        isinstance(m, dict)
-        and set(m) == {"variant", *_MODEL_INTS, *_MODEL_LISTS}
-        and m["variant"] in network.VARIANTS
-        and all(extent(m[k]) for k in _MODEL_INTS)
-        and all(isinstance(m[k], list) and m[k] and all(extent(v) for v in m[k]) for k in _MODEL_LISTS)
-        and len(m["input_size"]) == 2
-    )
-    if not valid:
-        raise ValueError(f"checkpoint meta.model_json does not describe a model: {m!r}")
-    return m
+    try:
+        return network.from_description(desc)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint meta.model_json does not describe a model: {exc}") from None
 
 
 def load_checkpoint(path):
-    """Arrays and metadata of a checkpoint; a malformed file raises ValueError."""
+    """Arrays and metadata of a checkpoint, its model description read as
+    (num_classes, ModelConfig); a malformed file raises ValueError."""
     arrays = tc.load_arrays(path)
     meta = {
         "epoch": int(_meta(arrays, "epoch")[0]),
@@ -330,16 +299,11 @@ def model_from_checkpoint(path) -> network.ReidModel:
     """Rebuild a model purely from a checkpoint's stored configuration,
     in the dtype of its stored parameters."""
     arrays, meta = load_checkpoint(path)
-    m = meta["model"]
+    num_classes, model_cfg = meta["model"]
     dtypes = {arr.dtype.name for key, arr in arrays.items() if key.startswith("param.")}
     if len(dtypes) != 1:
         raise ValueError(f"checkpoint parameters must share one dtype, got {sorted(dtypes)}")
-    fields = [f.name for f in dataclasses.fields(network.BackboneConfig)]
-    backbone = network.BackboneConfig(**{k: tuple(m[k]) if isinstance(m[k], list) else m[k] for k in fields})
-    model_cfg = network.ModelConfig(
-        variant=m["variant"], d_global=m["d_global"], d_drop=m["d_drop"], backbone=backbone, dtype=dtypes.pop()
-    )
-    model = network.ReidModel(m["num_classes"], model_cfg, seed=meta["seed"])
+    model = network.ReidModel(num_classes, dataclasses.replace(model_cfg, dtype=dtypes.pop()), seed=meta["seed"])
     model.load_state_arrays(arrays)
     return model
 

@@ -452,6 +452,19 @@ class TestConfigMachinery:
         assert "seeds needs at least one value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("epochs = 3\nepochs = 5\n", ":2: 'epochs' is already set on line 1", id="repeated_key"),
+        pytest.param("# seed\n\nseed = x\n", ":3: invalid literal for int()", id="bad_int"),
+    ])
+    def test_bad_config_file_line_rejected_with_its_location(self, trained, tmp_path, capsys, text, message):
+        data, _, _ = trained
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "bad"
+        assert run_cli("train", "--data", data, "--out", out, "--config", cfgfile) == 1
+        assert f"{cfgfile}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDefaults:
     def test_defaults_are_the_config_classes(self):

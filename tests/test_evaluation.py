@@ -3,6 +3,7 @@
 import functools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -683,6 +684,13 @@ class TestEmbeddingFiles:
         path = tmp_path / "emb.csv"
         path.write_text("person_id,camera_id,f0,f1\n0,1,0.5,1.0\n1,1,nan,1.0\n")
         with pytest.raises(ValueError):
+            evaluation.load_embeddings(path)
+
+    @pytest.mark.parametrize("row", ["x,1,1.0", "1,1.5,1.0", "1,1,one"])
+    def test_non_numeric_field_rejected_with_its_line(self, tmp_path, row):
+        path = tmp_path / "emb.csv"
+        path.write_text(f"person_id,camera_id,f0\n0,1,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
             evaluation.load_embeddings(path)
 
     def test_results_file_layout(self, tmp_path):

@@ -429,8 +429,14 @@ class TestSplitPassesMatchReferences:
         x = self.stem_map(n, size, dtype, n)
         gamma, beta = rng.normal(size=(2, STEM_CHANNELS)).astype(dtype)
         mean, var = rng.normal(size=STEM_CHANNELS).astype(dtype), rng.uniform(0.5, 2.0, STEM_CHANNELS).astype(dtype)
+        ref_out = oracles.batchnorm_eval_reference(x, gamma, beta, mean, var, 1e-5)
         out = tc.batchnorm(tc.Tensor(x), tc.Tensor(gamma), tc.Tensor(beta), mean, var, training=False)
-        assert_same_bytes(out.data, oracles.batchnorm_eval_reference(x, gamma, beta, mean, var, 1e-5))
+        assert_same_bytes(out.data, ref_out)
+        # A recorded pass computes its output by the same halves.
+        g = rng.normal(size=x.shape).astype(dtype)
+        inputs = [tc.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        recorded, _ = run_with_upstream(lambda *t: tc.batchnorm(*t, mean, var, training=False), inputs, g)
+        assert_same_bytes(recorded, ref_out)
 
     def test_relu(self, workers, n, size, dtype):
         x = self.stem_map(n, size, dtype, n)
@@ -708,6 +714,7 @@ class TestCheckpointFile:
             pytest.param("a 2 f8 -8", bytes(16), "malformed", id="negative_offset"),
             pytest.param("a 2 f8", bytes(16), "malformed", id="three_fields"),
             pytest.param("a -2 f8 0", bytes(16), "malformed", id="negative_extent"),
+            pytest.param("x 2 f8 0\nx 2 f8 16", bytes(32), "'x' is named twice", id="repeated_name"),
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, header, payload, message):

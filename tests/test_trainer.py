@@ -1,6 +1,7 @@
 """Schedule, Adam, epoch orchestration, checkpoint resume."""
 
 import dataclasses
+import json
 import os
 import shutil
 import tempfile
@@ -434,6 +435,14 @@ class TestMalformedCheckpoints:
             pytest.param(lambda j: j.replace(b'"d_drop": 4', b'"d_drop": -4'), id="negative_extent"),
             pytest.param(lambda j: j.replace(b'"input_size": [8, 8]', b'"input_size": [8]'), id="short_input_size"),
             pytest.param(lambda j: j.replace(b'"full"', b'"fulm"'), id="unknown_variant"),
+            pytest.param(lambda j: j.replace(b'"full"', b'["full"]'), id="list_variant"),
+            pytest.param(lambda j: j.replace(b'"full"', b"{}"), id="object_variant"),
+            pytest.param(lambda j: j.replace(b'"strides": [1, 1, 1]', b'"strides": [1, 1, 2]'), id="final_stride_2"),
+            pytest.param(lambda j: j.replace(b'"strides": [1, 1, 1]', b'"strides": [1, 1]'), id="short_strides"),
+            pytest.param(lambda j: j.replace(b'"d_drop": 4', b'"d_drop": true'), id="bool_extent"),
+            pytest.param(lambda j: j.replace(b'"d_drop": 4', b'"d_drop": 4.0'), id="float_extent"),
+            pytest.param(lambda j: j.replace(b'"num_classes": 3', b'"num_classes": 0'), id="no_classes"),
+            pytest.param(lambda j: j.replace(b"[4, 4, 8]", b"[[4], 4, 8]"), id="nested_list"),
             pytest.param(lambda j: j[:-1], id="invalid_json"),
             pytest.param(lambda j: b"[" + j + b"]", id="not_an_object"),
         ],
@@ -448,8 +457,40 @@ class TestMalformedCheckpoints:
         arrays["meta.model_json"] = np.frombuffer(edited, dtype=np.uint8)
         path = tmp_path / "bad.ckpt"
         tc.save_arrays(path, arrays)
-        with pytest.raises(ValueError, match="model_json"):
-            trainer.model_from_checkpoint(path)
+        for reader in (trainer.load_checkpoint, trainer.model_from_checkpoint):
+            with pytest.raises(ValueError, match="model_json"):
+                reader(path)
+
+    # Any JSON value. Integers stay small: model_from_checkpoint allocates
+    # the weights of every description it accepts.
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 16) | st.floats() | st.text(max_size=12),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_json_value_in_one_field_is_read_alike(self, small_checkpoint, data):
+        # The stored arrays stay those of the original model, so an
+        # accepted description of another model fails only on them.
+        with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects tmp_path
+            path = os.path.join(tmp, "edited.ckpt")
+            with open(path, "wb") as f:
+                f.write(small_checkpoint)
+            arrays = tc.load_arrays(path)
+            desc = json.loads(arrays["meta.model_json"].tobytes())
+            desc[data.draw(st.sampled_from(sorted(desc)), label="key")] = data.draw(self.JSON_VALUES, label="value")
+            arrays["meta.model_json"] = np.frombuffer(json.dumps(desc).encode(), dtype=np.uint8)
+            tc.save_arrays(path, arrays)
+            rejected = []
+            for reader in (trainer.load_checkpoint, trainer.model_from_checkpoint):
+                try:
+                    reader(path)
+                    rejected.append(False)
+                except ValueError as exc:
+                    rejected.append("model_json" in str(exc))
+            assert rejected[0] == rejected[1]
 
     @pytest.mark.parametrize("key", ["param.backbone.stem_conv.weight", "buffer.backbone.stem_bn.running_var",
                                      "adam.m.backbone.stem_conv.weight", "adam.v.backbone.stem_bn.gamma"])

@@ -418,7 +418,12 @@ def main(argv=None) -> int:
         flags = {}
         for opt in schema:
             value = args[opt.key.replace("-", "_")]
-            flags[opt.key] = value if value is None or opt.kind == "bool" else _parse_value(opt, value)
+            if value is not None and opt.kind != "bool":
+                try:
+                    value = _parse_value(opt, value)
+                except ValueError as exc:
+                    raise ValueError(f"--{opt.key}: {exc}") from None
+            flags[opt.key] = value
         cfg = _resolve(schema, flags, args["config"])
         _COMMANDS[args["command"]](cfg)
         return 0

@@ -14,6 +14,7 @@ zoom, erase) and PK batch sampling live here too.
 import csv
 import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -284,15 +285,15 @@ def load_dataset(root) -> LoadedDataset:
 
 
 @functools.lru_cache(maxsize=1024)
-def _axis_plan(extent: int, zoomed: int, flip: bool, trailing: int):
+def _axis_plan(extent: int, zoomed: int, flip: bool, trailing: tuple):
     """One axis of a bilinear resize from ``extent`` to ``zoomed`` samples
     followed by a center crop or zero pad back to ``extent``.
 
     Only the samples the center fit keeps are planned: their two source
     indices (read from the reversed axis with ``flip``) and the weights
-    of each, shaped to broadcast over ``trailing`` axes, plus the output
-    slice they fill. The arrays are shared between calls, so they are
-    read-only.
+    of each, spread over the ``trailing`` shape (size-1 axes broadcast),
+    plus the output slice they fill. The arrays are shared between calls,
+    so they are read-only.
     """
     src = (np.arange(zoomed) + 0.5) * extent / zoomed - 0.5
     lo = np.clip(np.floor(src), 0, extent - 1).astype(np.int64)
@@ -302,7 +303,7 @@ def _axis_plan(extent: int, zoomed: int, flip: bool, trailing: int):
     src_start = max(0, (zoomed - extent) // 2)  # center crop ...
     dst_start = max(0, (extent - zoomed) // 2)  # ... or zero pad
     keep = slice(src_start, src_start + kept)
-    lo, hi, weight = lo[keep], hi[keep], weight[keep].reshape((kept,) + (1,) * trailing)
+    lo, hi, weight = lo[keep], hi[keep], np.repeat(weight[keep], math.prod(trailing)).reshape((kept,) + trailing)
     if flip:
         lo, hi = extent - 1 - lo, extent - 1 - hi
     taps = (lo, hi, 1 - weight, weight)
@@ -325,8 +326,10 @@ def augment(image: np.ndarray, cfg: AugmentationConfig, draw: np.random.Generato
     flip = bool(draw.uniform() < cfg.flip_prob)
     z = draw.uniform(cfg.zoom_range[0], cfg.zoom_range[1])
     zh, zw = max(1, int(round(h * z))), max(1, int(round(w * z)))
-    (y0, y1, wy_c, wy), rows = _axis_plan(h, zh, False, image.ndim - 1)
-    (x0, x1, wx_c, wx), cols = _axis_plan(w, zw, flip, image.ndim - 2)
+    (y0, y1, wy_c, wy), rows = _axis_plan(h, zh, False, (1,) * (image.ndim - 1))
+    # Column weights spread over the channels: each pass below runs one
+    # inner loop per output row, not one per pixel.
+    (x0, x1, wx_c, wx), cols = _axis_plan(w, zw, flip, image.shape[2:])
     # Pixels are gathered in their own dtype; the float64 weights widen
     # them exactly, as converting the whole image first would.
     upper, lower = image.take(y0, axis=0), image.take(y1, axis=0)

@@ -23,9 +23,11 @@ Convolution, batch norm, relu and max-pooling work on a batch of at least
 ``blocks.SPLIT_VALUES`` values and 2 images in two fixed halves of its
 images, on the process's thread pool (:func:`blocks.halves`). The calling
 thread allocates every output and scratch array, and the halves write
-into them through ``out=``. Batch-norm statistics and the conv kernel
-gradient stay whole-batch reductions, and the conv forward is one product
-per image, so the bytes do not depend on the split.
+into them through ``out=``. The conv forward is one product per image and
+its kernel gradient one whole-batch product; batch-norm statistics add up
+per-image channel sums in image order, numpy's own order, except for one
+channel, whose statistics stay whole-batch reductions. So the bytes do not
+depend on the split.
 
 Convolution works in the NCHW layout of its tensors: each image's
 channel-major im2col columns are multiplied straight into its output, with
@@ -462,22 +464,27 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def back(g):
         if k.requires_grad:
-            # gk multiplies the row-major (n*ho*wo, cin*kh*kw) column matrix
-            # that np.tensordot would: the window view itself where it
-            # reshapes without a copy, else its C-order copy, here made from
-            # the transposed columns by the forward's halves.
+            # gk multiplies the (cout, n*ho*wo) gradient matrix by the
+            # row-major (n*ho*wo, cin*kh*kw) column matrix, as np.tensordot
+            # would: the window view itself where it reshapes without a
+            # copy, else its C-order copy, made from the transposed columns
+            # by the same halves that copy the gradient matrix.
             sn, sc, sh, sw = xp.strides
             shape, strides = (n, ho, wo, cin, kh, kw), (sn, sh * stride, sw * stride, sc, sh, sw)
-            if _reshapes_as_view(shape[:3], strides[:3]) and _reshapes_as_view(shape[3:], strides[3:]):
+            as_view = _reshapes_as_view(shape[:3], strides[:3]) and _reshapes_as_view(shape[3:], strides[3:])
+            if as_view:
                 rows = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
             else:
                 rows = np.empty((n, ho * wo, ncols), dtype=dtype)
+            gmat = np.empty((cout, n, ho * wo), dtype=dtype)
 
-                def transpose(b):
+            def transpose(b):
+                gmat[:, b] = g[b].reshape(-1, cout, ho * wo).transpose(1, 0, 2)
+                if not as_view:
                     rows[b] = cols[b].transpose(0, 2, 1)
 
-                blocks.halves(transpose, y)
-            gk = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo), rows.reshape(n * ho * wo, ncols))
+            blocks.halves(transpose, y)
+            gk = np.dot(gmat.reshape(cout, n * ho * wo), rows.reshape(n * ho * wo, ncols))
             accumulate_grad(k, gk.reshape(cout, cin, kh, kw))
         if x.requires_grad:
             # (n, cout, ho, wo) x (cout, cin, kh, kw) -> (n, ho, wo, cin, kh, kw);
@@ -572,11 +579,12 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         return out
 
     def back(g):
-        gx = np.zeros_like(x.data)
+        gx = np.empty_like(x.data)
         routed = np.empty(g.shape, dtype=bits)
 
         def backward(b):
             gxb, rb = gx[b], routed[b]
+            gxb.fill(0)
             for k in range(wh * ww):
                 # g where idx == k, else the bits of +0.0: np.where(idx == k, g, 0.0)
                 np.equal(idx[b], k, out=rb)
@@ -625,6 +633,35 @@ def global_max_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+class _ChannelSums:
+    """Per-channel sums, over the batch and spatial axes, of ``count`` batch
+    arrays shaped like ``x`` that :func:`blocks.halves` passes write.
+
+    With 4-d input of at least 2 channels, the half that writes an array
+    also sums each of its images' channels (:meth:`add`), and :meth:`total`
+    adds the images in order. That is numpy's own order for
+    ``arr.sum(axis=(0, 2, 3))``: a pairwise sum over each image's ``h*w``
+    run, the images added one after another, so the bytes are the same.
+    With one channel numpy sums the batch and spatial axes as one run, and
+    2-d input has no spatial run: there :meth:`total` sums the whole array
+    after the halves.
+    """
+
+    def __init__(self, x: np.ndarray, count: int):
+        n, c = x.shape[:2]
+        self.axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        # Allocated on the calling thread: pool threads keep what they allocate.
+        self.parts = np.empty((count, n, c), dtype=x.dtype) if x.ndim == 4 and c >= 2 else None
+
+    def add(self, k: int, arr: np.ndarray, b) -> None:
+        if self.parts is not None:
+            part = self.parts[k, b]
+            np.add.reduce(arr[b].reshape(part.shape + (-1,)), axis=2, out=part)
+
+    def total(self, k: int, arr: np.ndarray) -> np.ndarray:
+        return arr.sum(axis=self.axes) if self.parts is None else self.parts[k].sum(axis=0)
+
+
 def batchnorm(
     x: Tensor,
     gamma: Tensor,
@@ -641,109 +678,122 @@ def batchnorm(
     updates the running stats in place with
     ``new = (1 - momentum) * old + momentum * batch``. Eval mode uses the
     running stats and is a plain affine map.
+
+    Every per-channel operand is spread over a whole image first, so each
+    elementwise pass runs one inner loop per image, not one per channel;
+    the statistics are :class:`_ChannelSums` of the arrays the passes write.
     """
-    if x.data.ndim == 2:
-        axes = (0,)
-        bshape = (1, -1)
-    elif x.data.ndim == 4:
-        axes = (0, 2, 3)
-        bshape = (1, -1, 1, 1)
-    else:
+    if x.data.ndim not in (2, 4):
         raise TensorError("batchnorm expects 2-d or 4-d input")
     cdim = x.shape[1]
     if gamma.shape != (cdim,) or beta.shape != (cdim,):
         raise TensorError("batchnorm: gamma/beta shape mismatch")
     _same_dtype("batchnorm", x, gamma, beta, running_mean, running_var)
 
-    gview = gamma.data.reshape(bshape)
-    bview = beta.data.reshape(bshape)
+    spatial = math.prod(x.shape[2:])
+
+    def plane(v):
+        return np.repeat(v, spatial).reshape((1,) + x.shape[1:])
+
+    gplane, bplane = plane(gamma.data), plane(beta.data)
 
     if training:
         if x.shape[0] < 2:
             raise TensorError("batchnorm train mode needs batch extent >= 2")
         count = x.data.size // cdim
-        mean = x.data.mean(axis=axes)
+        sums = _ChannelSums(x.data, 2)
+        blocks.halves(lambda b: sums.add(0, x.data, b), x.data)
+        mean = sums.total(0, x.data) / count
         # One x - mean pass serves the variance and xhat. Summing its
         # square and dividing by the count is what np.var does, bit for bit.
-        # The reductions run over the whole batch; the elementwise passes
-        # run by halves, and y holds the square before the output.
+        # y holds the square before the output.
+        mplane = plane(mean)
         xhat = np.empty_like(x.data)
         y = np.empty_like(x.data)
 
         def center(b):
-            np.subtract(x.data[b], mean.reshape(bshape), out=xhat[b])
+            np.subtract(x.data[b], mplane, out=xhat[b])
             np.square(xhat[b], out=y[b])
+            sums.add(1, y, b)
 
         blocks.halves(center, y)
-        var = np.true_divide(np.add.reduce(y, axis=axes), count)
+        var = sums.total(1, y) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
-        ivar = 1.0 / np.sqrt(var + eps)
+        iplane = plane(1.0 / np.sqrt(var + eps))
 
         def scale(b):
-            np.multiply(xhat[b], ivar.reshape(bshape), out=xhat[b])
-            np.multiply(xhat[b], gview, out=y[b])
-            np.add(y[b], bview, out=y[b])
+            np.multiply(xhat[b], iplane, out=xhat[b])
+            np.multiply(xhat[b], gplane, out=y[b])
+            np.add(y[b], bplane, out=y[b])
 
         blocks.halves(scale, y)
         out = Tensor(y)
 
         def back(g):
-            # One scratch buffer holds g * xhat, dxhat * xhat and
-            # xhat * s2 / count in turn; each product keeps the operand
-            # order of gx = (dxhat - s1 / count - xhat * s2 / count) * ivar.
+            # gx = (dxhat - s1 / count - xhat * s2 / count) * ivar, each
+            # product in that operand order. One scratch array holds g * xhat,
+            # then dxhat * xhat, then xhat * s2 / count: each half sums a
+            # product before the next overwrites it. With whole-array sums
+            # (one channel, 2-d input) dxhat * xhat needs an array of its own.
+            sums = _ChannelSums(g, 4)
             scratch = np.empty_like(g)
             dxhat = np.empty_like(g) if x.requires_grad else None
+            prod = scratch if dxhat is None or sums.parts is not None else np.empty_like(g)
 
             def products(b):
+                sums.add(0, g, b)
                 np.multiply(g[b], xhat[b], out=scratch[b])
+                sums.add(1, scratch, b)
                 if dxhat is not None:
-                    np.multiply(g[b], gview, out=dxhat[b])
+                    np.multiply(g[b], gplane, out=dxhat[b])
+                    sums.add(2, dxhat, b)
+                    np.multiply(dxhat[b], xhat[b], out=prod[b])
+                    sums.add(3, prod, b)
 
             blocks.halves(products, g)
-            accumulate_grad(beta, g.sum(axis=axes))
-            accumulate_grad(gamma, scratch.sum(axis=axes))
+            accumulate_grad(beta, sums.total(0, g))
+            accumulate_grad(gamma, sums.total(1, scratch))
             if dxhat is None:
                 return
-            s1 = dxhat.sum(axis=axes).reshape(bshape)
-            blocks.halves(lambda b: np.multiply(dxhat[b], xhat[b], out=scratch[b]), g)
-            s2 = scratch.sum(axis=axes).reshape(bshape)
-            mean1 = s1 / count
+            mean1 = plane(sums.total(2, dxhat) / count)
+            s2 = plane(sums.total(3, prod))
 
             def combine(b):
-                db, sb = dxhat[b], scratch[b]
+                db, sb = dxhat[b], prod[b]
                 db -= mean1
                 np.multiply(xhat[b], s2, out=sb)
                 sb /= count
                 db -= sb
-                db *= ivar.reshape(bshape)
+                db *= iplane
 
             blocks.halves(combine, g)
             accumulate_grad(x, dxhat)
 
     else:
-        ivar = 1.0 / np.sqrt(running_var + eps)
+        mplane, iplane = plane(running_mean), plane(1.0 / np.sqrt(running_var + eps))
         y = np.empty_like(x.data)
         xhat = np.empty_like(x.data) if will_record(x, gamma, beta) else None  # kept for the backward
 
         def affine(b):
             yb = y[b]
-            np.subtract(x.data[b], running_mean.reshape(bshape), out=yb)
-            yb *= ivar.reshape(bshape)
+            np.subtract(x.data[b], mplane, out=yb)
+            yb *= iplane
             if xhat is not None:
                 xhat[b] = yb
-            yb *= gview
-            yb += bview
+            yb *= gplane
+            yb += bplane
 
         blocks.halves(affine, y)
         out = Tensor(y)
 
         def back(g):
+            axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
             accumulate_grad(beta, g.sum(axis=axes))
             accumulate_grad(gamma, (g * xhat).sum(axis=axes))
-            accumulate_grad(x, g * gview * ivar.reshape(bshape))
+            accumulate_grad(x, g * gplane * iplane)
 
     return record_op(out, (x, gamma, beta), back)
 

@@ -411,6 +411,17 @@ class TestConfigMachinery:
     def test_bad_flag_value_exits_nonzero(self, tmp_path):
         assert run_cli("gendata", "--out", tmp_path / "x", "--ids", "eight") == 1
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("gendata", "--seed", "x", "--seed: invalid literal for int() with base 10: 'x'"),
+        ("gendata", "--occlusion", "half", "--occlusion: could not convert string to float: 'half'"),
+        ("train", "--seeds", "1,x", "--seeds: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_bad_flag_value_names_its_flag(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "o"
+        assert run_cli(command, "--out", out, flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, args, message", [
         ("train", ("--epochs", 0), "total_epochs must be >= 1"),
         ("train", ("--seeds", "1,2", "--height-ratio", 2), "height_ratio must be in (0, 1]"),

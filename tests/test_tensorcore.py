@@ -404,25 +404,7 @@ class TestSplitPassesMatchReferences:
         assert_same_bytes(tc.maxpool2d(tc.Tensor(x), 2).data, ref_out)
 
     def test_batchnorm_train(self, workers, n, size, dtype):
-        rng = np.random.default_rng(n)
-        x = self.stem_map(n, size, dtype, n) * 2 + 1
-        gamma, beta = rng.normal(size=(2, STEM_CHANNELS)).astype(dtype)
-        stats = rng.uniform(0.5, 2.0, size=(2, STEM_CHANNELS)).astype(dtype)
-        ref_mean, ref_var = stats[0].copy(), stats[1].copy()
-        ref_out, ref_back = oracles.batchnorm_train_reference(x, gamma, beta, ref_mean, ref_var, 0.1, 1e-5)
-        g = rng.normal(size=x.shape).astype(dtype)
-        run_mean, run_var = stats[0].copy(), stats[1].copy()
-        inputs = [tc.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-
-        def op(xt, gt, bt):
-            return tc.batchnorm(xt, gt, bt, run_mean, run_var, training=True)
-
-        out, grads = run_with_upstream(op, inputs, g)
-        assert_same_bytes(out, ref_out)
-        assert_same_bytes(run_mean, ref_mean)
-        assert_same_bytes(run_var, ref_var)
-        for actual, expected in zip(grads, ref_back(g)):
-            assert_same_bytes(actual, expected)
+        check_batchnorm_train_bytes(self.stem_map(n, size, dtype, n) * 2 + 1, np.random.default_rng(n))
 
     def test_batchnorm_eval(self, workers, n, size, dtype):
         rng = np.random.default_rng(n)
@@ -446,6 +428,65 @@ class TestSplitPassesMatchReferences:
         assert_same_bytes(out, ref_out)
         assert_same_bytes(gx, ref_back(g))
         assert_same_bytes(tc.relu(tc.Tensor(x)).data, ref_out)
+
+
+def check_batchnorm_train_bytes(x, rng):
+    """Train-mode batch norm of ``x`` gives the reference's output, running
+    statistics and gradients, byte for byte."""
+    dtype, channels = x.dtype, x.shape[1]
+    gamma, beta = rng.normal(size=(2, channels)).astype(dtype)
+    stats = rng.uniform(0.5, 2.0, size=(2, channels)).astype(dtype)
+    ref_mean, ref_var = stats[0].copy(), stats[1].copy()
+    ref_out, ref_back = oracles.batchnorm_train_reference(x, gamma, beta, ref_mean, ref_var, 0.1, 1e-5)
+    g = rng.normal(size=x.shape).astype(dtype)
+    run_mean, run_var = stats[0].copy(), stats[1].copy()
+    inputs = [tc.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+
+    def op(xt, gt, bt):
+        return tc.batchnorm(xt, gt, bt, run_mean, run_var, training=True)
+
+    out, grads = run_with_upstream(op, inputs, g)
+    assert_same_bytes(out, ref_out)
+    assert_same_bytes(run_mean, ref_mean)
+    assert_same_bytes(run_var, ref_var)
+    for actual, expected in zip(grads, ref_back(g)):
+        assert_same_bytes(actual, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_channel_batchnorm_train_by_halves(workers, n, dtype):
+    # One channel: the statistics are whole-batch sums, while the
+    # elementwise passes still run by halves.
+    x = np.random.default_rng(n).normal(1.0, 2.0, size=(n, 1, 256, 256)).astype(dtype)
+    assert x.size >= blocks.SPLIT_VALUES
+    check_batchnorm_train_bytes(x, np.random.default_rng(n + 1))
+
+
+class TestPerImageChannelSums:
+    """Batch-norm statistics add per-image channel sums in image order. For
+    at least 2 channels that is numpy's own order for a whole-batch sum: a
+    pairwise sum over each image's h*w run, then the images one after
+    another. With one channel numpy sums the batch and spatial axes as one
+    run, so the statistics stay whole-batch sums there."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_halves_sum_as_the_whole_batch(self, dtype):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            n, c = int(rng.integers(2, 10)), int(rng.integers(1, 20))  # train mode needs 2 images
+            h, w = int(rng.integers(1, 70)), int(rng.integers(1, 40))
+            x = (rng.normal(size=(n, c, h, w)) * rng.uniform(0.1, 100)).astype(dtype)
+            sums = tc._ChannelSums(x, 1)
+            mid = (n + 1) // 2
+            for b in (slice(0, mid), slice(mid, n)):
+                sums.add(0, x, b)
+            assert_same_bytes(sums.total(0, x), x.sum(axis=(0, 2, 3)))
+
+    def test_only_one_channel_sums_the_whole_batch(self):
+        assert tc._ChannelSums(np.ones((2, 1, 3, 3)), 1).parts is None
+        assert tc._ChannelSums(np.ones((2, 3)), 1).parts is None
+        assert tc._ChannelSums(np.ones((2, 2, 3, 3)), 1).parts.shape == (1, 2, 2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

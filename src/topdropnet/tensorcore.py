@@ -15,9 +15,10 @@ loss keep ``.grad``; the gradients of intermediate results are dropped.
 Outside a ``with Tape():`` block, or when no operand requires a gradient,
 nothing is recorded and no work is done that only a backward pass reads:
 an operation that would keep such arrays asks :func:`will_record` before
-it builds them, so max-pooling keeps no argmax, relu no mask, and
-eval-mode batch norm no normalized copy of its input. The output has the
-same bytes either way, so evaluation-mode code pays no graph cost.
+it builds them, so max-pooling keeps no argmax and relu no mask. The
+output has the same bytes either way, so evaluation-mode code pays no
+graph cost. Eval-mode batch norm never records: a call that would record
+raises :class:`TensorError`.
 
 Convolution, batch norm, relu and max-pooling work on a batch of at least
 ``blocks.SPLIT_VALUES`` values and 2 images in two fixed halves of its
@@ -38,7 +39,7 @@ bit patterns, which keeps the select loop's bytes by construction.
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
 operations require exactly equal shapes (the only broadcast is the
-documented channel bias add).
+documented row bias add).
 """
 
 import math
@@ -102,8 +103,8 @@ class Tape:
     """Ordered record of executed differentiable operations.
 
     Use as a context manager; operations executed inside record their
-    backward closures in execution order. A tape can be replayed backward
-    exactly once.
+    backward closures in execution order. A thread holds at most one active
+    tape. A tape can be replayed backward exactly once.
     """
 
     def __init__(self):
@@ -112,14 +113,13 @@ class Tape:
         self.consumed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise TensorError("a tape is already active on this thread")
+        _tls.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tape stack corrupted")
-        stack.pop()
+        _tls.tape = None
         return False
 
     def __len__(self):
@@ -129,17 +129,8 @@ class Tape:
 _tls = threading.local()
 
 
-def _tape_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_tls, "tape", None)
 
 
 def will_record(*parents) -> bool:
@@ -289,24 +280,16 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """The one permitted broadcast: add a per-channel bias.
-
-    ``x`` may be (n, d) with bias (d,) or (n, c, h, w) with bias (c,).
-    """
+    """The one permitted broadcast: add a (d,) bias to the rows of an (n, d) input."""
     _same_dtype("add_bias", x, b)
-    if x.data.ndim == 2 and b.shape == (x.shape[1],):
-        out = Tensor(x.data + b.data[None, :])
-        axes = (0,)
-    elif x.data.ndim == 4 and b.shape == (x.shape[1],):
-        out = Tensor(x.data + b.data[None, :, None, None])
-        axes = (0, 2, 3)
-    else:
+    if x.data.ndim != 2 or b.shape != (x.shape[1],):
         raise TensorError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
+    out = Tensor(x.data + b.data[None, :])
 
     def back(g):
         if x.requires_grad:
             accumulate_grad(x, g.copy())
-        accumulate_grad(b, g.sum(axis=axes))
+        accumulate_grad(b, g.sum(axis=0))
 
     return record_op(out, (x, b), back)
 
@@ -677,7 +660,9 @@ def batchnorm(
     Train mode normalizes by batch statistics (population variance) and
     updates the running stats in place with
     ``new = (1 - momentum) * old + momentum * batch``. Eval mode uses the
-    running stats and is a plain affine map.
+    running stats and is a plain affine map that never records: a call
+    under a tape with an operand that requires a gradient raises
+    :class:`TensorError`.
 
     Every per-channel operand is spread over a whole image first, so each
     elementwise pass runs one inner loop per image, not one per channel;
@@ -689,6 +674,8 @@ def batchnorm(
     if gamma.shape != (cdim,) or beta.shape != (cdim,):
         raise TensorError("batchnorm: gamma/beta shape mismatch")
     _same_dtype("batchnorm", x, gamma, beta, running_mean, running_var)
+    if not training and will_record(x, gamma, beta):
+        raise TensorError("batchnorm: eval mode never records; call it with no tape or no operand needing a gradient")
 
     spatial = math.prod(x.shape[2:])
 
@@ -740,24 +727,21 @@ def batchnorm(
             # (one channel, 2-d input) dxhat * xhat needs an array of its own.
             sums = _ChannelSums(g, 4)
             scratch = np.empty_like(g)
-            dxhat = np.empty_like(g) if x.requires_grad else None
-            prod = scratch if dxhat is None or sums.parts is not None else np.empty_like(g)
+            dxhat = np.empty_like(g)
+            prod = scratch if sums.parts is not None else np.empty_like(g)
 
             def products(b):
                 sums.add(0, g, b)
                 np.multiply(g[b], xhat[b], out=scratch[b])
                 sums.add(1, scratch, b)
-                if dxhat is not None:
-                    np.multiply(g[b], gplane, out=dxhat[b])
-                    sums.add(2, dxhat, b)
-                    np.multiply(dxhat[b], xhat[b], out=prod[b])
-                    sums.add(3, prod, b)
+                np.multiply(g[b], gplane, out=dxhat[b])
+                sums.add(2, dxhat, b)
+                np.multiply(dxhat[b], xhat[b], out=prod[b])
+                sums.add(3, prod, b)
 
             blocks.halves(products, g)
             accumulate_grad(beta, sums.total(0, g))
             accumulate_grad(gamma, sums.total(1, scratch))
-            if dxhat is None:
-                return
             mean1 = plane(sums.total(2, dxhat) / count)
             s2 = plane(sums.total(3, prod))
 
@@ -772,30 +756,20 @@ def batchnorm(
             blocks.halves(combine, g)
             accumulate_grad(x, dxhat)
 
-    else:
-        mplane, iplane = plane(running_mean), plane(1.0 / np.sqrt(running_var + eps))
-        y = np.empty_like(x.data)
-        xhat = np.empty_like(x.data) if will_record(x, gamma, beta) else None  # kept for the backward
+        return record_op(out, (x, gamma, beta), back)
 
-        def affine(b):
-            yb = y[b]
-            np.subtract(x.data[b], mplane, out=yb)
-            yb *= iplane
-            if xhat is not None:
-                xhat[b] = yb
-            yb *= gplane
-            yb += bplane
+    mplane, iplane = plane(running_mean), plane(1.0 / np.sqrt(running_var + eps))
+    y = np.empty_like(x.data)
 
-        blocks.halves(affine, y)
-        out = Tensor(y)
+    def affine(b):
+        yb = y[b]
+        np.subtract(x.data[b], mplane, out=yb)
+        yb *= iplane
+        yb *= gplane
+        yb += bplane
 
-        def back(g):
-            axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
-            accumulate_grad(beta, g.sum(axis=axes))
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
-            accumulate_grad(x, g * gplane * iplane)
-
-    return record_op(out, (x, gamma, beta), back)
+    blocks.halves(affine, y)
+    return Tensor(y)
 
 
 def log_softmax(logits: Tensor) -> Tensor:

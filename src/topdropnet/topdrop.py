@@ -12,6 +12,7 @@ A random contiguous-stripe mask shared by the whole batch is provided as
 the ablation baseline.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class DropConfig:
     def __post_init__(self):
         if not 0.0 < self.height_ratio <= 1.0:
             raise ValueError(f"height_ratio must be in (0, 1], got {self.height_ratio}")
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
 
 
 def activation_map(feature_map: np.ndarray, p: float = 2.0) -> np.ndarray:

@@ -14,6 +14,7 @@ identical across model variants for paired comparisons.
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,18 @@ class TrainConfig:
         model = network.ModelConfig(self.variant, self.d_global, self.d_drop, dtype=self.dtype)
         topdrop.DropConfig(self.height_ratio, self.activation_power)
         object.__setattr__(self, "dtype", model.dtype)
+        # Each bound also fails on NaN.
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
+        if not 0.0 <= self.label_epsilon < 1.0:
+            raise ValueError(f"label_epsilon must be in [0, 1), got {self.label_epsilon}")
         ms = self.decay_milestones
+        if not all(math.isfinite(f) for f in (self.warmup_fraction, *ms)):
+            raise ValueError("warmup and milestone fractions must be finite")
         if not 0.0 < self.warmup_fraction < min(ms):
             raise ValueError("warmup must end before the first milestone")
         if any(b <= a for a, b in zip(ms, ms[1:])) or max(ms) >= 1.0:

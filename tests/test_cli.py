@@ -427,10 +427,19 @@ class TestConfigMachinery:
         ("train", ("--seeds", "1,2", "--height-ratio", 2), "height_ratio must be in (0, 1]"),
         ("train", ("--d-global", 0), "d_global must hold integers >= 1"),
         ("train", ("--seeds", ","), "seeds needs at least one value"),
+        ("train", ("--epsilon", 1.5), "label_epsilon must be in [0, 1)"),
+        ("train", ("--milestones", "0.5,nan"), "warmup and milestone fractions must be finite"),
+        ("train", ("--base-lr", "nan"), "base_lr must be finite and > 0"),
+        ("train", ("--base-lr", -0.001), "base_lr must be finite and > 0"),
+        ("train", ("--decay-factor", -1), "decay_factor must be in (0, 1]"),
+        ("train", ("--margin", "nan"), "margin must be finite and >= 0"),
+        ("train", ("--power", "nan"), "p must be >= 1"),
+        ("train", ("--power", "inf"), "p must be >= 1"),
         ("ablation", ("--epochs", 0), "total_epochs must be >= 1"),
         ("ablation", ("--power", 0.5), "p must be >= 1"),
         ("ablation", ("--seeds", ","), "seeds needs at least one value"),
         ("activations", ("--height-ratio", 2), "height_ratio must be in (0, 1]"),
+        ("activations", ("--power", "nan"), "p must be >= 1"),
         ("activations", ("--images", ","), "images needs at least one value"),
         ("gendata", ("--ids", 2), "need at least 4 identities"),
         ("gendata", ("--occlusion", 1.5), "occlusion_prob must be in [0, 1]"),

@@ -73,13 +73,34 @@ class TestSchedule:
             trainer.TrainConfig(decay_milestones=(0.75, 0.5))
 
     @pytest.mark.parametrize("field, value, message", [
+        # Model and drop settings are checked by their own classes.
         ("variant", "dropless", "variant must be one of"),
         ("d_global", 0, "d_global must hold integers >= 1"),
         ("dtype", "int32", "dtype must be one of"),
         ("height_ratio", 2.0, "height_ratio must be in"),
         ("activation_power", 0.5, "p must be >= 1"),
+        ("activation_power", np.nan, "p must be >= 1"),
+        ("activation_power", np.inf, "p must be >= 1"),
+        ("base_lr", 0.0, "base_lr must be finite and > 0"),
+        ("base_lr", -0.001, "base_lr must be finite and > 0"),
+        ("base_lr", np.nan, "base_lr must be finite and > 0"),
+        ("base_lr", np.inf, "base_lr must be finite and > 0"),
+        ("decay_factor", -1.0, "decay_factor must be in"),
+        ("decay_factor", 0.0, "decay_factor must be in"),
+        ("decay_factor", 1.5, "decay_factor must be in"),
+        ("decay_factor", np.nan, "decay_factor must be in"),
+        ("margin", -0.1, "margin must be finite and >= 0"),
+        ("margin", np.nan, "margin must be finite and >= 0"),
+        ("margin", np.inf, "margin must be finite and >= 0"),
+        ("label_epsilon", 1.0, "label_epsilon must be in"),
+        ("label_epsilon", 1.5, "label_epsilon must be in"),
+        ("label_epsilon", -0.1, "label_epsilon must be in"),
+        ("label_epsilon", np.nan, "label_epsilon must be in"),
+        ("warmup_fraction", np.nan, "fractions must be finite"),
+        ("decay_milestones", (0.5, np.nan), "fractions must be finite"),
+        ("decay_milestones", (0.5, np.inf), "fractions must be finite"),
     ])
-    def test_model_and_drop_settings_checked_by_their_classes(self, field, value, message):
+    def test_bad_setting_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             trainer.TrainConfig(**{field: value})
 

@@ -325,17 +325,22 @@ def _to_gray(values: np.ndarray) -> np.ndarray:
 
 def cmd_activations(cfg: dict) -> None:
     drop_cfg = topdrop.DropConfig(cfg["height-ratio"], cfg["power"])
+    for key in ("tau", "alpha"):
+        if not 0.0 <= cfg[key] <= 1.0:  # also fails on NaN
+            raise ValueError(f"{key} must be in [0, 1], got {cfg[key]}")
     model = trainer.model_from_checkpoint(cfg["checkpoint"]).eval()
     maps = []
     for path in cfg["images"]:
         img = ppm.read_ppm(path)
         features = model.backbone_forward(network.normalize_images(img[None], model.dtype)).data[0]
-        maps.append((path, img, topdrop.activation_map(features, drop_cfg.p)))
+        act = topdrop.activation_map(features, drop_cfg.p)
+        dropped = topdrop.top_drop_mask(topdrop.stripe_relevance(act), drop_cfg) if cfg["show-dropmask"] else None
+        maps.append((path, img, act, dropped))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["activations"], cfg)
 
-    for path, img, act in maps:
+    for path, img, act, dropped in maps:
         h, w = img.shape[:2]
         base = os.path.splitext(os.path.basename(path))[0]
 
@@ -351,8 +356,7 @@ def cmd_activations(cfg: dict) -> None:
         overlay[:, :, 0] += alpha * _to_gray(act_up)
         ppm.write_ppm(os.path.join(out, f"{base}_overlay.ppm"), np.clip(np.rint(overlay), 0, 255).astype(np.uint8))
 
-        if cfg["show-dropmask"]:
-            dropped = topdrop.top_drop_mask(topdrop.stripe_relevance(act), drop_cfg)
+        if dropped is not None:
             keep = _upscale_nearest(np.broadcast_to(~dropped[:, None], act.shape), h, w)
             ppm.write_pgm(os.path.join(out, f"{base}_dropmask.pgm"), keep.astype(np.uint8) * 255)
     print(f"wrote activation exports for {len(cfg['images'])} images under {out}")

@@ -354,17 +354,23 @@ def augment(image: np.ndarray, cfg: AugmentationConfig, draw: np.random.Generato
 # ---------------------------------------------------------------------------
 
 
-def _train_groups(manifest) -> dict:
+def pk_groups(manifest, spec: BatchSpec) -> dict:
+    """Train image indices by identity; ValueError unless there are at
+    least P identities with at least K images each."""
     groups = {}
     for i, r in enumerate(manifest):
         if r.split == "train":
             groups.setdefault(r.person_id, []).append(i)
+    if len(groups) < spec.p:
+        raise ValueError(f"need >= {spec.p} train ids, got {len(groups)}")
+    for pid, idxs in groups.items():
+        if len(idxs) < spec.k:
+            raise ValueError(f"id {pid} has {len(idxs)} images, needs >= {spec.k}")
     return groups
 
 
 def batches_per_epoch(manifest, spec: BatchSpec) -> int:
-    groups = _train_groups(manifest)
-    return -(-len(groups) // spec.p)
+    return -(-len(pk_groups(manifest, spec)) // spec.p)
 
 
 def epoch_batches(manifest, spec: BatchSpec, seed: int, epoch: int) -> list:
@@ -374,14 +380,8 @@ def epoch_batches(manifest, spec: BatchSpec, seed: int, epoch: int) -> list:
     id appears at least once per epoch; a short final chunk is padded with
     ids sampled from the rest. Each id contributes K distinct images.
     """
-    groups = _train_groups(manifest)
+    groups = pk_groups(manifest, spec)
     pids = sorted(groups)
-    if len(pids) < spec.p:
-        raise ValueError(f"need >= {spec.p} train ids, got {len(pids)}")
-    for pid, idxs in groups.items():
-        if len(idxs) < spec.k:
-            raise ValueError(f"id {pid} has {len(idxs)} images, needs >= {spec.k}")
-
     gen = rng_mod.generator(seed, "sample", epoch)
     perm = [pids[i] for i in gen.permutation(len(pids))]
     chunks = [perm[i : i + spec.p] for i in range(0, len(perm), spec.p)]

@@ -15,10 +15,9 @@ loss keep ``.grad``; the gradients of intermediate results are dropped.
 Outside a ``with Tape():`` block, or when no operand requires a gradient,
 nothing is recorded and no work is done that only a backward pass reads:
 an operation that would keep such arrays asks :func:`will_record` before
-it builds them, so max-pooling keeps no argmax and relu no mask. The
-output has the same bytes either way, so evaluation-mode code pays no
-graph cost. Eval-mode batch norm never records: a call that would record
-raises :class:`TensorError`.
+it builds them, so relu keeps no mask. The output has the same bytes
+either way, so evaluation-mode code pays no graph cost. Eval-mode batch
+norm never records: a call that would record raises :class:`TensorError`.
 
 Convolution, batch norm, relu and max-pooling work on a batch of at least
 ``blocks.SPLIT_VALUES`` values and 2 images in two fixed halves of its
@@ -32,9 +31,9 @@ depend on the split.
 
 Convolution works in the NCHW layout of its tensors: each image's
 channel-major im2col columns are multiplied straight into its output, with
-no transpose. Max-pooling with no tape, over an input with no sign bit and
-no NaN (as after relu), takes a running maximum of the values' unsigned
-bit patterns, which keeps the select loop's bytes by construction.
+no transpose. Max-pooling over an input with no sign bit and no NaN (as
+after relu) takes a running maximum of the values' unsigned bit patterns,
+which keeps the select loop's bytes by construction.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -489,20 +488,23 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
     """Max pooling; gradient goes to the lowest linear index among ties.
 
-    Works on one strided plane per window offset: a running maximum that
-    moves only on a strictly greater value keeps the first (lowest linear
-    index) of tied maxima. Each select goes through the values' bit
+    Works on one strided plane per window offset. An input whose every
+    unsigned bit pattern is at most that of +inf (no sign bit and no NaN,
+    as after relu) is pooled by a running ``np.maximum`` of the planes'
+    unsigned bit patterns: for such values unsigned order is float order
+    and equal values have equal bits. An input holding -0.0, a negative
+    value or a NaN takes a select loop, a running maximum that moves only
+    on a strictly greater value. Each select goes through the values' bit
     patterns, ``v ^ ((v ^ p) & m)`` with ``m`` all ones where ``p`` is
     greater, which is ``np.where(greater, p, v)`` bit for bit without its
-    branches or a new array.
+    branches or a new array. Either pass keeps the first (lowest linear
+    index) of tied maxima, and a NaN only when it comes first in its
+    window.
 
-    With no tape, an input whose every unsigned bit pattern is at most
-    that of +inf (no sign bit and no NaN, as after relu) is pooled by a
-    running ``np.maximum`` of the planes' unsigned bit patterns instead.
-    For such values unsigned order is float order and equal values have
-    equal bits, so the result is the select loop's first maximum. An
-    input holding -0.0, a negative value or a NaN, and every recorded
-    pass, takes the select loop.
+    The backward reads the window's first maximum back from the output:
+    the first offset whose bits equal the output's gets ``g``, and every
+    other offset gets +0.0. That is the offset the select loop ends on,
+    so the gradient does not depend on which pass ran.
     """
     if x.data.ndim != 4:
         raise TensorError("maxpool2d expects 4-d input")
@@ -520,15 +522,10 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         i, j = divmod(k, ww)
         return arr[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
 
-    recording = will_record(x)
     bits = np.dtype(f"u{x.data.dtype.itemsize}")  # unsigned integers of the values' width
     val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
-    xbits = x.data.view(bits)
-    if not recording and xbits.max(initial=0) <= np.array(np.inf, x.data.dtype).view(bits):
-        # No sign bit and no NaN: unsigned order is float order and equal
-        # values have equal bits, so a running maximum of the bit patterns
-        # is the first maximum of the values.
-        vbits = val.view(bits)
+    xbits, vbits = x.data.view(bits), val.view(bits)
+    if xbits.max(initial=0) <= np.array(np.inf, x.data.dtype).view(bits):
 
         def running_max(b):
             vb, xb = vbits[b], xbits[b]
@@ -537,48 +534,44 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
                 np.maximum(vb, plane(xb, k), out=vb)
 
         blocks.halves(running_max, val)
-        return Tensor(val)
-    mask = np.empty(val.shape, dtype=bits)
-    diff = np.empty(val.shape, dtype=bits)
-    idx = np.zeros(val.shape, dtype=np.min_scalar_type(wh * ww - 1)) if recording else None
+    else:
+        mask = np.empty(val.shape, dtype=bits)
+        diff = np.empty(val.shape, dtype=bits)
 
-    def select_max(b):
-        xb, vb, mb, db = x.data[b], val[b], mask[b], diff[b]
-        vb[...] = plane(xb, 0)
-        for k in range(1, wh * ww):
-            p = plane(xb, k)
-            np.greater(p, vb, out=mb)
-            np.negative(mb, out=mb)
-            np.bitwise_xor(vb.view(bits), p.view(bits), out=db)
-            np.bitwise_and(db, mb, out=db)
-            np.bitwise_xor(vb.view(bits), db, out=vb.view(bits))
-            if recording:
-                # k exceeds every index stored so far, so a max is the select.
-                np.maximum(idx[b], np.bitwise_and(mb, k, out=db), out=idx[b])
+        def select_max(b):
+            xb, vb, mb, db = x.data[b], val[b], mask[b], diff[b]
+            vb[...] = plane(xb, 0)
+            for k in range(1, wh * ww):
+                p = plane(xb, k)
+                np.greater(p, vb, out=mb)
+                np.negative(mb, out=mb)
+                np.bitwise_xor(vb.view(bits), p.view(bits), out=db)
+                np.bitwise_and(db, mb, out=db)
+                np.bitwise_xor(vb.view(bits), db, out=vb.view(bits))
 
-    blocks.halves(select_max, val)
-    out = Tensor(val)
-    if not recording:
-        return out
+        blocks.halves(select_max, val)
 
     def back(g):
         gx = np.empty_like(x.data)
         routed = np.empty(g.shape, dtype=bits)
+        unrouted = g.view(bits).copy()  # the +0.0 bits once routed
 
         def backward(b):
-            gxb, rb = gx[b], routed[b]
+            gxb, rb, ub = gx[b], routed[b], unrouted[b]
             gxb.fill(0)
             for k in range(wh * ww):
-                # g where idx == k, else the bits of +0.0: np.where(idx == k, g, 0.0)
-                np.equal(idx[b], k, out=rb)
+                # The unrouted g where this offset holds the output's bits,
+                # else the bits of +0.0.
+                np.equal(plane(xbits[b], k), vbits[b], out=rb)
                 np.negative(rb, out=rb)
-                np.bitwise_and(rb, g[b].view(bits), out=rb)
+                np.bitwise_and(rb, ub, out=rb)
+                np.bitwise_xor(ub, rb, out=ub)
                 np.add(plane(gxb, k), rb.view(g.dtype), out=plane(gxb, k))
 
         blocks.halves(backward, gx)
         accumulate_grad(x, gx)
 
-    return record_op(out, (x,), back)
+    return record_op(Tensor(val), (x,), back)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

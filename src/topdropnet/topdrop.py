@@ -59,7 +59,27 @@ def stripe_relevance(act: np.ndarray) -> np.ndarray:
 
 
 def num_drop_rows(h: int, height_ratio: float) -> int:
-    return max(1, round_half_up(h * height_ratio))
+    """Rows a top mask drops of ``h``: max(1, round-half-up(h * ratio));
+    ValueError when that is every row."""
+    ndrop = max(1, round_half_up(h * height_ratio))
+    if ndrop >= h:
+        raise ValueError(f"would drop all rows: num_drop={ndrop}, h={h}")
+    return ndrop
+
+
+def block_rows(h: int, height_ratio: float) -> int:
+    """Rows of a Batch DropBlock block (Dai et al., arXiv 1811.07130) of
+    ``h``: floor(h * ratio); ValueError when that is no row or every row."""
+    block = int(np.floor(h * height_ratio))
+    if block < 1:
+        raise ValueError(f"block height floor({h} * {height_ratio}) < 1")
+    if block >= h:
+        raise ValueError(f"block of {block} rows would drop all of h={h}")
+    return block
+
+
+# The row count of each variant mask (network.Variant.mask) that drops rows.
+MASK_ROWS = {"top": num_drop_rows, "random": block_rows}
 
 
 def top_drop_mask(relevance: np.ndarray, cfg: DropConfig) -> np.ndarray:
@@ -70,10 +90,7 @@ def top_drop_mask(relevance: np.ndarray, cfg: DropConfig) -> np.ndarray:
     its own row set.
     """
     relevance = np.asarray(relevance, dtype=np.float64)
-    h = relevance.shape[-1]
-    ndrop = num_drop_rows(h, cfg.height_ratio)
-    if ndrop >= h:
-        raise ValueError(f"would drop all rows: num_drop={ndrop}, h={h}")
+    ndrop = num_drop_rows(relevance.shape[-1], cfg.height_ratio)
     # Stable sort of -relevance keeps original order among ties, so the
     # lower row index is dropped first.
     order = np.argsort(-relevance, axis=-1, kind="stable")
@@ -87,11 +104,7 @@ def batch_drop_mask(h: int, height_ratio: float, rng) -> np.ndarray:
     uniformly random start drawn from the caller-owned generator ``rng``,
     shared by the whole batch; returned as (h,).
     """
-    block = int(np.floor(h * height_ratio))
-    if block < 1:
-        raise ValueError(f"block height floor({h} * {height_ratio}) < 1")
-    if block >= h:
-        raise ValueError(f"block of {block} rows would drop all of h={h}")
+    block = block_rows(h, height_ratio)
     start = int(rng.integers(0, h - block + 1))
     dropped = np.zeros(h, dtype=bool)
     dropped[start : start + block] = True

@@ -149,11 +149,17 @@ HISTORY_COLUMNS = ("epoch", "lr") + network.LOSS_KEYS
 
 def model_config(cfg: TrainConfig, dataset: synthdata.LoadedDataset) -> tuple:
     """The class count and model config that ``cfg`` trains on ``dataset``;
-    ValueError when the dataset cannot train that model."""
+    ValueError when ``cfg`` cannot train on ``dataset``: too few identities
+    or images for its batches, or a drop mask that does not fit the
+    feature map."""
     num_classes = len(dataset.train_label_map())
     if num_classes < 2:
         raise ValueError("training needs at least two identities")
+    synthdata.pk_groups(dataset.records, cfg.batch)
     backbone = network.BackboneConfig(input_size=tuple(dataset.image_size))
+    rows = topdrop.MASK_ROWS.get(network.VARIANTS[cfg.variant].mask)
+    if rows is not None:
+        rows(backbone.feature_height(), cfg.height_ratio)
     return num_classes, network.ModelConfig(
         variant=cfg.variant, d_global=cfg.d_global, d_drop=cfg.d_drop, backbone=backbone, dtype=cfg.dtype
     )

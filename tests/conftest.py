@@ -60,8 +60,9 @@ def workers(request, pool_of):
 
 @pytest.fixture
 def pool_passes(monkeypatch):
-    """The names of the max-pool passes run during the test, in order:
-    ``running_max`` for bit patterns, ``select_max`` for the select loop."""
+    """The names of the max-pool forward passes run during the test, in
+    order, recorded or not: ``running_max`` for bit patterns,
+    ``select_max`` for the select loop."""
     names = []
     halves = blocks.halves
 

@@ -107,9 +107,7 @@ def test_mechanism_oracles():
         assert np.max(np.abs(act - activation_map_loops(f, 2.0))) < 1e-12
         rel = topdrop.stripe_relevance(act)
         assert np.max(np.abs(rel - row_means_loops(act))) < 1e-12
-        ndrop = topdrop.num_drop_rows(h, cfg.height_ratio)
-        if ndrop >= h:
-            continue
+        ndrop = topdrop.num_drop_rows(h, cfg.height_ratio)  # < h, or it raises
         mask = topdrop.top_drop_mask(rel, cfg)
         assert set(np.flatnonzero(mask)) == top_rows_sorted(rel, ndrop)
 

@@ -48,16 +48,21 @@ def trained(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def unfit_data(tmp_path_factory):
-    """Datasets no model trains on, by placeholder: 12-pixel-high images
-    (feature height 2) and a train split of one identity."""
+    """Datasets by placeholder: two no model trains on, 12-pixel-high
+    images (feature height 2) and a train split of one identity; one of 4
+    train ids, too few for the default batch of 8; and one of 8 train ids
+    with 8 images each at the default 64 x 32 (feature height 8), which
+    some batch and drop settings cannot use."""
     base = tmp_path_factory.mktemp("unfit")
-    short, one_id = base / "short", base / "one_id"
+    short, one_id, four_ids, h8 = base / "short", base / "one_id", base / "four_ids", base / "h8"
     assert run_cli("gendata", "--out", short, "--ids", 4, "--cams", 2, "--per", 2, "--height", 12, "--width", 8) == 0
     assert run_cli("gendata", "--out", one_id, "--ids", 4, "--cams", 2, "--per", 2, "--height", 32, "--width", 16) == 0
     manifest = one_id / "manifest.csv"
     lines = manifest.read_text().splitlines(keepends=True)
     manifest.write_text("".join(line for line in lines if not line.startswith("1,")))  # id 0 trains alone
-    return {"<short>": short, "<one-id>": one_id}
+    assert run_cli("gendata", "--out", four_ids, "--ids", 8, "--cams", 2, "--per", 4) == 0
+    assert run_cli("gendata", "--out", h8, "--ids", 16, "--cams", 2, "--per", 4) == 0
+    return {"<short>": short, "<one-id>": one_id, "<four-ids>": four_ids, "<h8>": h8}
 
 
 class TestGendata:
@@ -451,6 +456,21 @@ class TestConfigMachinery:
         ("train", ("--data", "<one-id>", "--seeds", "1,2"), "training needs at least two identities"),
         ("ablation", ("--data", "<short>", "--batch-p", 2, "--batch-k", 2), "feature height 2 < 4"),
         ("ablation", ("--data", "<one-id>"), "training needs at least two identities"),
+        # Settings the batch sampler or the drop mask cannot use on a dataset.
+        ("train", ("--data", "<four-ids>", "--epochs", 1), "need >= 8 train ids, got 4"),
+        ("train", ("--data", "<h8>", "--epochs", 1, "--batch-k", 9), "id 0 has 8 images, needs >= 9"),
+        ("ablation", ("--data", "<h8>", "--epochs", 1, "--batch-k", 9), "id 0 has 8 images, needs >= 9"),
+        ("train", ("--data", "<h8>", "--epochs", 1, "--height-ratio", 0.95), "would drop all rows: num_drop=8, h=8"),
+        ("train", ("--data", "<h8>", "--epochs", 1, "--variant", "baseline-bdb", "--height-ratio", 0.1),
+         "block height floor(8 * 0.1) < 1"),
+        ("ablation", ("--data", "<h8>", "--epochs", 1, "--seeds", 1, "--height-ratio", 0.1),
+         "block height floor(8 * 0.1) < 1"),
+        # The shared checkpoint's feature height is 4.
+        ("activations", ("--show-dropmask", "--height-ratio", 0.95), "would drop all rows: num_drop=4, h=4"),
+        ("activations", ("--alpha", "nan"), "alpha must be in [0, 1], got nan"),
+        ("activations", ("--alpha", -0.5), "alpha must be in [0, 1], got -0.5"),
+        ("activations", ("--tau", "inf"), "tau must be in [0, 1], got inf"),
+        ("activations", ("--tau", 1.5), "tau must be in [0, 1], got 1.5"),
     ])
     def test_bad_setting_rejected_before_out_is_created(self, trained, unfit_data, tmp_path, capsys,
                                                         command, args, message):

@@ -240,15 +240,24 @@ class TestPKSampling:
                 pids = [manifest[i].person_id for i in batch]
                 assert len(set(pids)) == 4
 
-    def test_insufficient_ids_rejected(self):
-        manifest = self._manifest(ids=3)
-        with pytest.raises(ValueError):
-            synthdata.epoch_batches(manifest, synthdata.BatchSpec(p=4, k=2), seed=1, epoch=0)
+    # Every caller of the sampler's preconditions, as model_config is one.
+    CALLS = {
+        "epoch_batches": lambda manifest, spec: synthdata.epoch_batches(manifest, spec, seed=1, epoch=0),
+        "batches_per_epoch": synthdata.batches_per_epoch,
+        "pk_groups": synthdata.pk_groups,
+    }
 
-    def test_insufficient_images_rejected(self):
+    @pytest.mark.parametrize("call", CALLS)
+    def test_insufficient_ids_rejected(self, call):
+        manifest = self._manifest(ids=3)
+        with pytest.raises(ValueError, match="need >= 4 train ids, got 3"):
+            self.CALLS[call](manifest, synthdata.BatchSpec(p=4, k=2))
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_insufficient_images_rejected(self, call):
         manifest = self._manifest(ids=8, per_id=2)
-        with pytest.raises(ValueError):
-            synthdata.epoch_batches(manifest, synthdata.BatchSpec(p=4, k=3), seed=1, epoch=0)
+        with pytest.raises(ValueError, match="id 0 has 2 images, needs >= 3"):
+            self.CALLS[call](manifest, synthdata.BatchSpec(p=4, k=3))
 
     def test_batch_spec_validation(self):
         with pytest.raises(ValueError):

@@ -946,8 +946,9 @@ class TestDtypePropagation:
 
 
 class TestNoTapeFork:
-    """An op that records no closure skips backward-only work and gives
-    the bytes of the recorded forward."""
+    """An op's forward gives the same bytes whether it records a closure
+    or not; one that records none skips the work only a backward reads
+    (relu's mask)."""
 
     DTYPES = (np.float32, np.float64)
 
@@ -1147,9 +1148,9 @@ class TestOneProductPerImage:
 
 
 class TestMaxpoolBitPatterns:
-    """Max-pooling with no tape runs on unsigned bit patterns when no value
-    has a sign bit or is a NaN; other inputs keep the select loop and its
-    first maximum."""
+    """Max-pooling runs on unsigned bit patterns when no value has a sign
+    bit or is a NaN, recorded or not; other inputs keep the select loop and
+    its first maximum, and the gradient goes to that maximum either way."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["relu", "zeros", "inf"])
@@ -1195,11 +1196,47 @@ class TestMaxpoolBitPatterns:
         assert_same_bytes(out, recorded)
         assert np.isnan(out[0, 0, 0, 0]) and not np.isnan(out[1, 1, 1, 1])
 
-    def test_a_recorded_pass_takes_the_select_loop(self, pool_passes):
-        x = np.maximum(np.random.default_rng(6).normal(size=(2, 3, 6, 6)), 0.0)
-        with tc.Tape():
-            tc.maxpool2d(tc.Tensor(x, requires_grad=True), 2)
-        assert pool_passes == ["select_max"]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, size", [(2, (7, 6)), (32, STEM_SIZE)])
+    def test_a_recorded_pass_over_a_relu_output_takes_the_bit_path(self, pool_passes, workers, dtype, n, size):
+        rng = np.random.default_rng(6)
+        x = tc.relu(tc.Tensor(rng.normal(size=(n, STEM_CHANNELS) + size).astype(dtype))).data
+        ref_out, ref_back = oracles.maxpool2d_reference(x, 2, 2)
+        g = rng.normal(size=ref_out.shape).astype(dtype)
+        out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, 2), [tc.Tensor(x, requires_grad=True)], g)
+        assert pool_passes == ["running_max"]
+        assert_same_bytes(out, ref_out)
+        assert_same_bytes(gx, ref_back(g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["nan", "signed_zeros", "ints"])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 1)])
+    def test_recorded_gradient_goes_to_the_select_loops_first_maximum(
+        self, pool_passes, pool_of, dtype, kind, window, stride
+    ):
+        rng = np.random.default_rng(window)
+        shape = (16 if window == 2 else 5, STEM_CHANNELS) + STEM_SIZE  # both passes split into halves
+        if kind == "nan":
+            x = np.maximum(rng.normal(size=shape), 0.0)
+            x[rng.random(shape) < 0.05] = np.nan
+        else:
+            x = pool_input(rng, shape, kind)
+        x = x.astype(dtype)
+        expected_out, back = oracles.maxpool2d_first_max(x, window, stride)
+        assert expected_out.size >= blocks.SPLIT_VALUES
+        if kind == "nan":  # NaNs first in their windows are kept, later ones are not
+            assert np.isnan(expected_out).any()
+            assert np.isnan(oracles.maxpool2d_reference(x, window, stride)[0]).sum() > np.isnan(expected_out).sum()
+        g = rng.normal(size=expected_out.shape).astype(dtype)
+        expected_gx = back(g)
+        for threads in (1, 2, 3):
+            pool_of(threads)
+            out, (gx,) = run_with_upstream(
+                lambda t: tc.maxpool2d(t, window, stride), [tc.Tensor(x, requires_grad=True)], g
+            )
+            assert_same_bytes(out, expected_out)
+            assert_same_bytes(gx, expected_gx)
+        assert pool_passes == ["select_max"] * 3
 
     def test_an_empty_batch(self):
         assert tc.maxpool2d(tc.Tensor(np.zeros((0, 2, 4, 4))), 2).shape == (0, 2, 2, 2)

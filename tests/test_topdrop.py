@@ -1,5 +1,7 @@
 """Stripe mechanism: activation maps, relevance, masks, baseline mask."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,32 @@ class TestBatchDropMask:
         expected = 10000 / 18
         sigma = np.sqrt(10000 * (1 / 18) * (17 / 18))
         assert np.all(np.abs(counts - expected) <= 3 * sigma + 1)
+
+
+class TestMaskRows:
+    """The row counts that model_config checks are the rows the mask
+    builders drop, and each count fails with the builder's message."""
+
+    BUILDERS = {
+        "top": lambda h, ratio: topdrop.top_drop_mask(np.arange(h, dtype=float), topdrop.DropConfig(ratio)),
+        "random": lambda h, ratio: topdrop.batch_drop_mask(h, ratio, rng_mod.generator(0, "t")),
+    }
+
+    @pytest.mark.parametrize("kind", ["top", "random"])
+    def test_builders_drop_the_checked_rows(self, kind):
+        rejected = 0
+        for h in range(1, 25):
+            for ratio in (0.05, 0.1, 0.3, 0.5, 0.9, 0.95, 1.0):
+                try:
+                    rows = topdrop.MASK_ROWS[kind](h, ratio)
+                except ValueError as exc:
+                    rejected += 1
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        self.BUILDERS[kind](h, ratio)
+                else:
+                    assert 1 <= rows < h
+                    assert self.BUILDERS[kind](h, ratio).sum() == rows
+        assert 0 < rejected < 24 * 7
 
 
 class TestDropConfig:

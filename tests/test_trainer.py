@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import tempfile
 
@@ -200,6 +201,46 @@ class TestTrainEpoch:
         no_drop = trainer.fit(quick_config(total_epochs=1, variant="no_drop"), tiny_dataset)
         assert no_drop.history[0]["loss_drop"] is None
         assert no_drop.history[0]["loss_reg"] is not None
+
+
+class TestModelConfig:
+    """model_config checks a run against the dataset before its first
+    batch: the batch sampler and the drop mask at the feature height
+    (4 for the tiny dataset's 4 train ids of 4 images each)."""
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(batch=synthdata.BatchSpec(p=8, k=2)), "need >= 8 train ids, got 4"),
+        (dict(batch=synthdata.BatchSpec(p=2, k=5)), "has 4 images, needs >= 5"),
+        (dict(height_ratio=0.9), "would drop all rows: num_drop=4, h=4"),
+        (dict(height_ratio=1.0, variant="no_reg"), "would drop all rows: num_drop=4, h=4"),
+        (dict(height_ratio=0.2, variant="baseline_bdb"), "block height floor(4 * 0.2) < 1"),
+        (dict(height_ratio=1.0, variant="baseline_bdb"), "block of 4 rows would drop all of h=4"),
+    ])
+    def test_a_run_the_dataset_cannot_train_is_rejected(self, tiny_dataset, monkeypatch, settings, message):
+        cfg = quick_config(**settings)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trainer.model_config(cfg, tiny_dataset)
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "train_epoch", no_training)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trainer.fit(cfg, tiny_dataset)
+
+    @pytest.mark.parametrize("settings", [
+        dict(),
+        dict(height_ratio=0.9, variant="no_drop"),  # no mask to fit
+        dict(height_ratio=0.25, variant="baseline_bdb"),  # a block of 1 row
+        dict(height_ratio=0.75, variant="baseline_bdb"),  # a block of 3 rows
+        dict(height_ratio=0.6),  # 2 of 4 rows
+        dict(batch=synthdata.BatchSpec(p=4, k=4)),
+    ])
+    def test_a_run_the_dataset_can_train_fits(self, tiny_dataset, settings):
+        cfg = quick_config(total_epochs=1, **settings)
+        num_classes, model_cfg = trainer.model_config(cfg, tiny_dataset)
+        assert (num_classes, model_cfg.backbone.feature_height(), model_cfg.variant) == (4, 4, cfg.variant)
+        assert len(trainer.fit(cfg, tiny_dataset).history) == 1
 
 
 class TestFitAndCheckpoints:

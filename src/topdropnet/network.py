@@ -335,6 +335,30 @@ class ReidModel(tc.Module):
         return np.concatenate([s.neck_feature.data for s in out.values()], axis=1)
 
 
+def parameter_shapes(num_classes: int, cfg: ModelConfig) -> dict:
+    """``{name: shape}`` of the parameters of ``ReidModel(num_classes,
+    cfg)``, worked out without building it."""
+    bb, c = cfg.backbone, cfg.backbone.feature_channels()
+    cins = (bb.stem_channels,) + bb.stage_channels
+    stages = [(f"backbone.stages.{i}", *a) for i, a in enumerate(zip(cins, bb.stage_channels, bb.strides))]
+    # (weight, the batch norm over its first axis, the weight's shape)
+    layers = [("backbone.stem_conv", "backbone.stem_bn", (bb.stem_channels, 3, 3, 3))]
+    for name, cin, cout, stride in stages + [("refine.0", c, c, 1), ("refine.1", c, c, 1)]:
+        mid = max(cout // 4, 1)
+        for i, shape in enumerate([(mid, cin, 1, 1), (mid, mid, 3, 3), (cout, mid, 1, 1)], 1):
+            layers.append((f"{name}.conv{i}", f"{name}.bn{i}", shape))
+        if stride != 1 or cin != cout:
+            layers.append((f"{name}.proj_conv", f"{name}.proj_bn", (cout, cin, 1, 1)))
+    shapes = {}
+    for stream, dim in (("global", cfg.d_global), ("drop", cfg.d_drop), ("reg", c)):
+        layers.append((f"{stream}_head.classifier", f"{stream}_head.bn", (dim, num_classes)))
+        if stream != "reg":
+            shapes.update({f"{stream}_reduce.weight": (c, dim), f"{stream}_reduce.bias": (dim,)})
+    for weight, bn, shape in layers:
+        shapes.update({f"{weight}.weight": shape, f"{bn}.gamma": shape[:1], f"{bn}.beta": shape[:1]})
+    return shapes
+
+
 def from_description(desc) -> tuple:
     """(num_classes, ModelConfig) of a :meth:`ReidModel.description`, its
     JSON lists read as tuples, in the default dtype (a description stores

@@ -4,10 +4,13 @@ These formats are byte-exact, which keeps golden-file tests independent of
 any codec library.
 """
 
+import os
+
 import numpy as np
 
 
-def _read_header(f, magic: bytes):
+def _read_header(f, magic: bytes, channels: int):
+    """Width and height, once the bytes left in the file hold their pixels."""
     got = f.read(2)
     if got != magic:
         raise ValueError(f"bad magic {got!r}, expected {magic!r}")
@@ -25,6 +28,8 @@ def _read_header(f, magic: bytes):
         raise ValueError(f"non-positive image size {width}x{height}")
     if maxval != 255:
         raise ValueError(f"only maxval 255 supported, got {maxval}")
+    if width * height * channels > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValueError("truncated pixel data")
     return width, height
 
 
@@ -41,11 +46,8 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        w, h = _read_header(f, b"P6")
-        data = f.read(w * h * 3)
-        if len(data) != w * h * 3:
-            raise ValueError("truncated pixel data")
-        return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+        w, h = _read_header(f, b"P6", 3)
+        return np.frombuffer(f.read(w * h * 3), dtype=np.uint8).reshape(h, w, 3)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -61,8 +63,5 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
-        w, h = _read_header(f, b"P5")
-        data = f.read(w * h)
-        if len(data) != w * h:
-            raise ValueError("truncated pixel data")
-        return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
+        w, h = _read_header(f, b"P5", 1)
+        return np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)

@@ -23,17 +23,16 @@ Convolution, batch norm, relu and max-pooling work on a batch of at least
 ``blocks.SPLIT_VALUES`` values and 2 images in two fixed halves of its
 images, on the process's thread pool (:func:`blocks.halves`). The calling
 thread allocates every output and scratch array, and the halves write
-into them through ``out=``. The conv forward is one product per image and
-its kernel gradient one whole-batch product; batch-norm statistics add up
-per-image channel sums in image order, numpy's own order, except for one
-channel, whose statistics stay whole-batch reductions. So the bytes do not
-depend on the split.
+into them through ``out=``. Convolution works in the NCHW layout of its
+tensors, one product per image forward and backward, with no transposed
+copy, and adds the kernel gradient's per-image parts in image order;
+batch-norm statistics add up per-image channel sums in image order,
+numpy's own order, except for one channel, whose statistics stay
+whole-batch reductions. So the bytes do not depend on the split.
 
-Convolution works in the NCHW layout of its tensors: each image's
-channel-major im2col columns are multiplied straight into its output, with
-no transpose. Max-pooling over an input with no sign bit and no NaN (as
-after relu) takes a running maximum of the values' unsigned bit patterns,
-which keeps the select loop's bytes by construction.
+Max-pooling over an input with no sign bit and no NaN (as after relu)
+takes a running maximum of the values' unsigned bit patterns, which keeps
+the select loop's bytes by construction.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -385,13 +384,6 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def _reshapes_as_view(shape, strides) -> bool:
-    """Whether C-order axes of this shape and these strides merge into one
-    axis without a copy: numpy's reshape rule, size-1 axes ignored."""
-    dims = [(size, stride) for size, stride in zip(shape, strides) if size != 1]
-    return all(outer == size * inner for (_, outer), (size, inner) in zip(dims, dims[1:]))
-
-
 def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding, no bias.
 
@@ -400,9 +392,12 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     The columns are channel-major: one (cin*kh*kw, h'*w') matrix per image,
     multiplied by the (cout, cin*kh*kw) kernel matrix straight into that
-    image's NCHW output, one product per image. An image's output bytes
-    therefore do not depend on the batch around it. A 1x1 stride-1 conv
-    multiplies the (padded) input itself and copies no columns.
+    image's NCHW output. The backward multiplies the image's gradient by its
+    columns' transpose (gk's part; the parts are added in image order) and
+    by the (kh*kw*cin, cout) kernel matrix (gx: one (cin, h', w') plane per
+    window offset, added in (i, j) order). So an image's bytes do not depend
+    on the batch around it. A 1x1 stride-1 conv multiplies the (padded)
+    input itself and copies no columns.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise TensorError("conv2d expects 4-d input and kernel")
@@ -446,41 +441,23 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def back(g):
         if k.requires_grad:
-            # gk multiplies the (cout, n*ho*wo) gradient matrix by the
-            # row-major (n*ho*wo, cin*kh*kw) column matrix, as np.tensordot
-            # would: the window view itself where it reshapes without a
-            # copy, else its C-order copy, made from the transposed columns
-            # by the same halves that copy the gradient matrix.
-            sn, sc, sh, sw = xp.strides
-            shape, strides = (n, ho, wo, cin, kh, kw), (sn, sh * stride, sw * stride, sc, sh, sw)
-            as_view = _reshapes_as_view(shape[:3], strides[:3]) and _reshapes_as_view(shape[3:], strides[3:])
-            if as_view:
-                rows = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
-            else:
-                rows = np.empty((n, ho * wo, ncols), dtype=dtype)
-            gmat = np.empty((cout, n, ho * wo), dtype=dtype)
+            parts = np.empty((n, cout, ncols), dtype=dtype)
 
-            def transpose(b):
-                gmat[:, b] = g[b].reshape(-1, cout, ho * wo).transpose(1, 0, 2)
-                if not as_view:
-                    rows[b] = cols[b].transpose(0, 2, 1)
+            def products(b):
+                np.matmul(g[b].reshape(-1, cout, ho * wo), cols[b].transpose(0, 2, 1), out=parts[b])
 
-            blocks.halves(transpose, y)
-            gk = np.dot(gmat.reshape(cout, n * ho * wo), rows.reshape(n * ho * wo, ncols))
-            accumulate_grad(k, gk.reshape(cout, cin, kh, kw))
+            # Summed on the calling thread, so no byte depends on the split.
+            blocks.halves(products, g)
+            accumulate_grad(k, parts.sum(axis=0).reshape(cout, cin, kh, kw))
         if x.requires_grad:
-            # (n, cout, ho, wo) x (cout, cin, kh, kw) -> (n, ho, wo, cin, kh, kw);
-            # the scatter order below fixes the bits of gx.
-            gcols = np.tensordot(g, k.data, axes=([1], [0]))
-            gxp = np.zeros_like(xp)
+            kcols = k.data.transpose(2, 3, 1, 0).reshape(-1, cout)  # rows in (i, j, c) order
+            gcols = np.matmul(kcols, g.reshape(n, cout, -1)).reshape(n, kh, kw, cin, ho, wo)
+            gxp = np.zeros(xp.shape, dtype=dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gcols[
-                        :, :, :, :, i, j
-                    ].transpose(0, 3, 1, 2)
+                    gxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gcols[:, i, j]
             # A cropped view would sum in another order in later reductions.
-            gx = np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + w]) if pad else gxp
-            accumulate_grad(x, gx)
+            accumulate_grad(x, np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + w]) if pad else gxp)
 
     return record_op(out, (x, k), back)
 

@@ -314,13 +314,16 @@ def _load_adam(arrays, state: AdamState, model) -> None:
 
 
 def model_from_checkpoint(path) -> network.ReidModel:
-    """Rebuild a model purely from a checkpoint's stored configuration,
-    in the dtype of its stored parameters."""
+    """Rebuild a model purely from a checkpoint's stored configuration, in
+    the dtype of its stored parameters, once their shapes match the description."""
     arrays, meta = load_checkpoint(path)
     num_classes, model_cfg = meta["model"]
     dtypes = {arr.dtype.name for key, arr in arrays.items() if key.startswith("param.")}
     if len(dtypes) != 1:
         raise ValueError(f"checkpoint parameters must share one dtype, got {sorted(dtypes)}")
+    for name, shape in network.parameter_shapes(num_classes, model_cfg).items():
+        if (stored := getattr(arrays.get(f"param.{name}"), "shape", "missing")) != shape:
+            raise ValueError(f"param.{name} is {stored}, the model description implies {shape}")
     model = network.ReidModel(num_classes, dataclasses.replace(model_cfg, dtype=dtypes.pop()), seed=meta["seed"])
     model.load_state_arrays(arrays)
     return model

@@ -207,7 +207,7 @@ def rerank_transcription(q_feats, g_feats, k1, k2, lam):
 # Each returns the forward output and a function mapping the upstream
 # gradient to the input gradients, computed exactly as tensorcore did before
 # its plane-wise max-pool, single-pass batchnorm and reused im2col matrix
-# (conv2d's forward: as it does now, one image at a time).
+# (conv2d: as it does now, one image at a time, forward and backward).
 
 
 def _windows(xp, kh, kw, stride, ho, wo):
@@ -220,32 +220,38 @@ def _windows(xp, kh, kw, stride, ho, wo):
 
 
 def conv2d_reference(x, k, stride, pad):
-    """Output, one ``np.matmul`` of the kernel matrix by the channel-major
-    column matrix of each image on its own, and ``back(g) -> (gx, gk)``
-    through ``np.tensordot``."""
+    """Output and ``back(g) -> (gx, gk)``, one image at a time: the output
+    is one ``np.matmul`` of the kernel matrix by the image's channel-major
+    column matrix; gk adds ``g[b] @ cols[b].T`` over the images in order
+    to +0.0, where ``np.sum`` starts; gx multiplies the (kh*kw*cin, cout)
+    kernel matrix by ``g[b]`` and adds each window offset's plane into a
+    +0.0 buffer in (i, j) order."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _windows(xp, kh, kw, stride, ho, wo)
+    windows = _windows(xp, kh, kw, stride, ho, wo)
+    images = [np.ascontiguousarray(windows[b].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, ho * wo) for b in range(n)]
     kmat = k.reshape(cout, cin * kh * kw)
     out = np.empty((n, cout, ho, wo), dtype=x.dtype)
     for b in range(n):
-        image = np.ascontiguousarray(cols[b].transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, ho * wo)
-        out[b] = np.matmul(kmat, image).reshape(cout, ho, wo)
+        out[b] = np.matmul(kmat, images[b]).reshape(cout, ho, wo)
 
     def back(g):
-        gk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 2, 3]))
-        gcols = np.tensordot(g, k, axes=([1], [0]))
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gcols[
-                    :, :, :, :, i, j
-                ].transpose(0, 3, 1, 2)
+        kcols = np.ascontiguousarray(k.transpose(2, 3, 1, 0)).reshape(kh * kw * cin, cout)
+        gk = np.zeros((cout, cin * kh * kw), dtype=x.dtype)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        for b in range(n):
+            gb = np.ascontiguousarray(g[b]).reshape(cout, ho * wo)
+            part = gb @ images[b].T
+            gk = gk + part
+            gcols = np.matmul(kcols, gb).reshape(kh, kw, cin, ho, wo)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[b, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += gcols[i, j]
         gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
-        return gx, gk
+        return gx, gk.reshape(k.shape)
 
     return out, back
 

@@ -20,14 +20,14 @@ from topdropnet import cli
 
 RECORDED_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "cpu": "Intel(R) Xeon(R) Processor"}
 GOLDEN_SHA256 = {
-    "full/checkpoint.ckpt": "a2ff9189938b7a57b12adf13e7445e56ff265724cd0310a24acfa7cc4d511efb",
-    "no-drop/checkpoint.ckpt": "fbaff876ab1327f20601fcf29810310397dc2a4da07b21a694a53c0f7e872c52",
-    "no-reg/checkpoint.ckpt": "9db9cd37bb808646a217fac3038bcfc11911cb0b320285240385b0635d57a12e",
-    "baseline-bdb/checkpoint.ckpt": "99f913209889f139e4a5cf33fa61bbb1e7a9589fa40c2d0d305a6fa66461ab68",
-    "eval/embeddings_query.csv": "d80bc4db3d2c36c20bda5f74baa2c140e48c35072b0b8091c9b5e3a72c375254",
-    "eval/embeddings_gallery.csv": "fa3bfca81d95933878f44e37aede5a5594b892e7ea6eaf32492c7dafe3c8d97a",
-    "eval/metrics_raw.csv": "150339152a771cc482b0ae7f1f8897110ef70feece6c14b3c5ba4508205a2b00",
-    "eval/metrics_rerank.csv": "151133b673c3b858c5b876507cdde9d9d4199b21d7b95aea14e62e437b4ab9f7",
+    "full/checkpoint.ckpt": "1c113c713bb57ca88cbbe9e52b9969a5aa6df67a47c7e5ca9b025d5009dfa8f1",
+    "no-drop/checkpoint.ckpt": "f19c1b462b95bea5cdce863ad5eee9bee0462dc4a4e1ae4908af81a89ab8a9dc",
+    "no-reg/checkpoint.ckpt": "0f1426ee76830611456a035ce5c4a5de52c0853b59aa5ddb5921fd99948da05e",
+    "baseline-bdb/checkpoint.ckpt": "3e986fd2aa7d32b34159d52935188b36f6832b1f2df607a5311cb8c5d5c1e1b7",
+    "eval/embeddings_query.csv": "a5eb34324531b5254ca2f434b8f186eb0b7161f17bc97d2cda0cf4b6d66b6169",
+    "eval/embeddings_gallery.csv": "03547a469efa7cbc477eb0b7b7f12c1901f57d04dd3ee3098d435bd21192cc0b",
+    "eval/metrics_raw.csv": "6ec0292d7e564be2578f2c84bf4fb2c0a0230d8b4e9b4494e479870b93fa6fa5",
+    "eval/metrics_rerank.csv": "ccda58a2a14e557908ecfcb795b2352fe2d65fcf98987d79e22c76ae9e1db706",
 }
 
 

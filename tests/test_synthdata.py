@@ -345,6 +345,16 @@ class TestPPM:
             read(path)
 
     @pytest.mark.parametrize("read, magic, channels", [(ppm.read_ppm, b"P6", 3), (ppm.read_pgm, b"P5", 1)])
+    @pytest.mark.parametrize("size, pixels", [(b"99999999 99999999", 16), (b"4 4", 15), (b"4 4", 0)])
+    def test_size_beyond_the_file_rejected(self, tmp_path, read, magic, channels, size, pixels):
+        # Checked against the bytes left before reading: a huge header
+        # raises ValueError, not MemoryError.
+        path = tmp_path / "short.img"
+        path.write_bytes(magic + b"\n" + size + b"\n255\n" + bytes(pixels * channels))
+        with pytest.raises(ValueError, match="truncated pixel data"):
+            read(path)
+
+    @pytest.mark.parametrize("read, magic, channels", [(ppm.read_ppm, b"P6", 3), (ppm.read_pgm, b"P5", 1)])
     @pytest.mark.parametrize("header", [b"2 2 255 7\n", b"2 2\n255 7\n", b"2 2 255 7 # maxval 255\n"])
     def test_extra_header_field_rejected(self, tmp_path, read, magic, channels, header):
         path = tmp_path / "extra.img"

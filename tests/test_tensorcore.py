@@ -543,34 +543,6 @@ class TestSmallBatchesStayOnTheCallingThread:
         assert y.size < blocks.SPLIT_VALUES or n < 2
 
 
-class TestConvColumnView:
-    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
-    def test_view_rule_matches_numpy(self, layout):
-        # conv2d's kernel gradient multiplies the row-major window view
-        # itself exactly when numpy's reshape of it makes no copy, as
-        # np.tensordot's does.
-        rng = np.random.default_rng(0)
-        for n, cin, h, w, kh, kw, stride, pad in itertools.product(
-            (1, 2), (1, 3), (1, 2, 5), (1, 2, 5), (1, 2, 3), (1, 2), (1, 2), (0, 1)
-        ):
-            if h + 2 * pad < kh or w + 2 * pad < kw:
-                continue
-            if layout == "contiguous":
-                x = rng.normal(size=(n, cin, h, w))
-            elif layout == "transposed":
-                x = rng.normal(size=(n, cin, w, h)).transpose(0, 1, 3, 2)
-            else:
-                x = rng.normal(size=(n, cin, h, 2 * w))[..., ::2]
-            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-            ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-            sn, sc, sh, sw = xp.strides
-            shape, strides = (n, ho, wo, cin, kh, kw), (sn, sh * stride, sw * stride, sc, sh, sw)
-            windows = np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
-            is_view = np.may_share_memory(windows.reshape(n * ho * wo, cin * kh * kw), xp)
-            rule = tc._reshapes_as_view(shape[:3], strides[:3]) and tc._reshapes_as_view(shape[3:], strides[3:])
-            assert rule == is_view, (n, cin, h, w, kh, kw, stride, pad)
-
-
 class TestSoftmaxAndNorms:
     def test_log_softmax_symmetry(self):
         out = tc.log_softmax(tc.astensor([[0.0, 0.0]]))
@@ -1063,10 +1035,10 @@ class TestModuleDtype:
         f32.load_state_arrays({k: v.astype(np.float32) for k, v in f64.state_arrays().items()})
 
 
-class TestKernelRowCopy:
+class TestConvShapesMatchReference:
     """Kernels of 3 x kw for kw 1-5, every stride 1-3 and pad 0-2, and
-    non-contiguous inputs: conv2d gives the bytes of the reference, its
-    forward one product per image."""
+    non-contiguous inputs: conv2d's output and both gradients have the
+    bytes of the per-image reference."""
 
     def test_non_contiguous_input_copies_values(self):
         rng = np.random.default_rng(1)
@@ -1084,7 +1056,7 @@ class TestKernelRowCopy:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv2d_matches_reference(self, workers, dtype):
-        # n = 32 at this size reaches the split, so the rows go by halves.
+        # n = 32 at this size reaches the split, so the images go by halves.
         rng = np.random.default_rng(3)
         for kw, stride, pad, n in itertools.product(range(1, 6), range(1, 4), range(3), (1, 4, 5, 32)):
             x = rng.normal(size=(n, 3, 20, 16)).astype(dtype)
@@ -1101,8 +1073,10 @@ class TestKernelRowCopy:
 
 
 class TestOneProductPerImage:
-    """conv2d multiplies each image's columns on their own, so an image's
-    output has the same bytes alone as in any batch, whole or halved."""
+    """conv2d multiplies each image's columns on their own, forward and
+    backward, so an image's output and input gradient have the same bytes
+    alone as in any batch, whole or halved, and a batch's kernel gradient
+    is the in-order sum of its images' own."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (3, 5)])
@@ -1115,6 +1089,29 @@ class TestOneProductPerImage:
             batch = tc.conv2d(tc.Tensor(x), tc.Tensor(k), stride, pad).data
             for i in range(n):
                 assert_same_bytes(tc.conv2d(tc.Tensor(x[i : i + 1]), tc.Tensor(k), stride, pad).data, batch[i : i + 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3)])
+    def test_kernel_gradient_is_the_in_order_sum_of_one_image_gradients(self, workers, dtype, kh, kw):
+        # n = 32 at stride 1 reaches the split, so the parts go by halves.
+        rng = np.random.default_rng(10 + kh)
+        k = rng.normal(size=(16, 3, kh, kw)).astype(dtype)
+        for n, stride, pad in itertools.product((1, 2, 3, 32), (1, 2), (0, 1)):
+            x = rng.normal(size=(n, 3, 20, 16)).astype(dtype)
+            ho, wo = tc.conv_output_extent(20, kh, stride, pad), tc.conv_output_extent(16, kw, stride, pad)
+            g = rng.normal(size=(n, 16, ho, wo)).astype(dtype)
+
+            def grads(i, j):
+                inputs = [tc.Tensor(x[i:j], requires_grad=True), tc.Tensor(k, requires_grad=True)]
+                return run_with_upstream(lambda a, b: tc.conv2d(a, b, stride, pad), inputs, g[i:j])[1]
+
+            gx, gk = grads(0, n)
+            total = np.zeros_like(k)
+            for i in range(n):
+                gx_i, gk_i = grads(i, i + 1)
+                assert_same_bytes(gx_i, gx[i : i + 1])
+                total = total + gk_i
+            assert_same_bytes(gk, total)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_pixel_output(self, workers, dtype):

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topdropnet import network, synthdata, tensorcore as tc, topdrop, trainer
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def quick_config(**kwargs):
@@ -523,10 +527,42 @@ class TestMalformedCheckpoints:
             with pytest.raises(ValueError, match="model_json"):
                 reader(path)
 
-    # Any JSON value. Integers stay small: model_from_checkpoint allocates
-    # the weights of every description it accepts.
+    def test_description_of_a_huge_model_rejected_before_building(self, small_checkpoint, tmp_path):
+        # Its three classifiers alone would hold 16e9 float32 values, about
+        # 60 GiB; the reader runs in a child whose address space is 2 GiB.
+        src = tmp_path / "src.ckpt"
+        src.write_bytes(small_checkpoint)
+        arrays = tc.load_arrays(src)
+        blob = arrays["meta.model_json"].tobytes()
+        arrays["meta.model_json"] = np.frombuffer(blob.replace(b'"num_classes": 3', b'"num_classes": 1000000000'), np.uint8)
+        path = tmp_path / "huge.ckpt"
+        tc.save_arrays(path, arrays)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from topdropnet import trainer\n"
+            "try:\n"
+            "    trainer.model_from_checkpoint(sys.argv[1])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "param.global_head.classifier.weight is (4, 3), the model description implies (4, 1000000000)" in run.stdout
+
+    def test_parameter_shapes_are_those_of_the_built_model(self):
+        backbones = [network.BackboneConfig(), network.BackboneConfig(**TestModelDescription.BACKBONE),
+                     network.BackboneConfig(stem_channels=4, stage_channels=(4, 4, 8), strides=(1, 1, 1), input_size=(8, 8))]
+        for backbone, variant in zip(backbones * 2, sorted(network.VARIANTS) * 2):
+            cfg = network.ModelConfig(variant=variant, d_global=12, d_drop=20, backbone=backbone)
+            model = network.ReidModel(5, cfg)
+            assert network.parameter_shapes(5, cfg) == {name: p.shape for name, p in model.named_parameters()}
+
+    # Any JSON value, huge integers included: model_from_checkpoint checks
+    # the shapes a description implies before it allocates anything.
     JSON_VALUES = st.recursive(
-        st.none() | st.booleans() | st.integers(-2, 16) | st.floats() | st.text(max_size=12),
+        st.none() | st.booleans() | st.integers(-2, 16) | st.integers(10**9, 2**40) | st.floats() | st.text(max_size=12),
         lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner, max_size=3),
         max_leaves=8,
     )

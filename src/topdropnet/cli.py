@@ -235,8 +235,11 @@ def cmd_gendata(cfg: dict) -> None:
 
 
 def _fitting_dataset(root, configs):
-    """The dataset at ``root``, once every training config can build its
-    model for it."""
+    """The dataset at ``root``, once no two training configs are the same
+    run and every one can build its model for it."""
+    for i, train_cfg in enumerate(configs):
+        if train_cfg in configs[:i]:  # a repeated seed
+            raise ValueError(f"seeds must be distinct, {train_cfg.seed} is given twice")
     dataset = synthdata.load_dataset(root)
     for train_cfg in configs:
         trainer.model_config(train_cfg, dataset)

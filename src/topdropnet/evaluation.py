@@ -418,15 +418,14 @@ def _rerank_distances(original: np.ndarray, q_feats: np.ndarray, g_feats: np.nda
     weights = np.exp(-(dists - np.minimum.reduceat(dists, starts)[rows]))
     values = weights / np.bincount(rows, weights=weights, minlength=total)[rows]
 
-    if params.k2 > 1:
-        # Mean over the k2 nearest neighbours' rows: gather their entries
-        # in neighbour order, then merge equal (row, column) keys.
-        group = order[:, : params.k2].ravel()
-        src = _ranges(starts[group], row_len[group])
-        keys = np.repeat(np.arange(total).repeat(params.k2), row_len[group]) * total + cols[src]
-        keys, inverse = np.unique(keys, return_inverse=True)
-        values = np.bincount(inverse, weights=values[src]) / params.k2
-        rows, cols = keys // total, keys % total
+    # Mean over the k2 nearest neighbours' rows, the row's own first: gather
+    # their entries in neighbour order, then merge equal (row, column) keys.
+    group = order[:, : params.k2].ravel()
+    src = _ranges(starts[group], row_len[group])
+    keys = np.repeat(np.arange(total).repeat(params.k2), row_len[group]) * total + cols[src]
+    keys, inverse = np.unique(keys, return_inverse=True)
+    values = np.bincount(inverse, weights=values[src]) / params.k2
+    rows, cols = keys // total, keys % total
 
     return (1.0 - params.lam) * _jaccard(rows, cols, values, n_q, total) + params.lam * original[:n_q, n_q:]
 
@@ -439,8 +438,8 @@ def _rerank_distances(original: np.ndarray, q_feats: np.ndarray, g_feats: np.nda
 def embed_split(model, dataset, split: str) -> EmbeddingSet:
     """Eval-mode embeddings for one split of a loaded dataset.
 
-    Images go through the model in chunks of the training batch, P x K;
-    an image's embedding does not depend on the chunk it is in.
+    Chunks are the default ``synthdata.BatchSpec()``, P x K = 32 images,
+    whatever batch the model trained with; they do not change an embedding.
     """
     from . import network, synthdata  # local import to keep this module numpy-only
 

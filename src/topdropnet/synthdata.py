@@ -275,8 +275,15 @@ def load_dataset(root) -> LoadedDataset:
     records = load_manifest(os.path.join(root, "manifest.csv"))
     if not records:
         raise ValueError("empty manifest")
-    images = np.stack([ppm.read_ppm(os.path.join(root, r.image_path)) for r in records])
-    return LoadedDataset(records, images, root)
+    images = []
+    for r in records:
+        try:
+            images.append(ppm.read_ppm(os.path.join(root, r.image_path)))
+        except ValueError as exc:
+            raise ValueError(f"{r.image_path}: {exc}") from None
+        if images[-1].shape != images[0].shape:
+            raise ValueError(f"{r.image_path}: image shape {images[-1].shape}, the first image's is {images[0].shape}")
+    return LoadedDataset(records, np.stack(images), root)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ class Tape:
 
     def __init__(self):
         self._records = []
-        self._out_ids = set()
         self.consumed = False
 
     def __enter__(self):
@@ -145,10 +144,8 @@ def record_op(out: Tensor, parents, backward_fn) -> Tensor:
     """
     if not will_record(*parents):
         return out
-    tape = active_tape()
     out.requires_grad = True
-    tape._records.append((out, backward_fn))
-    tape._out_ids.add(id(out))
+    active_tape()._records.append((out, backward_fn))
     return out
 
 
@@ -180,7 +177,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise TensorError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape.consumed:
         raise TensorError("tape already replayed; build a fresh tape")
-    if id(loss) not in tape._out_ids:
+    if not any(out is loss for out, _ in reversed(tape._records)):
         raise TensorError("loss was not produced on this tape")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
@@ -471,12 +468,9 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
     unsigned bit patterns: for such values unsigned order is float order
     and equal values have equal bits. An input holding -0.0, a negative
     value or a NaN takes a select loop, a running maximum that moves only
-    on a strictly greater value. Each select goes through the values' bit
-    patterns, ``v ^ ((v ^ p) & m)`` with ``m`` all ones where ``p`` is
-    greater, which is ``np.where(greater, p, v)`` bit for bit without its
-    branches or a new array. Either pass keeps the first (lowest linear
-    index) of tied maxima, and a NaN only when it comes first in its
-    window.
+    on a strictly greater value: ``np.copyto`` of the next plane where it
+    is greater. Either pass keeps the first (lowest linear index) of tied
+    maxima, and a NaN only when it comes first in its window.
 
     The backward reads the window's first maximum back from the output:
     the first offset whose bits equal the output's gets ``g``, and every
@@ -512,19 +506,15 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
 
         blocks.halves(running_max, val)
     else:
-        mask = np.empty(val.shape, dtype=bits)
-        diff = np.empty(val.shape, dtype=bits)
+        greater = np.empty(val.shape, dtype=bool)
 
         def select_max(b):
-            xb, vb, mb, db = x.data[b], val[b], mask[b], diff[b]
+            xb, vb, gb = x.data[b], val[b], greater[b]
             vb[...] = plane(xb, 0)
             for k in range(1, wh * ww):
                 p = plane(xb, k)
-                np.greater(p, vb, out=mb)
-                np.negative(mb, out=mb)
-                np.bitwise_xor(vb.view(bits), p.view(bits), out=db)
-                np.bitwise_and(db, mb, out=db)
-                np.bitwise_xor(vb.view(bits), db, out=vb.view(bits))
+                np.greater(p, vb, out=gb)
+                np.copyto(vb, p, where=gb)
 
         blocks.halves(select_max, val)
 
@@ -878,24 +868,27 @@ class Module:
 
     training = True
 
-    def _entries(self):
+    def _entries(self, prefix: str = ""):
+        """(qualified name, attribute, value) of each public attribute in
+        order, the Module items of a list or tuple spread as ``name.i``."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            yield name, value
+            if isinstance(value, (list, tuple)):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        yield f"{prefix}{name}.{i}", name, item
+            else:
+                yield prefix + name, name, value
 
     def _leaves(self, prefix: str = ""):
         """(qualified name, owner, attribute, value) of every entry that is
         not a Module, children included, in attribute order."""
-        for name, value in self._entries():
+        for qualified, name, value in self._entries(prefix):
             if isinstance(value, Module):
-                yield from value._leaves(f"{prefix}{name}.")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item._leaves(f"{prefix}{name}.{i}.")
+                yield from value._leaves(qualified + ".")
             else:
-                yield prefix + name, self, name, value
+                yield qualified, self, name, value
 
     def named_parameters(self, prefix: str = ""):
         return ((n, v) for n, _, _, v in self._leaves(prefix) if isinstance(v, Tensor))
@@ -918,13 +911,9 @@ class Module:
 
     def train(self, mode: bool = True):
         self.training = mode
-        for _, value in self._entries():
+        for _, _, value in self._entries():
             if isinstance(value, Module):
                 value.train(mode)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item.train(mode)
         return self
 
     def eval(self):

@@ -443,6 +443,8 @@ class TestConfigMachinery:
         ("ablation", ("--epochs", 0), "total_epochs must be >= 1"),
         ("ablation", ("--power", 0.5), "p must be >= 1"),
         ("ablation", ("--seeds", ","), "seeds needs at least one value"),
+        ("train", ("--seeds", "1,1"), "seeds must be distinct, 1 is given twice"),
+        ("ablation", ("--seeds", "3,1,3"), "seeds must be distinct, 3 is given twice"),
         ("activations", ("--height-ratio", 2), "height_ratio must be in (0, 1]"),
         ("activations", ("--power", "nan"), "p must be >= 1"),
         ("activations", ("--images", ","), "images needs at least one value"),

@@ -490,6 +490,10 @@ def rerank_case(name):
     if name == "offset-overflow":  # NaN bounds, finite distances; a gallery row has 3 exact ones
         feats = 1e154 * (1.0 + 1e-3 * rng.permutation(clustered(rng, 12, 6, 256)))
         return feats[:3], feats[3:], evaluation.RerankParams(k1=6, k2=3)
+    if name == "k2=1":  # no neighbour average; exact copies tie for nearest
+        feats = rng.permutation(clustered(rng, 10, 6, 8))
+        feats[rng.choice(60, size=8, replace=False)] = feats[5]
+        return feats[:20], feats[20:], evaluation.RerankParams(k1=6, k2=1)
     if name == "k1=N-1":
         feats = rng.normal(size=(14, 3))
         return feats[:4], feats[4:], evaluation.RerankParams(k1=13, k2=5)
@@ -503,7 +507,7 @@ def rerank_case(name):
 
 
 RERANK_CASES = ["d=1", "d=2", "d=8", "d=256", "collapsed", "copies", "ties", "scale=1e-150", "scale=1e150",
-                "scale=1e154", "offset-overflow", "k1=N-1", "one-query", "312x936"]
+                "scale=1e154", "offset-overflow", "k2=1", "k1=N-1", "one-query", "312x936"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Synthetic benchmark generation, augmentation, PK sampling, manifest I/O."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,31 @@ class TestManifestIO:
         path = tmp_path / "manifest.csv"
         path.write_text("person_id,camera_id,split,image_path\n1,0,train,images/../images/a.ppm\n")
         assert synthdata.load_manifest(path)[0].image_path == "images/../images/a.ppm"
+
+
+class TestLoadDataset:
+    """A dataset image the reader rejects is named in the error."""
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        records = synthdata.generate_dataset(
+            tmp_path / "d", num_ids=6, num_cams=2, imgs_per_id_per_cam=2, occlusion_prob=0.0, size=(32, 16), seed=3
+        )
+        return tmp_path / "d", records[5].image_path
+
+    def test_truncated_image_named(self, dataset):
+        root, image_path = dataset
+        path = root / image_path
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=f"^{re.escape(image_path)}: truncated pixel data$"):
+            synthdata.load_dataset(root)
+
+    def test_image_of_another_size_named(self, dataset):
+        root, image_path = dataset
+        ppm.write_ppm(root / image_path, np.zeros((30, 16, 3), np.uint8))
+        message = f"{image_path}: image shape (30, 16, 3), the first image's is (32, 16, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthdata.load_dataset(root)
 
 
 class TestPPM:

@@ -625,7 +625,7 @@ class TestBackward:
         with tc.Tape() as tape:
             tc.add(x, x)
         loss = tc.sum_all(x)  # built off-tape
-        with pytest.raises(tc.TensorError):
+        with pytest.raises(tc.TensorError, match="not produced on this tape"):
             tc.backward(loss, tape)
 
     def test_replay_frees_tape_and_intermediate_grads(self):
@@ -1205,8 +1205,9 @@ class TestMaxpoolBitPatterns:
         assert_same_bytes(out, ref_out)
         assert_same_bytes(gx, ref_back(g))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the -inf loss sums to NaN
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["nan", "signed_zeros", "ints"])
+    @pytest.mark.parametrize("kind", ["nan", "-inf", "signed_zeros", "ints"])
     @pytest.mark.parametrize("window, stride", [(2, 2), (3, 1)])
     def test_recorded_gradient_goes_to_the_select_loops_first_maximum(
         self, pool_passes, pool_of, dtype, kind, window, stride
@@ -1216,6 +1217,9 @@ class TestMaxpoolBitPatterns:
         if kind == "nan":
             x = np.maximum(rng.normal(size=shape), 0.0)
             x[rng.random(shape) < 0.05] = np.nan
+        elif kind == "-inf":  # whole windows of -inf among ties of zeros
+            x = np.maximum(rng.normal(size=shape), 0.0)
+            x[rng.random(shape) < 0.6] = -np.inf
         else:
             x = pool_input(rng, shape, kind)
         x = x.astype(dtype)
@@ -1224,6 +1228,8 @@ class TestMaxpoolBitPatterns:
         if kind == "nan":  # NaNs first in their windows are kept, later ones are not
             assert np.isnan(expected_out).any()
             assert np.isnan(oracles.maxpool2d_reference(x, window, stride)[0]).sum() > np.isnan(expected_out).sum()
+        if kind == "-inf":
+            assert np.isneginf(expected_out).any()
         g = rng.normal(size=expected_out.shape).astype(dtype)
         expected_gx = back(g)
         for threads in (1, 2, 3):

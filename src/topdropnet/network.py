@@ -11,6 +11,11 @@ Every stream ends in a batch-norm neck: the triplet loss consumes the
 pre-norm feature, a bias-free linear classifier consumes the post-norm
 feature. At test time the global and drop stream neck features are
 concatenated (global and regularizer for the variant without dropping).
+
+Batch norm runs only in train mode. Eval mode folds each one, a fixed
+per-channel map ``x·s + t`` of its running statistics, into the layer
+before it (standard batch-norm folding, Jacob et al., arXiv 1712.05877,
+section 3.2), and computes neither the pre-norm feature nor the logits.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -112,7 +117,8 @@ class ModelConfig:
 
 @dataclass
 class StreamOutputs:
-    """Per-stream (pre-neck feature, post-neck feature, class logits)."""
+    """Per-stream (pre-neck feature, post-neck feature, class logits); in
+    eval mode only the post-neck feature, the others None."""
 
     triplet_feature: tc.Tensor
     neck_feature: tc.Tensor
@@ -125,15 +131,46 @@ class StreamOutputs:
 
 
 class Conv2d(tc.Module):
-    def __init__(self, cin, cout, ksize, stride=1, pad=0, init_rng=None):
+    """Convolution, then the batch norm ``bn`` (see :func:`conv_bn`), then
+    relu if the call asks for it.
+
+    Eval mode runs one convolution with the folded kernel ``k·s``, then
+    adds the shift ``t`` and takes the relu in place on its output.
+    """
+
+    def __init__(self, cin, cout, ksize, stride, pad, init_rng, bn):
         fan_in = cin * ksize * ksize
         w = init_rng.standard_normal((cout, cin, ksize, ksize)) * np.sqrt(2.0 / fan_in)
         self.weight = tc.parameter(w)
         self._stride = stride
         self._pad = pad
+        self._bn = bn
+        self._folded = None  # (kernel, shift) in eval mode
 
-    def __call__(self, x):
-        return tc.conv2d(x, self.weight, self._stride, self._pad)
+    def train(self, mode: bool = True):
+        if mode:
+            self._folded = None
+        else:
+            scale, shift = self._bn.affine()
+            dtype = self.weight.dtype
+            kernel = self.weight.data * scale[:, None, None, None]
+            self._folded = tc.Tensor(kernel.astype(dtype)), tc.Tensor(shift.astype(dtype))
+        return super().train(mode)
+
+    def __call__(self, x, relu=False):
+        if self.training:
+            y = self._bn(tc.conv2d(x, self.weight, self._stride, self._pad))
+            return tc.relu(y) if relu else y
+        kernel, shift = self._folded
+        return tc.shift_channels(tc.conv2d(x, kernel, self._stride, self._pad), shift, relu)
+
+
+def conv_bn(cin, cout, ksize, stride=1, pad=0, init_rng=None, zero_init=False) -> tuple:
+    """(conv, bn): a :class:`Conv2d` and the batch norm it runs its output
+    through. The owner holds both, so each keeps a checkpoint name of
+    the owner's; the conv alone calls the batch norm."""
+    bn = BatchNorm(cout, zero_init)
+    return Conv2d(cin, cout, ksize, stride, pad, init_rng, bn), bn
 
 
 class Linear(tc.Module):
@@ -152,6 +189,9 @@ class Linear(tc.Module):
 
 
 class BatchNorm(tc.Module):
+    """Train-mode batch norm; eval mode folds :meth:`affine` into the
+    layer before, so calling it there raises."""
+
     def __init__(self, channels, zero_init=False):
         self.gamma = tc.parameter(np.zeros(channels) if zero_init else np.ones(channels))
         self.beta = tc.parameter(np.zeros(channels))
@@ -159,7 +199,17 @@ class BatchNorm(tc.Module):
         self.running_var = np.ones(channels)
 
     def __call__(self, x):
-        return tc.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training)
+        if not self.training:
+            raise tc.TensorError("batch norm runs only in train mode; eval mode folds it into the layer before")
+        return tc.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var)
+
+    def affine(self) -> tuple:
+        """float64 (s, t) of the map ``x·s + t`` this batch norm is in eval
+        mode: ``s = γ/√(running_var + ε)`` and ``t = β − running_mean·s``."""
+        stats = (self.gamma.data, self.beta.data, self.running_mean, self.running_var)
+        gamma, beta, mean, var = (np.asarray(a, np.float64) for a in stats)
+        scale = gamma / np.sqrt(var + tc.BATCHNORM_EPS)
+        return scale, beta - mean * scale
 
 
 class Bottleneck(tc.Module):
@@ -171,22 +221,16 @@ class Bottleneck(tc.Module):
 
     def __init__(self, cin, cout, stride=1, init_rng=None, zero_init_last=False):
         mid = max(cout // 4, 1)
-        self.conv1 = Conv2d(cin, mid, 1, init_rng=init_rng)
-        self.bn1 = BatchNorm(mid)
-        self.conv2 = Conv2d(mid, mid, 3, stride=stride, pad=1, init_rng=init_rng)
-        self.bn2 = BatchNorm(mid)
-        self.conv3 = Conv2d(mid, cout, 1, init_rng=init_rng)
-        self.bn3 = BatchNorm(cout, zero_init=zero_init_last)
+        self.conv1, self.bn1 = conv_bn(cin, mid, 1, init_rng=init_rng)
+        self.conv2, self.bn2 = conv_bn(mid, mid, 3, stride=stride, pad=1, init_rng=init_rng)
+        self.conv3, self.bn3 = conv_bn(mid, cout, 1, init_rng=init_rng, zero_init=zero_init_last)
         self._project = stride != 1 or cin != cout
         if self._project:
-            self.proj_conv = Conv2d(cin, cout, 1, stride=stride, init_rng=init_rng)
-            self.proj_bn = BatchNorm(cout)
+            self.proj_conv, self.proj_bn = conv_bn(cin, cout, 1, stride=stride, init_rng=init_rng)
 
     def __call__(self, x):
-        y = tc.relu(self.bn1(self.conv1(x)))
-        y = tc.relu(self.bn2(self.conv2(y)))
-        y = self.bn3(self.conv3(y))
-        shortcut = self.proj_bn(self.proj_conv(x)) if self._project else x
+        y = self.conv3(self.conv2(self.conv1(x, relu=True), relu=True))
+        shortcut = self.proj_conv(x) if self._project else x
         return tc.relu(tc.add(y, shortcut))
 
 
@@ -195,8 +239,7 @@ class Backbone(tc.Module):
     stage keeps stride 1 so the feature map stays tall."""
 
     def __init__(self, cfg: BackboneConfig, init_rng):
-        self.stem_conv = Conv2d(3, cfg.stem_channels, 3, stride=1, pad=1, init_rng=init_rng)
-        self.stem_bn = BatchNorm(cfg.stem_channels)
+        self.stem_conv, self.stem_bn = conv_bn(3, cfg.stem_channels, 3, stride=1, pad=1, init_rng=init_rng)
         self.stages = []
         cin = cfg.stem_channels
         for cout, stride in zip(cfg.stage_channels, cfg.strides):
@@ -208,27 +251,49 @@ class Backbone(tc.Module):
         h, w = self._cfg.input_size
         if x.shape[2:] != (h, w) or x.shape[1] != 3:
             raise tc.TensorError(f"backbone expects (n, 3, {h}, {w}), got {x.shape}")
-        y = tc.relu(self.stem_bn(self.stem_conv(x)))
-        y = tc.maxpool2d(y, 2, 2)
+        y = tc.maxpool2d(self.stem_conv(x, relu=True), 2, 2)
         for stage in self.stages:
             y = stage(y)
         return y
 
 
 class BNNeckHead(tc.Module):
-    """Batch-norm neck plus a bias-free linear classifier.
+    """The layer ``reduce`` (a Linear its owner holds, or None for none),
+    then a batch-norm neck and a bias-free linear classifier.
 
-    The triplet loss uses the input feature, classification the post-norm
-    feature; inference uses the post-norm feature.
+    In train mode the triplet loss uses the reduced feature, classification
+    the post-norm feature. Eval mode computes only the post-norm feature,
+    which inference uses: the neck is folded into reduce's weight and bias
+    (``W·s`` and ``b·s + t``), or without a reduce stays the map
+    ``x·s + t``, and the classifier does not run.
     """
 
-    def __init__(self, dim, num_classes, init_rng):
+    def __init__(self, dim, num_classes, init_rng, reduce=None):
         self.bn = BatchNorm(dim)
         self.classifier = Linear(dim, num_classes, bias=False, init_rng=init_rng, init_std=0.01)
+        self._reduce = reduce
+        self._folded = None  # (weight or scale, bias or shift) in eval mode
 
-    def __call__(self, feature) -> StreamOutputs:
-        neck = self.bn(feature)
-        return StreamOutputs(feature, neck, self.classifier(neck))
+    def train(self, mode: bool = True):
+        if mode:
+            self._folded = None
+        else:
+            scale, shift = self.bn.affine()
+            if self._reduce is not None:
+                scale, shift = self._reduce.weight.data * scale, self._reduce.bias.data * scale + shift
+            dtype = self.bn.gamma.dtype
+            self._folded = tc.Tensor(scale.astype(dtype)), tc.Tensor(shift.astype(dtype))
+        return super().train(mode)
+
+    def __call__(self, x) -> StreamOutputs:
+        if self.training:
+            feature = self._reduce(x) if self._reduce is not None else x
+            neck = self.bn(feature)
+            return StreamOutputs(feature, neck, self.classifier(neck))
+        weight, bias = self._folded
+        if self._reduce is None:
+            return StreamOutputs(None, tc.Tensor(x.data * weight.data + bias.data), None)
+        return StreamOutputs(None, tc.add_bias(tc.matmul(x, weight), bias), None)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +307,14 @@ _DESCRIBED_FIELDS = ("variant", "d_global", "d_drop")
 
 class ReidModel(tc.Module):
     """Initial weights are drawn in float64 from the ``init`` stream, then
-    rounded once to ``cfg.dtype``, as are the batch-norm buffers."""
+    rounded once to ``cfg.dtype``, as are the batch-norm buffers.
+
+    ``eval()`` folds every batch norm into the layer before it, in float64
+    rounded once to ``cfg.dtype`` (:class:`Conv2d`, :class:`BNNeckHead`);
+    ``train()`` drops the folds and ``load_state_arrays`` rebuilds them.
+    They live in ``_`` attributes, so no parameter name or checkpoint byte
+    depends on the mode.
+    """
 
     def __init__(self, num_classes: int, cfg: ModelConfig = ModelConfig(), seed: int = 0):
         init_rng = rng_mod.generator(seed, "init")
@@ -255,9 +327,9 @@ class ReidModel(tc.Module):
             Bottleneck(c, c, 1, init_rng, zero_init_last=True),
         ]
         self.global_reduce = Linear(c, cfg.d_global, bias=True, init_rng=init_rng)
-        self.global_head = BNNeckHead(cfg.d_global, num_classes, init_rng)
+        self.global_head = BNNeckHead(cfg.d_global, num_classes, init_rng, self.global_reduce)
         self.drop_reduce = Linear(c, cfg.d_drop, bias=True, init_rng=init_rng)
-        self.drop_head = BNNeckHead(cfg.d_drop, num_classes, init_rng)
+        self.drop_head = BNNeckHead(cfg.d_drop, num_classes, init_rng, self.drop_reduce)
         self.reg_head = BNNeckHead(c, num_classes, init_rng)
 
         self.cast(cfg.dtype)
@@ -285,15 +357,13 @@ class ReidModel(tc.Module):
         return g
 
     def global_stream(self, features: tc.Tensor) -> StreamOutputs:
-        pooled = tc.global_avg_pool(features)
-        return self.global_head(self.global_reduce(pooled))
+        return self.global_head(tc.global_avg_pool(features))
 
     def topdrop_stream(self, g: tc.Tensor, dropped=None) -> StreamOutputs:
         """Masked max-pooled drop-stream feature; eval mode never masks."""
         if self.training and dropped is not None:
             g = topdrop.apply_mask(g, dropped)
-        pooled = tc.global_max_pool(g)
-        return self.drop_head(self.drop_reduce(pooled))
+        return self.drop_head(tc.global_max_pool(g))
 
     def reg_stream(self, g: tc.Tensor) -> StreamOutputs:
         return self.reg_head(tc.global_avg_pool(g))
@@ -324,7 +394,8 @@ class ReidModel(tc.Module):
         return self._run_streams(images, VARIANTS[self.variant].trained, mask_fn)
 
     def inference_embed(self, images: tc.Tensor) -> np.ndarray:
-        """Concatenated neck features of the inference streams.
+        """Concatenated neck features of the inference streams, through
+        the folded layers and without the classifiers.
 
         Eval mode only; the regularizer stream never contributes unless
         the variant has no drop stream.

@@ -16,14 +16,16 @@ Outside a ``with Tape():`` block, or when no operand requires a gradient,
 nothing is recorded and no work is done that only a backward pass reads:
 an operation that would keep such arrays asks :func:`will_record` before
 it builds them, so relu keeps no mask. The output has the same bytes
-either way, so evaluation-mode code pays no graph cost. Eval-mode batch
-norm never records: a call that would record raises :class:`TensorError`.
+either way, so evaluation-mode code pays no graph cost. Batch norm runs
+only in train mode: at inference the network folds each batch norm into
+the weights of the layer before it, and :func:`shift_channels` adds a
+folded conv's per-channel shift in place, forward only.
 
-Convolution, batch norm, relu and max-pooling work on a batch of at least
-``blocks.SPLIT_VALUES`` values and 2 images in two fixed halves of its
-images, on the process's thread pool (:func:`blocks.halves`). The calling
-thread allocates every output and scratch array, and the halves write
-into them through ``out=``. Convolution works in the NCHW layout of its
+Convolution, batch norm, relu, max-pooling and :func:`shift_channels`
+work on a batch of at least ``blocks.SPLIT_VALUES`` values and 2 images
+in two fixed halves of its images, on the process's thread pool
+(:func:`blocks.halves`). The calling thread allocates every output and
+scratch array, and the halves write into them through ``out=``. Convolution works in the NCHW layout of its
 tensors, one product per image forward and backward, with no transposed
 copy, and adds the kernel gradient's per-image parts in image order;
 batch-norm statistics add up per-image channel sums in image order,
@@ -575,6 +577,8 @@ def global_max_pool(x: Tensor) -> Tensor:
 # Normalization
 # ---------------------------------------------------------------------------
 
+BATCHNORM_EPS = 1e-5
+
 
 class _ChannelSums:
     """Per-channel sums, over the batch and spatial axes, of ``count`` batch
@@ -611,18 +615,16 @@ def batchnorm(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = BATCHNORM_EPS,
 ) -> Tensor:
-    """Batch normalization over (n,) or (n, h, w) per channel.
+    """Train-mode batch normalization over (n,) or (n, h, w) per channel.
 
-    Train mode normalizes by batch statistics (population variance) and
-    updates the running stats in place with
-    ``new = (1 - momentum) * old + momentum * batch``. Eval mode uses the
-    running stats and is a plain affine map that never records: a call
-    under a tape with an operand that requires a gradient raises
-    :class:`TensorError`.
+    Normalizes by batch statistics (population variance) and updates the
+    running stats in place with
+    ``new = (1 - momentum) * old + momentum * batch``. There is no eval
+    mode: the running stats make a per-channel affine map, which the
+    network folds into the layer before it.
 
     Every per-channel operand is spread over a whole image first, so each
     elementwise pass runs one inner loop per image, not one per channel;
@@ -634,8 +636,8 @@ def batchnorm(
     if gamma.shape != (cdim,) or beta.shape != (cdim,):
         raise TensorError("batchnorm: gamma/beta shape mismatch")
     _same_dtype("batchnorm", x, gamma, beta, running_mean, running_var)
-    if not training and will_record(x, gamma, beta):
-        raise TensorError("batchnorm: eval mode never records; call it with no tape or no operand needing a gradient")
+    if x.shape[0] < 2:
+        raise TensorError("batchnorm needs batch extent >= 2 (it runs only in train mode)")
 
     spatial = math.prod(x.shape[2:])
 
@@ -644,92 +646,102 @@ def batchnorm(
 
     gplane, bplane = plane(gamma.data), plane(beta.data)
 
-    if training:
-        if x.shape[0] < 2:
-            raise TensorError("batchnorm train mode needs batch extent >= 2")
-        count = x.data.size // cdim
-        sums = _ChannelSums(x.data, 2)
-        blocks.halves(lambda b: sums.add(0, x.data, b), x.data)
-        mean = sums.total(0, x.data) / count
-        # One x - mean pass serves the variance and xhat. Summing its
-        # square and dividing by the count is what np.var does, bit for bit.
-        # y holds the square before the output.
-        mplane = plane(mean)
-        xhat = np.empty_like(x.data)
-        y = np.empty_like(x.data)
-
-        def center(b):
-            np.subtract(x.data[b], mplane, out=xhat[b])
-            np.square(xhat[b], out=y[b])
-            sums.add(1, y, b)
-
-        blocks.halves(center, y)
-        var = sums.total(1, y) / count
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-        iplane = plane(1.0 / np.sqrt(var + eps))
-
-        def scale(b):
-            np.multiply(xhat[b], iplane, out=xhat[b])
-            np.multiply(xhat[b], gplane, out=y[b])
-            np.add(y[b], bplane, out=y[b])
-
-        blocks.halves(scale, y)
-        out = Tensor(y)
-
-        def back(g):
-            # gx = (dxhat - s1 / count - xhat * s2 / count) * ivar, each
-            # product in that operand order. One scratch array holds g * xhat,
-            # then dxhat * xhat, then xhat * s2 / count: each half sums a
-            # product before the next overwrites it. With whole-array sums
-            # (one channel, 2-d input) dxhat * xhat needs an array of its own.
-            sums = _ChannelSums(g, 4)
-            scratch = np.empty_like(g)
-            dxhat = np.empty_like(g)
-            prod = scratch if sums.parts is not None else np.empty_like(g)
-
-            def products(b):
-                sums.add(0, g, b)
-                np.multiply(g[b], xhat[b], out=scratch[b])
-                sums.add(1, scratch, b)
-                np.multiply(g[b], gplane, out=dxhat[b])
-                sums.add(2, dxhat, b)
-                np.multiply(dxhat[b], xhat[b], out=prod[b])
-                sums.add(3, prod, b)
-
-            blocks.halves(products, g)
-            accumulate_grad(beta, sums.total(0, g))
-            accumulate_grad(gamma, sums.total(1, scratch))
-            mean1 = plane(sums.total(2, dxhat) / count)
-            s2 = plane(sums.total(3, prod))
-
-            def combine(b):
-                db, sb = dxhat[b], prod[b]
-                db -= mean1
-                np.multiply(xhat[b], s2, out=sb)
-                sb /= count
-                db -= sb
-                db *= iplane
-
-            blocks.halves(combine, g)
-            accumulate_grad(x, dxhat)
-
-        return record_op(out, (x, gamma, beta), back)
-
-    mplane, iplane = plane(running_mean), plane(1.0 / np.sqrt(running_var + eps))
+    count = x.data.size // cdim
+    sums = _ChannelSums(x.data, 2)
+    blocks.halves(lambda b: sums.add(0, x.data, b), x.data)
+    mean = sums.total(0, x.data) / count
+    # One x - mean pass serves the variance and xhat. Summing its
+    # square and dividing by the count is what np.var does, bit for bit.
+    # y holds the square before the output.
+    mplane = plane(mean)
+    xhat = np.empty_like(x.data)
     y = np.empty_like(x.data)
 
-    def affine(b):
-        yb = y[b]
-        np.subtract(x.data[b], mplane, out=yb)
-        yb *= iplane
-        yb *= gplane
-        yb += bplane
+    def center(b):
+        np.subtract(x.data[b], mplane, out=xhat[b])
+        np.square(xhat[b], out=y[b])
+        sums.add(1, y, b)
 
-    blocks.halves(affine, y)
-    return Tensor(y)
+    blocks.halves(center, y)
+    var = sums.total(1, y) / count
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    iplane = plane(1.0 / np.sqrt(var + eps))
+
+    def scale(b):
+        np.multiply(xhat[b], iplane, out=xhat[b])
+        np.multiply(xhat[b], gplane, out=y[b])
+        np.add(y[b], bplane, out=y[b])
+
+    blocks.halves(scale, y)
+    out = Tensor(y)
+
+    def back(g):
+        # gx = (dxhat - s1 / count - xhat * s2 / count) * ivar, each
+        # product in that operand order. One scratch array holds g * xhat,
+        # then dxhat * xhat, then xhat * s2 / count: each half sums a
+        # product before the next overwrites it. With whole-array sums
+        # (one channel, 2-d input) dxhat * xhat needs an array of its own.
+        sums = _ChannelSums(g, 4)
+        scratch = np.empty_like(g)
+        dxhat = np.empty_like(g)
+        prod = scratch if sums.parts is not None else np.empty_like(g)
+
+        def products(b):
+            sums.add(0, g, b)
+            np.multiply(g[b], xhat[b], out=scratch[b])
+            sums.add(1, scratch, b)
+            np.multiply(g[b], gplane, out=dxhat[b])
+            sums.add(2, dxhat, b)
+            np.multiply(dxhat[b], xhat[b], out=prod[b])
+            sums.add(3, prod, b)
+
+        blocks.halves(products, g)
+        accumulate_grad(beta, sums.total(0, g))
+        accumulate_grad(gamma, sums.total(1, scratch))
+        mean1 = plane(sums.total(2, dxhat) / count)
+        s2 = plane(sums.total(3, prod))
+
+        def combine(b):
+            db, sb = dxhat[b], prod[b]
+            db -= mean1
+            np.multiply(xhat[b], s2, out=sb)
+            sb /= count
+            db -= sb
+            db *= iplane
+
+        blocks.halves(combine, g)
+        accumulate_grad(x, dxhat)
+
+    return record_op(out, (x, gamma, beta), back)
+
+
+def shift_channels(x: Tensor, shift: Tensor, relu: bool = False) -> Tensor:
+    """``x[:, c] += shift[c]`` over (n, c, h, w), then ``max(x, 0)`` if
+    ``relu``, in place; returns ``x``.
+
+    Forward only: the rest of a convolution whose kernel has a batch norm
+    folded into it. ``x`` must be an output no tape recorded, as a call
+    that would record raises :class:`TensorError`. The shift is spread over
+    a whole image, and the pass runs by halves as batch norm's do.
+    """
+    if x.data.ndim != 4 or shift.shape != x.shape[1:2]:
+        raise TensorError(f"shift_channels: shift {shift.shape} does not match the channels of {x.shape}")
+    _same_dtype("shift_channels", x, shift)
+    if will_record(x, shift):
+        raise TensorError("shift_channels works in place and never records")
+    plane = np.repeat(shift.data, math.prod(x.shape[2:])).reshape(x.shape[1:])
+
+    def forward(b):
+        xb = x.data[b]
+        xb += plane
+        if relu:
+            np.maximum(xb, 0.0, out=xb)
+
+    blocks.halves(forward, x.data)
+    return x
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -863,7 +875,9 @@ class Module:
     Attributes that are Tensors count as parameters, numpy arrays as
     buffers (e.g. running statistics), and Modules (or lists of Modules)
     as children; discovery order is attribute assignment order, which
-    keeps checkpoints and initialization deterministic.
+    keeps checkpoints and initialization deterministic. Attributes whose
+    names start with ``_`` are not discovered, so a module may keep values
+    derived from its parameters there without changing any checkpoint.
     """
 
     training = True
@@ -929,6 +943,8 @@ class Module:
         return state
 
     def load_state_arrays(self, state: dict) -> None:
+        """Load every parameter and buffer, then re-enter the current mode,
+        so whatever a module derives from them in that mode is rebuilt."""
         # Check everything before changing anything.
         params = [(t, stored_like(state, f"param.{n}", t.data)) for n, t in self.named_parameters()]
         buffers = [(b, stored_like(state, f"buffer.{n}", b)) for n, b in self.named_buffers()]
@@ -936,6 +952,7 @@ class Module:
             t.data = arr.copy()
         for b, arr in buffers:
             b[...] = arr
+        self.train(self.training)
 
 
 def stored_like(state: dict, key: str, current: np.ndarray) -> np.ndarray:

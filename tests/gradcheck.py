@@ -119,7 +119,7 @@ def op_checks(seed):
     wn = _projection(rng, (5, 3))
 
     def bn_train(t):
-        out = tc.batchnorm(t[0], t[1], t[2], np.zeros(3), np.ones(3), training=True)
+        out = tc.batchnorm(t[0], t[1], t[2], np.zeros(3), np.ones(3))
         return tc.sum_all(tc.mul(out, tc.Tensor(wn)))
 
     results["batchnorm_train"] = check(bn_train, [xn, gamma, beta])
@@ -130,7 +130,7 @@ def op_checks(seed):
     wn4 = _projection(rng, (3, 2, 3, 3))
 
     def bn4_train(t):
-        out = tc.batchnorm(t[0], t[1], t[2], np.zeros(2), np.ones(2), training=True)
+        out = tc.batchnorm(t[0], t[1], t[2], np.zeros(2), np.ones(2))
         return tc.sum_all(tc.mul(out, tc.Tensor(wn4)))
 
     results["batchnorm2d_train"] = check(bn4_train, [xn4, gamma4, beta4])

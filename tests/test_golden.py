@@ -24,8 +24,8 @@ GOLDEN_SHA256 = {
     "no-drop/checkpoint.ckpt": "f19c1b462b95bea5cdce863ad5eee9bee0462dc4a4e1ae4908af81a89ab8a9dc",
     "no-reg/checkpoint.ckpt": "0f1426ee76830611456a035ce5c4a5de52c0853b59aa5ddb5921fd99948da05e",
     "baseline-bdb/checkpoint.ckpt": "3e986fd2aa7d32b34159d52935188b36f6832b1f2df607a5311cb8c5d5c1e1b7",
-    "eval/embeddings_query.csv": "a5eb34324531b5254ca2f434b8f186eb0b7161f17bc97d2cda0cf4b6d66b6169",
-    "eval/embeddings_gallery.csv": "03547a469efa7cbc477eb0b7b7f12c1901f57d04dd3ee3098d435bd21192cc0b",
+    "eval/embeddings_query.csv": "176616368826c8aa8a3147b38ef96328b028f2c7dd4c31d697ed737acdd9ff5e",
+    "eval/embeddings_gallery.csv": "7b5c911d15b2a7763ccf192276bae30d9927a5dbe6ee0fc6cd93624276b37a8d",
     "eval/metrics_raw.csv": "6ec0292d7e564be2578f2c84bf4fb2c0a0230d8b4e9b4494e479870b93fa6fa5",
     "eval/metrics_rerank.csv": "ccda58a2a14e557908ecfcb795b2352fe2d65fcf98987d79e22c76ae9e1db706",
 }

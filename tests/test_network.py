@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from topdropnet import evaluation, network, synthdata, tensorcore as tc, topdrop
+from topdropnet import blocks, evaluation, network, synthdata, tensorcore as tc, topdrop
 
 import gradcheck
-from oracles import ce_label_smoothing_loops, triplet_batch_hard_loops
+from oracles import batchnorm_eval_reference, ce_label_smoothing_loops, triplet_batch_hard_loops
 
 
 def small_model(variant="full", seed=0, num_classes=4):
@@ -148,7 +148,8 @@ class TestStreams:
         pooled = tc.global_avg_pool(constant).data
         np.testing.assert_allclose(pooled, np.tile(np.arange(1.0, c + 1.0), (2, 1)))
         out = model.global_stream(constant)
-        assert out.triplet_feature.shape == (2, model.cfg.d_global)
+        assert out.neck_feature.shape == (2, model.cfg.d_global)
+        assert out.triplet_feature is None and out.logits is None  # eval mode computes neither
 
     def test_global_stream_spatial_permutation_invariant(self):
         model = small_model().eval()
@@ -156,27 +157,33 @@ class TestStreams:
         f = rng.normal(size=(1, model.cfg.backbone.feature_channels(), 4, 2))
         perm = rng.permutation(8)
         shuffled = f.reshape(1, -1, 8)[:, :, perm].reshape(f.shape)
-        a = model.global_stream(tc.Tensor(f)).triplet_feature.data
-        b = model.global_stream(tc.Tensor(shuffled)).triplet_feature.data
+        a = model.global_stream(tc.Tensor(f)).neck_feature.data
+        b = model.global_stream(tc.Tensor(shuffled)).neck_feature.data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_drop_stream_eval_ignores_masks(self):
         model = small_model().eval()
         g = tc.Tensor(np.random.default_rng(1).normal(size=(2, 16, 4, 2)))
         mask = np.array([[True, False, False, False]] * 2)
-        with_mask = model.topdrop_stream(g, mask).triplet_feature.data
-        without = model.topdrop_stream(g).triplet_feature.data
+        with_mask = model.topdrop_stream(g, mask).neck_feature.data
+        without = model.topdrop_stream(g).neck_feature.data
         np.testing.assert_array_equal(with_mask, without)
 
     def test_drop_stream_identity_mask_matches_eval_feature(self):
+        # An empty mask drops nothing, and the eval neck is the running-
+        # statistics map of the feature the train-mode reduce gives.
         model = small_model()
         g = tc.Tensor(np.random.default_rng(2).normal(size=(2, 16, 4, 2)))
         model.train()
-        ones = np.zeros((2, 4), dtype=bool)
-        train_feature = model.topdrop_stream(g, ones).triplet_feature.data
+        none_dropped = np.zeros((2, 4), dtype=bool)
+        train_feature = model.topdrop_stream(g, none_dropped).triplet_feature.data
+        np.testing.assert_array_equal(train_feature, model.topdrop_stream(g).triplet_feature.data)
         model.eval()
-        eval_feature = model.topdrop_stream(g).triplet_feature.data
-        np.testing.assert_array_equal(train_feature, eval_feature)
+        bn = model.drop_head.bn
+        expected = batchnorm_eval_reference(
+            train_feature, bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var, tc.BATCHNORM_EPS
+        )
+        np.testing.assert_allclose(model.topdrop_stream(g).neck_feature.data, expected, rtol=1e-12, atol=1e-12)
 
     def test_dropping_never_increases_max_pooled_channel(self):
         model = small_model()
@@ -196,7 +203,7 @@ class TestStreams:
         x = toy_images()
         assert full.inference_embed(x).shape == no_reg.inference_embed(x).shape
         g = tc.Tensor(np.full((2, 16, 4, 2), 3.25))
-        np.testing.assert_allclose(full.reg_stream(g).triplet_feature.data, 3.25)
+        np.testing.assert_allclose(small_model("full").reg_stream(g).triplet_feature.data, 3.25)
 
     def test_no_drop_variant_produces_two_stream_triples(self):
         model = small_model("no_drop")
@@ -214,22 +221,36 @@ class TestNeck:
         assert params["weight"].size == model.cfg.d_global * 7
 
     def test_eval_neck_is_affine(self):
-        model = small_model().eval()
+        # eval() folds the running statistics, so they change before it.
+        model = small_model()
         head = model.global_head
         rng = np.random.default_rng(0)
         head.bn.running_mean[:] = rng.normal(size=16)
         head.bn.running_var[:] = rng.uniform(0.5, 2.0, size=16)
-        x1 = rng.normal(size=(2, 16))
-        x2 = rng.normal(size=(2, 16))
+        model.eval()
+        c = model.cfg.backbone.feature_channels()
+        x1 = rng.normal(size=(2, c))
+        x2 = rng.normal(size=(2, c))
         alpha = 0.3
         mixed = head(tc.Tensor(alpha * x1 + (1 - alpha) * x2)).neck_feature.data
         separate = alpha * head(tc.Tensor(x1)).neck_feature.data + (1 - alpha) * head(tc.Tensor(x2)).neck_feature.data
         np.testing.assert_allclose(mixed, separate, atol=1e-10)
 
     def test_logits_extent_is_num_classes(self):
-        model = small_model(num_classes=5).eval()
+        model = small_model(num_classes=5)
         out = model.global_stream(tc.Tensor(np.random.default_rng(0).normal(size=(3, 16, 4, 2))))
         assert out.logits.shape == (3, 5)
+
+    def test_eval_neck_runs_no_classifier(self, monkeypatch):
+        model = small_model().eval()
+        monkeypatch.setattr(network.Linear, "__call__", lambda *args: pytest.fail("a linear layer ran"))
+        for stream in network.STREAMS:
+            assert model._run_streams(toy_images(), (stream,))[stream].logits is None
+
+    def test_batch_norm_never_runs_in_eval_mode(self):
+        model = small_model().eval()
+        with pytest.raises(tc.TensorError, match="only in train mode"):
+            model.global_head.bn(tc.Tensor(np.zeros((2, 16))))
 
 
 class TestCrossEntropyLabelSmoothing:
@@ -383,6 +404,95 @@ class TestInferenceEmbed:
         for size in (1, 7, 32):
             parts = [model.inference_embed(network.normalize_images(pixels[i : i + size])) for i in range(0, 40, size)]
             assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
+
+def unfolded_reference(model, x):
+    """float64 (backbone features, embedding) of ``model`` in eval mode as
+    the unfolded composition: each conv or reduce layer, then its batch
+    norm's running-statistics map (``oracles.batchnorm_eval_reference``),
+    with the model's own values widened to float64."""
+
+    def f64(a):
+        return np.asarray(a, np.float64)
+
+    def bn(norm, y):
+        stats = (norm.gamma.data, norm.beta.data, norm.running_mean, norm.running_var)
+        return batchnorm_eval_reference(y, *map(f64, stats), tc.BATCHNORM_EPS)
+
+    def conv_bn(conv, norm, y, relu=False):
+        y = bn(norm, tc.conv2d(tc.Tensor(y), tc.Tensor(f64(conv.weight.data)), conv._stride, conv._pad).data)
+        return np.maximum(y, 0.0) if relu else y
+
+    def block(b, y):
+        z = conv_bn(b.conv2, b.bn2, conv_bn(b.conv1, b.bn1, y, relu=True), relu=True)
+        z = conv_bn(b.conv3, b.bn3, z)
+        return np.maximum(z + (conv_bn(b.proj_conv, b.proj_bn, y) if b._project else y), 0.0)
+
+    def neck(head, reduce, pooled):
+        return bn(head.bn, pooled @ f64(reduce.weight.data) + f64(reduce.bias.data))
+
+    bb = model.backbone
+    y = conv_bn(bb.stem_conv, bb.stem_bn, f64(x.data), relu=True)
+    y = tc.maxpool2d(tc.Tensor(y), 2, 2).data
+    for stage in bb.stages:
+        y = block(stage, y)
+    g = y
+    for b in model.refine:
+        g = block(b, g)
+    streams = {
+        "global": neck(model.global_head, model.global_reduce, y.mean(axis=(2, 3))),
+        "drop": neck(model.drop_head, model.drop_reduce, g.max(axis=(2, 3))),
+        "reg": bn(model.reg_head.bn, g.mean(axis=(2, 3))),
+    }
+    return y, np.concatenate([streams[s] for s in network.VARIANTS[model.variant].embedded], axis=1)
+
+
+def trained_looking(variant, dtype, seed=1):
+    """A default-size model moved off its initialization: every parameter
+    and running statistic perturbed, so each fold is far from identity."""
+    model = network.ReidModel(4, network.ModelConfig(variant=variant, dtype=dtype), seed=0)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.data += rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
+    for name, b in model.named_buffers():
+        b[...] = rng.uniform(0.5, 1.5, size=b.shape) if name.endswith("var") else rng.normal(scale=0.2, size=b.shape)
+    return model
+
+
+class TestFoldedInference:
+    """Eval mode folds every batch norm into the layer before it; the
+    folded forward agrees with the unfolded composition in float64."""
+
+    @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("variant", list(network.VARIANTS))
+    def test_fold_agrees_with_the_unfolded_composition(self, variant, dtype, rtol):
+        model = trained_looking(variant, dtype).eval()
+        pixels = np.random.default_rng(2).integers(0, 256, size=(8, 64, 32, 3), dtype=np.uint8)
+        x = network.normalize_images(pixels, dtype)
+        ref_features, ref_embed = unfolded_reference(model, x)
+        features, embed = model.backbone_forward(x).data, model.inference_embed(x)
+        assert features.dtype == embed.dtype == dtype
+        for got, ref in ((features, ref_features), (embed, ref_embed)):
+            np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+    @pytest.mark.parametrize("variant", ["full", "no_drop"])
+    def test_same_bytes_on_pools_of_one_and_two_threads(self, pool_of, variant):
+        model = trained_looking(variant, "float32").eval()
+        pixels = np.random.default_rng(3).integers(0, 256, size=(8, 64, 32, 3), dtype=np.uint8)
+        x = network.normalize_images(pixels)
+        assert x.size // 3 * model.cfg.backbone.stem_channels >= blocks.SPLIT_VALUES  # the stem runs by halves
+        embeds = []
+        for threads in (1, 2):
+            pool_of(threads)
+            embeds.append((model.backbone_forward(x).data.tobytes(), model.inference_embed(x).tobytes()))
+        assert embeds[0] == embeds[1]
+
+    def test_default_statistics_fold_to_the_identity_map(self):
+        bn = network.BatchNorm(3)
+        scale, shift = bn.affine()
+        assert scale.dtype == shift.dtype == np.float64
+        np.testing.assert_array_equal(scale, np.full(3, 1.0 / np.sqrt(1.0 + tc.BATCHNORM_EPS)))
+        np.testing.assert_array_equal(shift, np.zeros(3))
 
 
 class TestVariantAlgebra:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topdropnet import tensorcore as tc
+from topdropnet import network, tensorcore as tc
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,7 +31,7 @@ def _t(shape, seed):
 
 OP_CALLS = {
     "conv2d": lambda: tc.conv2d(_t((2, 2, 4, 4), 0), _t((3, 2, 3, 3), 1), 1, 1),
-    "batchnorm": lambda: tc.batchnorm(_t((4, 3), 0), _t((3,), 1), _t((3,), 2), np.zeros(3), np.ones(3), True),
+    "batchnorm": lambda: tc.batchnorm(_t((4, 3), 0), _t((3,), 1), _t((3,), 2), np.zeros(3), np.ones(3)),
     "maxpool2d": lambda: tc.maxpool2d(_t((1, 2, 4, 4), 0), 2, 2),
     "relu": lambda: tc.relu(_t((3,), 0)),
     "add": lambda: tc.add(_t((3,), 0), _t((3,), 1)),
@@ -48,6 +48,25 @@ def test_every_wrap_target_resolves(spans):
     assert len(originals) == len(spans.TARGETS) + 1
     for (owner, attr), fn in originals.items():
         assert callable(fn), f"{owner.__name__}.{attr}"
+    # The tracer reads these at import, though nothing in the package calls
+    # them; deleting one makes every benchmark run fail.
+    wrapped = {attr for owner, attr, _ in spans.TARGETS if owner is tc}
+    assert {"sub", "absolute", "pow_scalar", "mean_all", "l2_normalize", "batchnorm"} <= wrapped
+
+
+@pytest.mark.parametrize("variant", ["full", "no_drop"])
+def test_inference_embed_reaches_the_traced_model_methods(monkeypatch, spans, variant):
+    # The per-layer metrics of an embedding pass are the spans of these
+    # methods: a pass that went round them would read 0 ms for each.
+    calls = []
+    for owner, attr, _ in spans.TARGETS:
+        if owner is network.ReidModel and attr != "inference_embed":
+            method = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda self, *a, _m=method, _n=attr: calls.append(_n) or _m(self, *a))
+    model = network.ReidModel(4, network.ModelConfig(variant=variant), seed=0).eval()
+    model.inference_embed(network.normalize_images(np.zeros((2, 64, 32, 3), np.uint8)))
+    streams = {"full": ["global_stream", "topdrop_stream"], "no_drop": ["global_stream", "reg_stream"]}[variant]
+    assert calls == ["backbone_forward", "bottleneck_pair"] + streams
 
 
 def test_backward_spans_are_named_after_their_op(spans):

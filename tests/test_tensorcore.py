@@ -189,18 +189,31 @@ class TestPooling:
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
-class TestBatchnorm:
-    def test_eval_identity(self):
-        x = tc.astensor(np.random.default_rng(0).normal(size=(4, 3)))
-        out = tc.batchnorm(
-            x, tc.Tensor(np.ones(3)), tc.Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=False, eps=1e-12
-        )
-        np.testing.assert_allclose(out.data, x.data, atol=1e-6)
+class TestShiftChannels:
+    def test_adds_each_channel_its_shift_then_relu(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4, 5))
+        shift = np.array([-1.0, 0.5, 2.0])
+        y = tc.Tensor(x.copy())
+        assert tc.shift_channels(y, tc.Tensor(shift)) is y
+        np.testing.assert_array_equal(y.data, x + shift[None, :, None, None])
+        relu = tc.shift_channels(tc.Tensor(x.copy()), tc.Tensor(shift), relu=True)
+        np.testing.assert_array_equal(relu.data, np.maximum(x + shift[None, :, None, None], 0.0))
 
+    @pytest.mark.parametrize("shape, shift", [((2, 3, 4, 5), 2), ((2, 3), 3), ((2, 3, 4, 5), 4)])
+    def test_shift_of_another_extent_rejected(self, shape, shift):
+        with pytest.raises(tc.TensorError, match="does not match the channels"):
+            tc.shift_channels(tc.Tensor(np.zeros(shape)), tc.Tensor(np.zeros(shift)))
+
+    def test_shift_of_another_dtype_rejected(self):
+        with pytest.raises(tc.TensorError, match="dtype mismatch"):
+            tc.shift_channels(tc.Tensor(np.zeros((2, 3, 1, 1), np.float32)), tc.Tensor(np.zeros(3)))
+
+
+class TestBatchnorm:
     def test_train_normalizes(self):
         x = tc.astensor(np.random.default_rng(1).normal(2.0, 3.0, size=(64, 5)))
         gamma, beta = tc.Tensor(np.ones(5)), tc.Tensor(np.zeros(5))
-        out = tc.batchnorm(x, gamma, beta, np.zeros(5), np.ones(5), training=True, eps=1e-12)
+        out = tc.batchnorm(x, gamma, beta, np.zeros(5), np.ones(5), eps=1e-12)
         assert np.all(np.abs(out.data.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(out.data.var(axis=0) - 1.0) < 1e-4)
 
@@ -209,14 +222,14 @@ class TestBatchnorm:
         running_mean = np.ones(2)
         running_var = np.full(2, 4.0)
         gamma, beta = tc.Tensor(np.ones(2)), tc.Tensor(np.zeros(2))
-        tc.batchnorm(tc.astensor(x), gamma, beta, running_mean, running_var, training=True, momentum=0.25)
+        tc.batchnorm(tc.astensor(x), gamma, beta, running_mean, running_var, momentum=0.25)
         np.testing.assert_allclose(running_mean, 0.75 * 1.0 + 0.25 * x.mean(axis=0))
         np.testing.assert_allclose(running_var, 0.75 * 4.0 + 0.25 * x.var(axis=0))
 
     def test_batch_of_one_rejected(self):
         x, gamma, beta = tc.Tensor(np.ones((1, 3))), tc.Tensor(np.ones(3)), tc.Tensor(np.zeros(3))
         with pytest.raises(tc.TensorError):
-            tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+            tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -226,7 +239,7 @@ class TestBatchnorm:
         w = rng.normal(size=(4, 3))
 
         def f(tensors):
-            out = tc.batchnorm(tensors[0], tensors[1], tensors[2], np.zeros(3), np.ones(3), training=True)
+            out = tc.batchnorm(tensors[0], tensors[1], tensors[2], np.zeros(3), np.ones(3))
             return tc.sum_all(tc.mul(out, tc.Tensor(w)))
 
         assert gradcheck.check(f, [x, gamma, beta])
@@ -330,7 +343,7 @@ class TestRewrittenOpsMatchReferences:
         inputs = [tc.Tensor(a, requires_grad=r) for a, r in ((x, input_grad), (gamma, True), (beta, True))]
 
         def op(xt, gt, bt):
-            return tc.batchnorm(xt, gt, bt, run_mean, run_var, training=True, momentum=momentum)
+            return tc.batchnorm(xt, gt, bt, run_mean, run_var, momentum=momentum)
 
         out, grads = run_with_upstream(op, inputs, g)
         assert_same_bytes(out, ref_out)
@@ -418,21 +431,22 @@ class TestSplitPassesMatchReferences:
     def test_batchnorm_train(self, workers, n, size, dtype):
         check_batchnorm_train_bytes(self.stem_map(n, size, dtype, n) * 2 + 1, np.random.default_rng(n))
 
-    def test_batchnorm_eval(self, workers, n, size, dtype):
-        rng = np.random.default_rng(n)
+    def test_shift_channels(self, workers, n, size, dtype):
+        # The folded conv's shift and relu, in place on the conv's output.
         x = self.stem_map(n, size, dtype, n)
-        gamma, beta = rng.normal(size=(2, STEM_CHANNELS)).astype(dtype)
-        mean, var = rng.normal(size=STEM_CHANNELS).astype(dtype), rng.uniform(0.5, 2.0, STEM_CHANNELS).astype(dtype)
-        ref_out = oracles.batchnorm_eval_reference(x, gamma, beta, mean, var, 1e-5)
-        out = tc.batchnorm(tc.Tensor(x), tc.Tensor(gamma), tc.Tensor(beta), mean, var, training=False)
-        assert_same_bytes(out.data, ref_out)
-        # Eval mode never records: under a tape, any operand that needs a
-        # gradient makes the call fail.
-        for i in range(3):
-            inputs = [tc.Tensor(a, requires_grad=j == i) for j, a in enumerate((x, gamma, beta))]
-            with tc.Tape() as tape, pytest.raises(tc.TensorError, match="eval mode never records"):
-                tc.batchnorm(*inputs, mean, var, training=False)
+        shift = np.random.default_rng(n).normal(size=STEM_CHANNELS).astype(dtype)
+        shifted = x + shift[None, :, None, None]
+        for relu, expected in ((False, shifted), (True, np.maximum(shifted, 0.0))):
+            out = tc.shift_channels(tc.Tensor(x.copy()), tc.Tensor(shift), relu)
+            assert_same_bytes(out.data, expected)
+        # It works in place, so under a tape an operand that needs a
+        # gradient makes the call fail before anything changes.
+        for i in range(2):
+            inputs = [tc.Tensor(a.copy(), requires_grad=j == i) for j, a in enumerate((x, shift))]
+            with tc.Tape() as tape, pytest.raises(tc.TensorError, match="never records"):
+                tc.shift_channels(*inputs)
             assert len(tape) == 0
+            assert_same_bytes(inputs[0].data, x)
 
     def test_relu(self, workers, n, size, dtype):
         x = self.stem_map(n, size, dtype, n)
@@ -457,7 +471,7 @@ def check_batchnorm_train_bytes(x, rng):
     inputs = [tc.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
 
     def op(xt, gt, bt):
-        return tc.batchnorm(xt, gt, bt, run_mean, run_var, training=True)
+        return tc.batchnorm(xt, gt, bt, run_mean, run_var)
 
     out, grads = run_with_upstream(op, inputs, g)
     assert_same_bytes(out, ref_out)
@@ -535,11 +549,11 @@ class TestSmallBatchesStayOnTheCallingThread:
         with tc.Tape() as tape:
             y = tc.conv2d(x, k, 1, 1)
             if n > 1:  # train mode needs 2 images
-                y = tc.batchnorm(y, gamma, beta, *stats, training=True)
+                y = tc.batchnorm(y, gamma, beta, *stats)
             y = tc.maxpool2d(tc.relu(y), 1)
             loss = tc.sum_all(y)
         tc.backward(loss, tape)
-        tc.batchnorm(x, gamma, beta, *stats, training=False)
+        tc.shift_channels(tc.Tensor(x.data.copy()), tc.Tensor(np.ones(c)), relu=True)
         assert y.size < blocks.SPLIT_VALUES or n < 2
 
 
@@ -809,10 +823,6 @@ def traced_ops():
         return spans.OPS + spans.OTHER_OPS
 
 
-# Cases that never record (eval-mode batch norm): the loops that record skip them.
-UNRECORDED = {"batchnorm[eval]"}
-
-
 def op_cases(rng, dtype):
     """name -> (op on a list of tensors, input arrays in ``dtype``).
 
@@ -824,16 +834,15 @@ def op_cases(rng, dtype):
         a = rng.normal(size=shape)
         return (np.abs(a) + 0.5 if positive else a).astype(dtype)
 
-    def bn(training):
+    def bn():
         stats = [np.zeros(3, dtype), np.ones(3, dtype)]
-        return lambda t: tc.batchnorm(t[0], t[1], t[2], *stats, training=training)
+        return lambda t: tc.batchnorm(t[0], t[1], t[2], *stats)
 
     return {
         "conv2d": (lambda t: tc.conv2d(t[0], t[1], 2, 1), [arr(2, 2, 5, 4), arr(3, 2, 3, 3)]),
         "conv2d[1x1]": (lambda t: tc.conv2d(t[0], t[1]), [arr(2, 2, 3, 3), arr(4, 2, 1, 1)]),
-        "batchnorm": (bn(True), [arr(4, 3, 2, 2), arr(3), arr(3)]),
-        "batchnorm[2d]": (bn(True), [arr(5, 3), arr(3), arr(3)]),
-        "batchnorm[eval]": (bn(False), [arr(4, 3, 2, 2), arr(3), arr(3)]),
+        "batchnorm": (bn(), [arr(4, 3, 2, 2), arr(3), arr(3)]),
+        "batchnorm[2d]": (bn(), [arr(5, 3), arr(3), arr(3)]),
         "maxpool2d": (lambda t: tc.maxpool2d(t[0], 2, 2), [arr(2, 2, 4, 6)]),
         "relu": (lambda t: tc.relu(t[0]), [arr(3, 4)]),
         "add": (lambda t: tc.add(t[0], t[1]), [arr(3, 4), arr(3, 4)]),
@@ -869,8 +878,6 @@ class TestDtypePropagation:
     def test_output_and_gradients_keep_the_dtype(self, dtype, seed):
         rng = np.random.default_rng(seed)
         for name, (op, arrays) in op_cases(rng, dtype).items():
-            if name in UNRECORDED:
-                continue
             inputs = [tc.Tensor(a, requires_grad=True) for a in arrays]
             with tc.Tape() as tape:
                 out = op(inputs)
@@ -896,12 +903,11 @@ class TestDtypePropagation:
                 with pytest.raises(tc.TensorError, match="dtype mismatch"):
                     op(mixed)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_batchnorm_buffer_of_another_dtype_rejected(self, training):
+    def test_batchnorm_buffer_of_another_dtype_rejected(self):
         x = tc.Tensor(np.ones((2, 3), np.float32))
         gamma, beta = tc.Tensor(np.ones(3, np.float32)), tc.Tensor(np.zeros(3, np.float32))
         with pytest.raises(tc.TensorError, match="dtype mismatch"):
-            tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3, np.float32), training=training)
+            tc.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3, np.float32))
 
     def test_construction_keeps_float_dtypes_and_casts_the_rest(self):
         assert tc.Tensor(np.ones(2, np.float32)).dtype == np.float32
@@ -943,11 +949,9 @@ class TestNoTapeFork:
         # norm starts from the same running statistics.
         cases = lambda: op_cases(np.random.default_rng(seed), dtype)  # noqa: E731
         names = list(cases())
-        assert {"batchnorm", "batchnorm[eval]"} <= set(names)
+        assert {"batchnorm", "batchnorm[2d]"} <= set(names)
         for name in names:
-            runs = [(False, True), (False, False), (True, False)]
-            if name not in UNRECORDED:
-                runs.insert(0, (True, True))
+            runs = [(True, True), (False, True), (False, False), (True, False)]
             first, *rest = (self.forward(*cases()[name], tape, requires_grad) for tape, requires_grad in runs)
             for out in rest:
                 assert_same_bytes(out, first)

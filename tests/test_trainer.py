@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topdropnet import network, synthdata, tensorcore as tc, topdrop, trainer
+from topdropnet import evaluation, network, synthdata, tensorcore as tc, topdrop, trainer
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -327,6 +327,48 @@ class TestFitAndCheckpoints:
         assert lines[0] == "epoch,lr,loss_global,loss_drop,loss_reg,loss_total"
         assert len(lines) == 3
         assert lines[1].split(",")[3] == ""  # empty loss_drop column
+
+
+class TestFoldedWeightsNeverStale:
+    """Eval mode embeds through batch norms folded into the layers before
+    them; the folds follow every change of the values they come from."""
+
+    def test_eval_train_eval_embeds_as_the_saved_checkpoint(self, tiny_dataset, tmp_path):
+        cfg = quick_config(total_epochs=2)
+        result = trainer.fit(cfg, tiny_dataset, stop_after=1)
+        before = evaluation.embed_split(result.model, tiny_dataset, "query").features
+        result.history.append(trainer.train_epoch(result.model, tiny_dataset, cfg, result.adam, 1))
+        result.next_epoch = 2
+        ckpt = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(ckpt, result)
+        after = evaluation.embed_split(result.model, tiny_dataset, "query").features
+        reloaded = evaluation.embed_split(trainer.model_from_checkpoint(ckpt), tiny_dataset, "query").features
+        assert after.tobytes() == reloaded.tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_loading_in_eval_mode_refolds(self, tiny_dataset):
+        x = network.normalize_images(tiny_dataset.images[:4])
+        one, other = (trainer.fit(quick_config(total_epochs=1, seed=s), tiny_dataset).model.eval() for s in (1, 2))
+        before = one.inference_embed(x)
+        one.load_state_arrays(other.state_arrays())
+        assert one.inference_embed(x).tobytes() == other.inference_embed(x).tobytes() != before.tobytes()
+
+    def test_eval_mode_changes_no_state_array_or_checkpoint_byte(self, tiny_dataset, tmp_path):
+        result = trainer.fit(quick_config(total_epochs=1), tiny_dataset)
+        trained = {key: arr.tobytes() for key, arr in result.model.state_arrays().items()}
+        trainer.save_checkpoint(tmp_path / "train.ckpt", result)
+        result.model.eval()
+        assert {key: arr.tobytes() for key, arr in result.model.state_arrays().items()} == trained
+        trainer.save_checkpoint(tmp_path / "eval.ckpt", result)
+        assert (tmp_path / "eval.ckpt").read_bytes() == (tmp_path / "train.ckpt").read_bytes()
+
+    def test_inference_under_a_tape_records_nothing(self, tiny_dataset):
+        model = trainer.fit(quick_config(total_epochs=1), tiny_dataset).model.eval()
+        x = network.normalize_images(tiny_dataset.images[:4])
+        with tc.Tape() as tape:
+            embed = model.inference_embed(x)
+        assert len(tape) == 0
+        assert embed.tobytes() == model.inference_embed(x).tobytes()
 
 
 class TestFloat32Training:

@@ -32,6 +32,9 @@ MODEL_DTYPES = ("float32", "float64")
 
 STREAMS = ("global", "drop", "reg")
 
+# Window of the stem's max-pool, which tiles the stem's relu output.
+STEM_POOL = 2
+
 
 def loss_key(stream: str) -> str:
     return f"loss_{stream}"
@@ -88,7 +91,7 @@ class BackboneConfig:
             raise ValueError(f"feature height {self.feature_height()} < 4; stripe dropping needs taller maps")
 
     def feature_height(self) -> int:
-        extent = self.input_size[0] // 2  # stem max-pool
+        extent = self.input_size[0] // STEM_POOL
         for s in self.strides:
             extent = tc.conv_output_extent(extent, 3, s, 1)
         return extent
@@ -251,7 +254,7 @@ class Backbone(tc.Module):
         h, w = self._cfg.input_size
         if x.shape[2:] != (h, w) or x.shape[1] != 3:
             raise tc.TensorError(f"backbone expects (n, 3, {h}, {w}), got {x.shape}")
-        y = tc.maxpool2d(self.stem_conv(x, relu=True), 2, 2)
+        y = tc.maxpool2d(self.stem_conv(x, relu=True), STEM_POOL)
         for stage in self.stages:
             y = stage(y)
         return y

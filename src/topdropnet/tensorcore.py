@@ -32,9 +32,9 @@ batch-norm statistics add up per-image channel sums in image order,
 numpy's own order, except for one channel, whose statistics stay
 whole-batch reductions. So the bytes do not depend on the split.
 
-Max-pooling over an input with no sign bit and no NaN (as after relu)
-takes a running maximum of the values' unsigned bit patterns, which keeps
-the select loop's bytes by construction.
+Max-pooling takes only an input with no sign bit and no NaN, as a relu
+output is, and pools by a running maximum of the values' unsigned bit
+patterns; any other input raises :class:`TensorError`.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -461,64 +461,49 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return record_op(out, (x, k), back)
 
 
-def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    """Max pooling; gradient goes to the lowest linear index among ties.
+def maxpool2d(x: Tensor, window: int) -> Tensor:
+    """Max pooling of a relu output over ``window`` x ``window`` windows
+    that tile the input (the stride is the window); the rows and columns
+    past the last whole window are cropped. The gradient goes to the
+    lowest linear index among ties.
 
-    Works on one strided plane per window offset. An input whose every
-    unsigned bit pattern is at most that of +inf (no sign bit and no NaN,
-    as after relu) is pooled by a running ``np.maximum`` of the planes'
-    unsigned bit patterns: for such values unsigned order is float order
-    and equal values have equal bits. An input holding -0.0, a negative
-    value or a NaN takes a select loop, a running maximum that moves only
-    on a strictly greater value: ``np.copyto`` of the next plane where it
-    is greater. Either pass keeps the first (lowest linear index) of tied
-    maxima, and a NaN only when it comes first in its window.
+    The input must hold no sign bit and no NaN, as a relu output does not
+    (relu writes +0.0, never -0.0): every value's unsigned bit pattern is
+    at most that of +inf, else :class:`TensorError`. For such values
+    unsigned order is float order and equal values have equal bits, so a
+    running ``np.maximum`` of the unsigned bit patterns of one strided
+    plane per window offset gives each window's first maximum.
 
-    The backward reads the window's first maximum back from the output:
-    the first offset whose bits equal the output's gets ``g``, and every
-    other offset gets +0.0. That is the offset the select loop ends on,
-    so the gradient does not depend on which pass ran.
+    The backward keeps no index: it reads the window's first maximum back
+    from the output. The first offset whose bits equal the output's gets
+    ``g``, and every other offset gets +0.0.
     """
     if x.data.ndim != 4:
         raise TensorError("maxpool2d expects 4-d input")
-    wh = ww = int(window)
-    stride = int(stride) if stride is not None else wh
+    window = int(window)
     n, c, h, w = x.shape
-    if wh > h or ww > w:
-        raise TensorError(f"maxpool2d: window {wh}x{ww} exceeds input {h}x{w}")
-    if stride < 1:
-        raise TensorError("maxpool2d: stride must be >= 1")
-    ho = (h - wh) // stride + 1
-    wo = (w - ww) // stride + 1
-
-    def plane(arr, k):  # window offset k = i * ww + j, cropped to (ho, wo)
-        i, j = divmod(k, ww)
-        return arr[:, :, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
-
+    if not 1 <= window <= min(h, w):
+        raise TensorError(f"maxpool2d: window {window} must be at least 1 and fit the input {h}x{w}")
     bits = np.dtype(f"u{x.data.dtype.itemsize}")  # unsigned integers of the values' width
+    xbits = x.data.view(bits)
+    if xbits.max(initial=0) > np.array(np.inf, x.data.dtype).view(bits):
+        raise TensorError("maxpool2d pools relu outputs: its input holds a sign bit (-0.0 or a negative value) or a NaN")
+    ho, wo = h // window, w // window
+
+    def plane(arr, k):  # window offset k = i * window + j, cropped to (ho, wo)
+        i, j = divmod(k, window)
+        return arr[:, :, i : ho * window : window, j : wo * window : window]
+
     val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
-    xbits, vbits = x.data.view(bits), val.view(bits)
-    if xbits.max(initial=0) <= np.array(np.inf, x.data.dtype).view(bits):
+    vbits = val.view(bits)
 
-        def running_max(b):
-            vb, xb = vbits[b], xbits[b]
-            vb[...] = plane(xb, 0)
-            for k in range(1, wh * ww):
-                np.maximum(vb, plane(xb, k), out=vb)
+    def running_max(b):
+        vb, xb = vbits[b], xbits[b]
+        vb[...] = plane(xb, 0)
+        for k in range(1, window * window):
+            np.maximum(vb, plane(xb, k), out=vb)
 
-        blocks.halves(running_max, val)
-    else:
-        greater = np.empty(val.shape, dtype=bool)
-
-        def select_max(b):
-            xb, vb, gb = x.data[b], val[b], greater[b]
-            vb[...] = plane(xb, 0)
-            for k in range(1, wh * ww):
-                p = plane(xb, k)
-                np.greater(p, vb, out=gb)
-                np.copyto(vb, p, where=gb)
-
-        blocks.halves(select_max, val)
+    blocks.halves(running_max, val)
 
     def back(g):
         gx = np.empty_like(x.data)
@@ -528,13 +513,14 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
         def backward(b):
             gxb, rb, ub = gx[b], routed[b], unrouted[b]
             gxb.fill(0)
-            for k in range(wh * ww):
+            for k in range(window * window):
                 # The unrouted g where this offset holds the output's bits,
                 # else the bits of +0.0.
                 np.equal(plane(xbits[b], k), vbits[b], out=rb)
                 np.negative(rb, out=rb)
                 np.bitwise_and(rb, ub, out=rb)
                 np.bitwise_xor(ub, rb, out=ub)
+                # Added into +0.0, not assigned: a -0.0 in g lands as +0.0.
                 np.add(plane(gxb, k), rb.view(g.dtype), out=plane(gxb, k))
 
         blocks.halves(backward, gx)
@@ -578,6 +564,8 @@ def global_max_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 BATCHNORM_EPS = 1e-5
+# Share of the batch statistics in each update of the running statistics.
+BATCHNORM_MOMENTUM = 0.1
 
 
 class _ChannelSums:
@@ -609,22 +597,15 @@ class _ChannelSums:
         return arr.sum(axis=self.axes) if self.parts is None else self.parts[k].sum(axis=0)
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    momentum: float = 0.1,
-    eps: float = BATCHNORM_EPS,
-) -> Tensor:
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
     """Train-mode batch normalization over (n,) or (n, h, w) per channel.
 
-    Normalizes by batch statistics (population variance) and updates the
-    running stats in place with
-    ``new = (1 - momentum) * old + momentum * batch``. There is no eval
-    mode: the running stats make a per-channel affine map, which the
-    network folds into the layer before it.
+    Normalizes by batch statistics (population variance), with
+    :data:`BATCHNORM_EPS` added to the variance, and updates the running
+    stats in place with ``new = (1 - m) * old + m * batch``, ``m`` being
+    :data:`BATCHNORM_MOMENTUM`. There is no eval mode: the running stats
+    make a per-channel affine map, which the network folds into the layer
+    before it with the same :data:`BATCHNORM_EPS`.
 
     Every per-channel operand is spread over a whole image first, so each
     elementwise pass runs one inner loop per image, not one per channel;
@@ -664,11 +645,11 @@ def batchnorm(
 
     blocks.halves(center, y)
     var = sums.total(1, y) / count
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
-    iplane = plane(1.0 / np.sqrt(var + eps))
+    running_mean *= 1.0 - BATCHNORM_MOMENTUM
+    running_mean += BATCHNORM_MOMENTUM * mean
+    running_var *= 1.0 - BATCHNORM_MOMENTUM
+    running_var += BATCHNORM_MOMENTUM * var
+    iplane = plane(1.0 / np.sqrt(var + BATCHNORM_EPS))
 
     def scale(b):
         np.multiply(xhat[b], iplane, out=xhat[b])

@@ -56,20 +56,3 @@ def workers(request, pool_of):
     """Run the block-split passes on a pool of 1, 2 or 3 threads."""
     pool_of(request.param)
     return request.param
-
-
-@pytest.fixture
-def pool_passes(monkeypatch):
-    """The names of the max-pool forward passes run during the test, in
-    order, recorded or not: ``running_max`` for bit patterns,
-    ``select_max`` for the select loop."""
-    names = []
-    halves = blocks.halves
-
-    def spy(work, arr):
-        if work.__name__ in ("running_max", "select_max"):
-            names.append(work.__name__)
-        return halves(work, arr)
-
-    monkeypatch.setattr(blocks, "halves", spy)
-    return names

@@ -256,55 +256,20 @@ def conv2d_reference(x, k, stride, pad):
     return out, back
 
 
-def maxpool2d_reference(x, window, stride):
-    """Output and ``back(g) -> gx`` through a window copy, ``argmax``
-    (first occurrence among ties) and ``np.add.at``."""
+def maxpool2d_reference(x, window):
+    """Output and ``back(g) -> gx`` of max pooling over tiling windows
+    (the stride is the window) through a window copy, ``argmax`` (first
+    occurrence among ties) and ``np.add.at``."""
     n, c, h, w = x.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    flat = _windows(x, window, window, stride, ho, wo).reshape(n, c, ho, wo, window * window)
+    ho, wo = h // window, w // window
+    flat = _windows(x, window, window, window, ho, wo).reshape(n, c, ho, wo, window * window)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def back(g):
         gx = np.zeros_like(x)
         ni, ci, hi, wi = np.indices((n, c, ho, wo))
-        np.add.at(gx, (ni, ci, hi * stride + idx // window, wi * stride + idx % window), g)
-        return gx
-
-    return out, back
-
-
-def maxpool2d_first_max(x, window, stride):
-    """Output and ``back(g) -> gx`` of the select loop, written as plain
-    loops: a window's running maximum moves only on a strictly greater
-    value, so it keeps the first of tied maxima (-0.0 or +0.0, whichever
-    comes first) and a NaN only when the NaN comes first. The gradient goes
-    to that offset; gx takes the offsets in order, which fixes the sum
-    order where windows overlap. Unlike :func:`maxpool2d_reference`, whose
-    ``argmax`` takes a NaN anywhere in its window."""
-    n, c, h, w = x.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    values = x.tolist()
-    idx = np.zeros((n, c, ho, wo), dtype=np.int64)
-    for a, b, i, j in np.ndindex(idx.shape):
-        plane = values[a][b]
-        best, first = plane[i * stride][j * stride], 0
-        for k in range(1, window * window):
-            v = plane[i * stride + k // window][j * stride + k % window]
-            if v > best:
-                best, first = v, k
-        idx[a, b, i, j] = first
-    ni, ci, hi, wi = np.indices(idx.shape)
-    rows, cols = hi * stride + idx // window, wi * stride + idx % window
-    out = x[ni, ci, rows, cols]
-
-    def back(g):
-        gx = np.zeros_like(x)
-        for k in range(window * window):
-            at = idx == k  # within one offset no two windows share a position
-            gx[ni[at], ci[at], rows[at], cols[at]] += g[at]
+        np.add.at(gx, (ni, ci, hi * window + idx // window, wi * window + idx % window), g)
         return gx
 
     return out, back

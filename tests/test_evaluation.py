@@ -658,13 +658,22 @@ class TestNonFiniteEmbeddings:
             evaluation.EmbeddingSet(features, np.arange(3), np.zeros(3, dtype=int))
 
     def test_embed_split_output_is_checked(self, tiny_dataset):
-        from topdropnet import network
+        from topdropnet import network, tensorcore as tc
 
-        model = network.ReidModel(4, network.ModelConfig(d_global=8, d_drop=8,
-                                                         backbone=network.BackboneConfig(input_size=(32, 16))))
-        model.backbone.stem_conv.weight.data.flat[0] = np.nan
+        def model():
+            backbone = network.BackboneConfig(input_size=(32, 16))
+            return network.ReidModel(4, network.ModelConfig(d_global=8, d_drop=8, backbone=backbone))
+
+        # A NaN past the stem reaches the embeddings, whose check stops it.
+        past_the_stem = model()
+        past_the_stem.global_reduce.weight.data.flat[0] = np.nan
         with pytest.raises(ValueError, match="features must be finite"):
-            evaluation.embed_split(model, tiny_dataset, "query")
+            evaluation.embed_split(past_the_stem, tiny_dataset, "query")
+        # A NaN in the stem stops at the stem's max-pool, which takes relu outputs only.
+        in_the_stem = model()
+        in_the_stem.backbone.stem_conv.weight.data.flat[0] = np.nan
+        with pytest.raises(tc.TensorError, match="maxpool2d pools relu outputs"):
+            evaluation.embed_split(in_the_stem, tiny_dataset, "query")
 
 
 class TestEmbeddingFiles:

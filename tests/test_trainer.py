@@ -199,6 +199,21 @@ class TestTrainEpoch:
         with pytest.raises(RuntimeError, match="non-finite loss at epoch 0"):
             trainer.fit(quick_config(total_epochs=1), tiny_dataset)
 
+    @pytest.mark.parametrize("variant", ["full", "no_drop", "baseline_bdb"])
+    def test_a_nan_in_the_stem_stops_the_step_at_the_max_pool(self, tiny_dataset, monkeypatch, variant):
+        # relu passes a NaN on, and the stem's max-pool takes relu outputs
+        # only: every variant stops there, before the mask or the loss.
+        normalize = network.normalize_images
+
+        def poisoned(images, dtype):
+            x = normalize(images, dtype)
+            x.data[0, 0, 0, 0] = np.nan
+            return x
+
+        monkeypatch.setattr(network, "normalize_images", poisoned)
+        with pytest.raises(tc.TensorError, match="maxpool2d pools relu outputs"):
+            trainer.fit(quick_config(total_epochs=1, variant=variant), tiny_dataset)
+
     def test_history_columns_match_variant(self, tiny_dataset):
         full = trainer.fit(quick_config(total_epochs=1), tiny_dataset)
         assert full.history[0]["loss_drop"] is not None

@@ -1169,6 +1169,28 @@ class TestMaxpoolBitPatterns:
         assert not np.signbit(gx).any()
         assert_same_bytes(gx, ref_back(g))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["equal", "subnormal", "ints", "relu", "inf"])
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_recorded_gradient_goes_to_each_windows_first_maximum(self, pool_of, dtype, kind, window):
+        rng = np.random.default_rng(window)
+        shape = (16 if window == 2 else 40, STEM_CHANNELS) + STEM_SIZE  # both passes split into halves
+        if kind == "inf":  # ties of +inf among ties of zeros
+            x = np.maximum(rng.normal(size=shape), 0.0)
+            x[rng.random(shape) < 0.3] = np.inf
+        else:
+            x = pool_input(rng, shape, kind)
+        x = x.astype(dtype)
+        expected_out, back = oracles.maxpool2d_reference(x, window)
+        assert expected_out.size >= blocks.SPLIT_VALUES
+        g = rng.normal(size=expected_out.shape).astype(dtype)
+        expected_gx = back(g)
+        for threads in (1, 2, 3):
+            pool_of(threads)
+            out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window), [tc.Tensor(x, requires_grad=True)], g)
+            assert_same_bytes(out, expected_out)
+            assert_same_bytes(gx, expected_gx)
+
     @staticmethod
     def assert_rejected(x, window, match):
         """Off a tape and recorded on one, ``maxpool2d(x, window)`` raises
@@ -1194,6 +1216,9 @@ class TestMaxpoolBitPatterns:
 
     def test_window_zero_is_rejected(self):
         self.assert_rejected(np.ones((1, 1, 4, 4)), 0, "at least 1")
+
+    def test_a_window_larger_than_the_input_is_rejected(self):
+        self.assert_rejected(np.ones((1, 1, 4, 5)), 5, "fit the input 4x5")
 
     def test_an_empty_batch(self):
         assert tc.maxpool2d(tc.Tensor(np.zeros((0, 2, 4, 4))), 2).shape == (0, 2, 2, 2)

@@ -68,8 +68,8 @@ def _read_config_file(path, schema):
     values, set_on = {}, {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            body = line.strip()
+            if not body or body.startswith("#"):  # a value may hold a "#"
                 continue
             if "=" not in body:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")

@@ -16,6 +16,9 @@ Batch norm runs only in train mode. Eval mode folds each one, a fixed
 per-channel map ``x·s + t`` of its running statistics, into the layer
 before it (standard batch-norm folding, Jacob et al., arXiv 1712.05877,
 section 3.2), and computes neither the pre-norm feature nor the logits.
+A conv's tail (shift, residual add, relu, and the stem's max-pool) runs
+inside the conv's one ``tc.shift_channels`` call, with the bytes of the
+separate ops training runs.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -135,10 +138,14 @@ class StreamOutputs:
 
 class Conv2d(tc.Module):
     """Convolution, then the batch norm ``bn`` (see :func:`conv_bn`), then
-    relu if the call asks for it.
+    what the call asks for in this order: add ``residual``, take the relu,
+    max-pool over ``pool`` x ``pool`` windows. Pooling needs the relu and
+    no residual.
 
     Eval mode runs one convolution with the folded kernel ``k·s``, then
-    adds the shift ``t`` and takes the relu in place on its output.
+    :func:`tc.shift_channels` adds the shift ``t``, the residual and the
+    relu in place on its output, or pools the output first and shifts it
+    after, to the same bytes.
     """
 
     def __init__(self, cin, cout, ksize, stride, pad, init_rng, bn):
@@ -160,12 +167,18 @@ class Conv2d(tc.Module):
             self._folded = tc.Tensor(kernel.astype(dtype)), tc.Tensor(shift.astype(dtype))
         return super().train(mode)
 
-    def __call__(self, x, relu=False):
-        if self.training:
-            y = self._bn(tc.conv2d(x, self.weight, self._stride, self._pad))
-            return tc.relu(y) if relu else y
-        kernel, shift = self._folded
-        return tc.shift_channels(tc.conv2d(x, kernel, self._stride, self._pad), shift, relu)
+    def __call__(self, x, relu=False, residual=None, pool=1):
+        if pool > 1 and (not relu or residual is not None):
+            raise tc.TensorError(f"a conv that pools ({pool}) needs relu and no residual")
+        if not self.training:
+            kernel, shift = self._folded
+            return tc.shift_channels(tc.conv2d(x, kernel, self._stride, self._pad), shift, relu, residual, pool)
+        y = self._bn(tc.conv2d(x, self.weight, self._stride, self._pad))
+        if residual is not None:
+            y = tc.add(y, residual)
+        if relu:
+            y = tc.relu(y)
+        return tc.maxpool2d(y, pool) if pool > 1 else y
 
 
 def conv_bn(cin, cout, ksize, stride=1, pad=0, init_rng=None, zero_init=False) -> tuple:
@@ -232,9 +245,8 @@ class Bottleneck(tc.Module):
             self.proj_conv, self.proj_bn = conv_bn(cin, cout, 1, stride=stride, init_rng=init_rng)
 
     def __call__(self, x):
-        y = self.conv3(self.conv2(self.conv1(x, relu=True), relu=True))
         shortcut = self.proj_conv(x) if self._project else x
-        return tc.relu(tc.add(y, shortcut))
+        return self.conv3(self.conv2(self.conv1(x, relu=True), relu=True), relu=True, residual=shortcut)
 
 
 class Backbone(tc.Module):
@@ -254,7 +266,7 @@ class Backbone(tc.Module):
         h, w = self._cfg.input_size
         if x.shape[2:] != (h, w) or x.shape[1] != 3:
             raise tc.TensorError(f"backbone expects (n, 3, {h}, {w}), got {x.shape}")
-        y = tc.maxpool2d(self.stem_conv(x, relu=True), STEM_POOL)
+        y = self.stem_conv(x, relu=True, pool=STEM_POOL)
         for stage in self.stages:
             y = stage(y)
         return y

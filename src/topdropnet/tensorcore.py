@@ -18,8 +18,11 @@ an operation that would keep such arrays asks :func:`will_record` before
 it builds them, so relu keeps no mask. The output has the same bytes
 either way, so evaluation-mode code pays no graph cost. Batch norm runs
 only in train mode: at inference the network folds each batch norm into
-the weights of the layer before it, and :func:`shift_channels` adds a
-folded conv's per-channel shift in place, forward only.
+the weights of the layer before it, and :func:`shift_channels` ends a
+folded conv, forward only: its per-channel shift, a residual add and the
+relu in place on the conv's output, or for the stem a max-pool of the
+raw output first and the shift and relu on the pooled values, to the
+bytes of the separate ops.
 
 Convolution, batch norm, relu, max-pooling and :func:`shift_channels`
 work on a batch of at least ``blocks.SPLIT_VALUES`` values and 2 images
@@ -34,7 +37,8 @@ whole-batch reductions. So the bytes do not depend on the split.
 
 Max-pooling takes only an input with no sign bit and no NaN, as a relu
 output is, and pools by a running maximum of the values' unsigned bit
-patterns; any other input raises :class:`TensorError`.
+patterns; any other input raises :class:`TensorError`. Convolution pads
+by one copy into a zeroed buffer.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -415,7 +419,11 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise TensorError(f"conv2d: non-positive output extent for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, pad {pad}")
 
     dtype = x.data.dtype
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    if pad:
+        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x.data
+    else:
+        xp = x.data
     ncols = cin * kh * kw
     kmat = k.data.reshape(cout, ncols)
     y = np.empty((n, cout, ho, wo), dtype=dtype)
@@ -461,6 +469,14 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return record_op(out, (x, k), back)
 
 
+def _window_planes(arr: np.ndarray, window: int) -> list:
+    """One strided view of a 4-d array per offset (i, j) of the ``window``
+    x ``window`` windows that tile it, in (i, j) order; the rows and
+    columns past the last whole window are cropped."""
+    h, w = arr.shape[2] // window * window, arr.shape[3] // window * window
+    return [arr[:, :, i:h:window, j:w:window] for i in range(window) for j in range(window)]
+
+
 def maxpool2d(x: Tensor, window: int) -> Tensor:
     """Max pooling of a relu output over ``window`` x ``window`` windows
     that tile the input (the stride is the window); the rows and columns
@@ -469,10 +485,12 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
 
     The input must hold no sign bit and no NaN, as a relu output does not
     (relu writes +0.0, never -0.0): every value's unsigned bit pattern is
-    at most that of +inf, else :class:`TensorError`. For such values
-    unsigned order is float order and equal values have equal bits, so a
-    running ``np.maximum`` of the unsigned bit patterns of one strided
-    plane per window offset gives each window's first maximum.
+    at most that of +inf, else :class:`TensorError`. Each half checks its
+    own images before it pools them, and the error is raised once both
+    halves are done, so nothing is recorded. For such values unsigned
+    order is float order and equal values have equal bits, so a running
+    ``np.maximum`` of the unsigned bit patterns of one strided plane per
+    window offset gives each window's first maximum.
 
     The backward keeps no index: it reads the window's first maximum back
     from the output. The first offset whose bits equal the output's gets
@@ -486,22 +504,18 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
         raise TensorError(f"maxpool2d: window {window} must be at least 1 and fit the input {h}x{w}")
     bits = np.dtype(f"u{x.data.dtype.itemsize}")  # unsigned integers of the values' width
     xbits = x.data.view(bits)
-    if xbits.max(initial=0) > np.array(np.inf, x.data.dtype).view(bits):
-        raise TensorError("maxpool2d pools relu outputs: its input holds a sign bit (-0.0 or a negative value) or a NaN")
-    ho, wo = h // window, w // window
-
-    def plane(arr, k):  # window offset k = i * window + j, cropped to (ho, wo)
-        i, j = divmod(k, window)
-        return arr[:, :, i : ho * window : window, j : wo * window : window]
-
-    val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    inf_bits = np.array(np.inf, x.data.dtype).view(bits)
+    val = np.empty((n, c, h // window, w // window), dtype=x.data.dtype)
     vbits = val.view(bits)
 
     def running_max(b):
         vb, xb = vbits[b], xbits[b]
-        vb[...] = plane(xb, 0)
-        for k in range(1, window * window):
-            np.maximum(vb, plane(xb, k), out=vb)
+        if xb.max(initial=0) > inf_bits:
+            raise TensorError("maxpool2d pools relu outputs: its input holds a sign bit (-0.0 or a negative value) or a NaN")
+        first, *rest = _window_planes(xb, window)
+        vb[...] = first
+        for plane in rest:
+            np.maximum(vb, plane, out=vb)
 
     blocks.halves(running_max, val)
 
@@ -513,15 +527,15 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
         def backward(b):
             gxb, rb, ub = gx[b], routed[b], unrouted[b]
             gxb.fill(0)
-            for k in range(window * window):
+            for xplane, gplane in zip(_window_planes(xbits[b], window), _window_planes(gxb, window)):
                 # The unrouted g where this offset holds the output's bits,
                 # else the bits of +0.0.
-                np.equal(plane(xbits[b], k), vbits[b], out=rb)
+                np.equal(xplane, vbits[b], out=rb)
                 np.negative(rb, out=rb)
                 np.bitwise_and(rb, ub, out=rb)
                 np.bitwise_xor(ub, rb, out=ub)
                 # Added into +0.0, not assigned: a -0.0 in g lands as +0.0.
-                np.add(plane(gxb, k), rb.view(g.dtype), out=plane(gxb, k))
+                np.add(gplane, rb.view(g.dtype), out=gplane)
 
         blocks.halves(backward, gx)
         accumulate_grad(x, gx)
@@ -699,30 +713,71 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, 
     return record_op(out, (x, gamma, beta), back)
 
 
-def shift_channels(x: Tensor, shift: Tensor, relu: bool = False) -> Tensor:
-    """``x[:, c] += shift[c]`` over (n, c, h, w), then ``max(x, 0)`` if
-    ``relu``, in place; returns ``x``.
+def shift_channels(x: Tensor, shift: Tensor, relu: bool = False, residual: Tensor = None, pool: int = 1) -> Tensor:
+    """The rest of a convolution whose kernel has a batch norm folded into
+    it, forward only: ``x[:, c] += shift[c]`` over (n, c, h, w), then
+    ``x += residual`` if given, then ``max(x, 0)`` if ``relu``, in place in
+    one pass; returns ``x``. ``residual`` is only read.
 
-    Forward only: the rest of a convolution whose kernel has a batch norm
-    folded into it. ``x`` must be an output no tape recorded, as a call
-    that would record raises :class:`TensorError`. The shift is spread over
-    a whole image, and the pass runs by halves as batch norm's do.
+    With ``pool > 1``, which needs ``relu`` and no ``residual``, it returns
+    the bytes of ``maxpool2d(relu(x + shift), pool)`` in a new array, and
+    ``x`` is only read: a running float ``np.maximum`` of ``x`` down each
+    window's rows, then across its columns, then the shift and the relu on
+    the pooled values only. Adding a finite shift and taking ``max(·, 0)``
+    are non-decreasing, so they commute with the window maximum; the
+    maximum's value does not depend on the order, only the sign of a zero
+    may, and the relu writes every zero as +0.0. A non-finite shift, or a
+    NaN in a pooled window, raises :class:`TensorError`; the values past
+    the last whole window do not reach the output.
+
+    ``x`` must be an output no tape recorded, as a call that would record
+    raises :class:`TensorError`. The shift is spread over a whole image,
+    and the pass runs by halves as batch norm's do.
     """
+    operands = (x, shift) if residual is None else (x, shift, residual)
     if x.data.ndim != 4 or shift.shape != x.shape[1:2]:
         raise TensorError(f"shift_channels: shift {shift.shape} does not match the channels of {x.shape}")
-    _same_dtype("shift_channels", x, shift)
-    if will_record(x, shift):
+    if residual is not None and residual.shape != x.shape:
+        raise TensorError(f"shift_channels: residual {residual.shape} does not match {x.shape}")
+    _same_dtype("shift_channels", *operands)
+    if will_record(*operands):
         raise TensorError("shift_channels works in place and never records")
-    plane = np.repeat(shift.data, math.prod(x.shape[2:])).reshape(x.shape[1:])
+    n, c, h, w = x.shape
+    pool = int(pool)
+    if not 1 <= pool <= min(h, w) or pool > 1 and (not relu or residual is not None):
+        raise TensorError(f"shift_channels: pool {pool} must be at least 1 and fit {h}x{w}, and above 1 needs relu and no residual")
+    if pool > 1 and not np.isfinite(shift.data).all():
+        raise TensorError("shift_channels: a pooled shift must be finite")
+    ho, wo = h // pool, w // pool
+    out = x.data if pool == 1 else np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    rows = None if pool == 1 else np.empty((n, c, ho, w), dtype=x.data.dtype)  # each row window's maximum
+    plane = np.repeat(shift.data, math.prod(out.shape[2:])).reshape(out.shape[1:])
+
+    def running_max(dst, planes):
+        np.maximum(planes[0], planes[1], out=dst)
+        for src in planes[2:]:
+            np.maximum(dst, src, out=dst)
 
     def forward(b):
-        xb = x.data[b]
-        xb += plane
+        ob = out[b]
+        if pool > 1:
+            # Down the rows first, whose inner loops are contiguous, then
+            # across the columns of the smaller array.
+            xb, rb = x.data[b], rows[b]
+            running_max(rb, [xb[:, :, i : ho * pool : pool] for i in range(pool)])
+            running_max(ob, [rb[:, :, :, j : wo * pool : pool] for j in range(pool)])
+        ob += plane
+        if residual is not None:
+            ob += residual.data[b]
         if relu:
-            np.maximum(xb, 0.0, out=xb)
+            np.maximum(ob, 0.0, out=ob)
+        # Past the relu no value is below +0.0, so the maximum is NaN only
+        # if a value is.
+        if pool > 1 and np.isnan(ob.max(initial=0.0)):
+            raise TensorError("shift_channels: a pooled window holds a NaN")
 
     blocks.halves(forward, x.data)
-    return x
+    return x if pool == 1 else Tensor(out)
 
 
 def log_softmax(logits: Tensor) -> Tensor:

@@ -140,6 +140,20 @@ class TestGendata:
         assert run_cli("gendata", "--config", config_copy, "--force") == 0
         assert tree_bytes(out) == first
 
+    def test_rerun_from_echo_keeps_a_hash_in_the_out_path(self, tmp_path):
+        # Only a line's first non-blank "#" starts a comment.
+        out = tmp_path / "d#1"
+        assert run_cli("gendata", "--out", out, "--ids", 4, "--cams", 2, "--per", 1,
+                       "--height", 16, "--width", 8, "--seed", 9) == 0
+        echo = (out / "resolved.cfg").read_text()
+        assert f"out = {out}\n" in echo
+        first = tree_bytes(out)
+        config_copy = tmp_path / "copy.cfg"
+        config_copy.write_text("  # the echo of d#1\n" + echo)
+        assert run_cli("gendata", "--config", config_copy, "--force") == 0
+        assert tree_bytes(out) == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.cfg", "d#1"]
+
 
 class TestTrain:
     def test_single_seed_artifacts(self, trained):

@@ -669,10 +669,11 @@ class TestNonFiniteEmbeddings:
         past_the_stem.global_reduce.weight.data.flat[0] = np.nan
         with pytest.raises(ValueError, match="features must be finite"):
             evaluation.embed_split(past_the_stem, tiny_dataset, "query")
-        # A NaN in the stem stops at the stem's max-pool, which takes relu outputs only.
+        # A NaN in the stem stops at the eval stem's max-pool, which checks
+        # its pooled output.
         in_the_stem = model()
         in_the_stem.backbone.stem_conv.weight.data.flat[0] = np.nan
-        with pytest.raises(tc.TensorError, match="maxpool2d pools relu outputs"):
+        with pytest.raises(tc.TensorError, match="a pooled window holds a NaN"):
             evaluation.embed_split(in_the_stem, tiny_dataset, "query")
 
 

@@ -42,8 +42,11 @@ class TestModelDtype:
         assert x.data.tobytes() == expected.tobytes()
 
     def test_embed_split_pools_the_stem_on_bit_patterns(self, tmp_path):
-        # The eval stem's relu runs in place in shift_channels. Max-pool
-        # raises on a -0.0, so a relu that wrote one would fail here.
+        # The eval stem pools the folded conv's output by float maxima, then
+        # shifts and takes the relu of the pooled values in shift_channels,
+        # which raises on a NaN. Training pools relu outputs on bit patterns
+        # (tc.maxpool2d); both give these bytes (tests/test_tensorcore.py,
+        # TestShiftTails), and here a split embeds through the eval stem.
         synthdata.generate_dataset(tmp_path, num_ids=4, num_cams=2, imgs_per_id_per_cam=2, size=(64, 32), seed=0)
         dataset = synthdata.load_dataset(tmp_path)
         model = network.ReidModel(4, network.ModelConfig(), seed=0)
@@ -107,6 +110,17 @@ class TestBackbone:
         model = small_model().eval()
         with pytest.raises(tc.TensorError):
             model.backbone_forward(toy_images(size=(16, 16)))
+
+
+class TestConvTails:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("relu, residual", [(False, False), (True, True)], ids=["no_relu", "residual"])
+    def test_a_conv_that_pools_needs_relu_and_no_residual(self, training, relu, residual):
+        model = small_model().train(training)
+        x = toy_images()
+        shortcut = tc.Tensor(np.zeros((4, 8, 32, 16))) if residual else None
+        with pytest.raises(tc.TensorError, match="needs relu and no residual"):
+            model.backbone.stem_conv(x, relu=relu, residual=shortcut, pool=2)
 
 
 class TestBottleneckPair:
@@ -458,6 +472,28 @@ def trained_looking(variant, dtype, seed=1):
     return model
 
 
+def unfused_eval(model, x):
+    """Backbone features and refined tensor of eval mode as separate
+    passes: each folded conv and its shift, then ``tc.relu``, ``tc.add``
+    and ``tc.maxpool2d`` on whole arrays."""
+
+    def conv(c, y, relu=False):
+        kernel, shift = c._folded
+        return tc.shift_channels(tc.conv2d(y, kernel, c._stride, c._pad), shift, relu)
+
+    def block(b, y):
+        z = conv(b.conv3, conv(b.conv2, conv(b.conv1, y, relu=True), relu=True))
+        return tc.relu(tc.add(z, conv(b.proj_conv, y) if b._project else y))
+
+    y = tc.maxpool2d(conv(model.backbone.stem_conv, x, relu=True), network.STEM_POOL)
+    for stage in model.backbone.stages:
+        y = block(stage, y)
+    g = y
+    for b in model.refine:
+        g = block(b, g)
+    return y.data, g.data
+
+
 class TestFoldedInference:
     """Eval mode folds every batch norm into the layer before it; the
     folded forward agrees with the unfolded composition in float64."""
@@ -485,6 +521,45 @@ class TestFoldedInference:
             pool_of(threads)
             embeds.append((model.backbone_forward(x).data.tobytes(), model.inference_embed(x).tobytes()))
         assert embeds[0] == embeds[1]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("variant", ["full", "no_drop"])
+    def test_fused_tails_give_the_bytes_of_separate_passes(self, pool_of, variant, dtype):
+        model = trained_looking(variant, dtype).eval()
+        pixels = np.random.default_rng(4).integers(0, 256, size=(8, 64, 32, 3), dtype=np.uint8)
+        x = network.normalize_images(pixels, dtype)
+        before = x.data.copy()
+        for threads in (1, 2):
+            pool_of(threads)
+            features = model.backbone_forward(x)
+            expected = unfused_eval(model, x)
+            for got, ref in zip((features.data, model.bottleneck_pair(features).data), expected):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert x.data.tobytes() == before.tobytes()
+
+    def test_an_identity_shortcut_is_never_written(self):
+        model = trained_looking("full", "float32").eval()
+        block = model.refine[0]
+        assert not block._project
+        x = tc.Tensor(np.maximum(np.random.default_rng(5).normal(size=(4, 64, 8, 4)), 0.0).astype(np.float32))
+        before = x.data.copy()
+        assert block(x).data.tobytes() != before.tobytes()
+        assert x.data.tobytes() == before.tobytes()
+
+    def test_one_embedding_runs_no_whole_array_tail_pass(self, monkeypatch):
+        # Eval mode pools, adds and takes every relu inside shift_channels,
+        # and pads each conv input without np.pad.
+        calls = dict.fromkeys(["maxpool2d", "relu", "add", "pad"], 0)
+        for owner, name in ((tc, "maxpool2d"), (tc, "relu"), (tc, "add"), (np, "pad")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _n=name, **k: calls.__setitem__(_n, calls[_n] + 1) or _fn(*a, **k))
+        model = trained_looking("full", "float32").eval()
+        x = network.normalize_images(np.random.default_rng(6).integers(0, 256, size=(2, 64, 32, 3), dtype=np.uint8))
+        model.inference_embed(x)
+        assert calls == dict.fromkeys(calls, 0)
+        model.train()
+        model.forward_train(x)
+        assert calls["maxpool2d"] == 1 and calls["relu"] > 0 and calls["add"] > 0 and calls["pad"] == 0
 
     def test_default_statistics_fold_to_the_identity_map(self):
         bn = network.BatchNorm(3)

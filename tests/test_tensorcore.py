@@ -206,6 +206,21 @@ class TestShiftChannels:
         with pytest.raises(tc.TensorError, match="dtype mismatch"):
             tc.shift_channels(tc.Tensor(np.zeros((2, 3, 1, 1), np.float32)), tc.Tensor(np.zeros(3)))
 
+    def test_residual_of_another_shape_or_dtype_rejected(self):
+        x, shift = tc.Tensor(np.zeros((2, 3, 4, 4))), tc.Tensor(np.zeros(3))
+        with pytest.raises(tc.TensorError, match="residual"):
+            tc.shift_channels(x, shift, residual=tc.Tensor(np.zeros((2, 3, 4, 5))))
+        with pytest.raises(tc.TensorError, match="dtype mismatch"):
+            tc.shift_channels(x, shift, residual=tc.Tensor(np.zeros((2, 3, 4, 4), np.float32)))
+
+    def test_a_residual_that_needs_a_gradient_never_records(self):
+        x = np.ones((2, 3, 4, 4))
+        inputs = tc.Tensor(x.copy()), tc.Tensor(np.ones(3)), tc.Tensor(x.copy(), requires_grad=True)
+        with tc.Tape() as tape, pytest.raises(tc.TensorError, match="never records"):
+            tc.shift_channels(*inputs[:2], True, inputs[2])
+        assert len(tape) == 0
+        assert_same_bytes(inputs[0].data, x)
+
 
 class TestBatchnorm:
     def test_train_normalizes(self):
@@ -434,6 +449,99 @@ class TestSplitPassesMatchReferences:
         assert_same_bytes(out, ref_out)
         assert_same_bytes(gx, ref_back(g))
         assert_same_bytes(tc.relu(tc.Tensor(x)).data, ref_out)
+
+
+def shift_input(rng, shape, dtype, kind):
+    """(x, shift) for the folded conv's tail: a conv output and a
+    per-channel shift, with the values ``kind`` names."""
+    c = shape[1]
+    if kind == "ties":  # small integers: equal values within and across windows
+        return rng.integers(-2, 3, size=shape).astype(dtype), rng.integers(-1, 2, size=c).astype(dtype)
+    shift = rng.normal(size=c)
+    shift[::3], shift[1::3] = -0.0, 0.0
+    shift = shift.astype(dtype)
+    if kind == "negated_shift":  # x + t is +0.0 where x = -t, and -0.0 + -0.0 where both are -0.0
+        x = np.where(rng.random(shape) < 0.8, -shift[None, :, None, None], rng.normal(size=shape))
+    elif kind == "negative_zero":  # raw -0.0 among +0.0 and +-1
+        x = rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)
+    elif kind == "subnormal":  # sums of subnormals, shifted by subnormals
+        tiny = np.finfo(dtype).smallest_subnormal
+        x, shift = rng.integers(-4, 5, size=shape) * tiny, (rng.integers(-2, 3, size=c) * tiny).astype(dtype)
+    else:  # "inf": +inf and -inf among normals
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.05] = np.inf
+        x[rng.random(shape) < 0.05] = -np.inf
+    return x.astype(dtype), shift
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+# Odd extents crop a row and a column; 5 images of 63 x 33 split into halves of 3 and 2.
+@pytest.mark.parametrize("n, size", [(2, (7, 9)), (5, (63, 33))])
+class TestShiftTails:
+    """``shift_channels`` ends a folded conv: with ``pool`` it gives the
+    bytes of shift, relu and ``maxpool2d``; with ``residual`` those of
+    shift, ``add`` and relu; on pools of 1, 2 or 3 threads."""
+
+    @pytest.mark.parametrize("kind", ["ties", "negated_shift", "negative_zero", "subnormal", "inf"])
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_pooled_tail_is_shift_relu_maxpool(self, pool_of, dtype, n, size, kind, window):
+        x, shift = shift_input(np.random.default_rng(window), (n, STEM_CHANNELS) + size, dtype, kind)
+        expected, _ = oracles.maxpool2d_reference(np.maximum(x + shift[None, :, None, None], 0.0), window)
+        assert not np.signbit(expected).any()
+        for threads in (1, 2, 3):
+            pool_of(threads)
+            conv_out = tc.Tensor(x.copy())
+            assert_same_bytes(tc.shift_channels(conv_out, tc.Tensor(shift), True, pool=window).data, expected)
+            assert_same_bytes(tc.maxpool2d(tc.shift_channels(tc.Tensor(x.copy()), tc.Tensor(shift), True), window).data, expected)
+            assert_same_bytes(conv_out.data, x)  # only read
+
+    @pytest.mark.parametrize("kind", ["ties", "negative_zero", "subnormal"])
+    def test_residual_tail_is_shift_add_relu(self, pool_of, dtype, n, size, kind):
+        rng = np.random.default_rng(n)
+        y, shift = shift_input(rng, (n, STEM_CHANNELS) + size, dtype, kind)
+        shortcut = shift_input(rng, y.shape, dtype, kind)[0]
+        for relu in (True, False):
+            summed = tc.add(tc.shift_channels(tc.Tensor(y.copy()), tc.Tensor(shift)), tc.Tensor(shortcut))
+            expected = (tc.relu(summed) if relu else summed).data
+            for threads in (1, 2, 3):
+                pool_of(threads)
+                conv_out, residual = tc.Tensor(y.copy()), tc.Tensor(shortcut.copy())
+                assert tc.shift_channels(conv_out, tc.Tensor(shift), relu, residual) is conv_out
+                assert_same_bytes(conv_out.data, expected)
+                assert_same_bytes(residual.data, shortcut)  # never written
+
+    def test_a_nan_in_a_pooled_window_is_rejected(self, pool_of, dtype, n, size):
+        x, shift = shift_input(np.random.default_rng(1), (n, STEM_CHANNELS) + size, dtype, "ties")
+        for position in ((-1, -1, 1, 1), (-1, -1, 5, 7)):  # a window of the last image, the second half's
+            bad = x.copy()
+            bad[position] = np.nan
+            for threads in (1, 2, 3):
+                pool_of(threads)
+                with pytest.raises(tc.TensorError, match="a pooled window holds a NaN"):
+                    tc.shift_channels(tc.Tensor(bad), tc.Tensor(shift), True, pool=2)
+        # A value past the last whole window does not reach the output.
+        bad = x.copy()
+        bad[:, :, -1] = np.nan
+        expected, _ = oracles.maxpool2d_reference(np.maximum(x + shift[None, :, None, None], 0.0), 2)
+        assert_same_bytes(tc.shift_channels(tc.Tensor(bad), tc.Tensor(shift), True, pool=2).data, expected)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_pooled_shift_is_rejected(self, dtype, n, size, value):
+        x, shift = shift_input(np.random.default_rng(2), (n, STEM_CHANNELS) + size, dtype, "ties")
+        shift[-1] = value
+        with pytest.raises(tc.TensorError, match="pooled shift must be finite"):
+            tc.shift_channels(tc.Tensor(x), tc.Tensor(shift), True, pool=2)
+
+    @pytest.mark.parametrize(
+        "relu, with_residual, pool",
+        [(False, False, 2), (True, True, 2), (True, False, 0), (True, False, 64)],
+        ids=["pool_without_relu", "pool_with_residual", "pool_zero", "pool_larger_than_the_map"],
+    )
+    def test_refused_arguments(self, dtype, n, size, relu, with_residual, pool):
+        x, shift = shift_input(np.random.default_rng(3), (n, STEM_CHANNELS) + size, dtype, "ties")
+        residual = tc.Tensor(x.copy()) if with_residual else None
+        with pytest.raises(tc.TensorError, match=f"pool {pool} must be at least 1"):
+            tc.shift_channels(tc.Tensor(x.copy()), tc.Tensor(shift), relu, residual, pool)
 
 
 def check_batchnorm_train_bytes(x, rng):
@@ -1213,6 +1321,16 @@ class TestMaxpoolBitPatterns:
         x[1, 2, 5, 5] = value  # the last offset of the last window
         assert np.signbit(x[1, 2, 5, 5]) == np.signbit(value)
         self.assert_rejected(x, 2, "pools relu outputs")
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan], ids=["negative_zero", "nan"])
+    def test_a_value_in_the_second_half_is_rejected(self, pool_of, value):
+        # Each half checks its own images; the error comes once both are done.
+        x = np.maximum(np.random.default_rng(9).normal(size=(16, STEM_CHANNELS) + STEM_SIZE), 0.0)
+        x[-1, -1, -1, -1] = value
+        assert x.size // 4 >= blocks.SPLIT_VALUES  # the pass splits: the last image is the second half's
+        for threads in (1, 2, 3):
+            pool_of(threads)
+            self.assert_rejected(x.astype(np.float32), 2, "pools relu outputs")
 
     def test_window_zero_is_rejected(self):
         self.assert_rejected(np.ones((1, 1, 4, 4)), 0, "at least 1")

@@ -16,9 +16,10 @@ Batch norm runs only in train mode. Eval mode folds each one, a fixed
 per-channel map ``x·s + t`` of its running statistics, into the layer
 before it (standard batch-norm folding, Jacob et al., arXiv 1712.05877,
 section 3.2), and computes neither the pre-norm feature nor the logits.
-A conv's tail (shift, residual add, relu, and the stem's max-pool) runs
-inside the conv's one ``tc.shift_channels`` call, with the bytes of the
-separate ops training runs.
+A conv's tail (shift, residual add, relu) runs inside the conv's one
+``tc.shift_channels`` call, with the bytes of the separate ops training
+runs. The stem max-pools before its relu in both modes: relu and the
+shift are non-decreasing, so they commute with a window maximum.
 """
 
 from dataclasses import asdict, dataclass, field, fields
@@ -35,7 +36,7 @@ MODEL_DTYPES = ("float32", "float64")
 
 STREAMS = ("global", "drop", "reg")
 
-# Window of the stem's max-pool, which tiles the stem's relu output.
+# Window of the stem's max-pool, which tiles the stem's normalized conv output.
 STEM_POOL = 2
 
 
@@ -138,14 +139,13 @@ class StreamOutputs:
 
 class Conv2d(tc.Module):
     """Convolution, then the batch norm ``bn`` (see :func:`conv_bn`), then
-    what the call asks for in this order: add ``residual``, take the relu,
-    max-pool over ``pool`` x ``pool`` windows. Pooling needs the relu and
-    no residual.
+    what the call asks for in this order: max-pool over ``pool`` x
+    ``pool`` windows, add ``residual``, take the relu.
 
-    Eval mode runs one convolution with the folded kernel ``k·s``, then
-    :func:`tc.shift_channels` adds the shift ``t``, the residual and the
-    relu in place on its output, or pools the output first and shifts it
-    after, to the same bytes.
+    Eval mode runs one convolution with the folded kernel ``k·s``, the
+    max-pool, then :func:`tc.shift_channels` adds the shift ``t``, the
+    residual and the relu in place, to the same bytes: the shift is
+    non-decreasing, so it commutes with the window maximum.
     """
 
     def __init__(self, cin, cout, ksize, stride, pad, init_rng, bn):
@@ -168,17 +168,16 @@ class Conv2d(tc.Module):
         return super().train(mode)
 
     def __call__(self, x, relu=False, residual=None, pool=1):
-        if pool > 1 and (not relu or residual is not None):
-            raise tc.TensorError(f"a conv that pools ({pool}) needs relu and no residual")
         if not self.training:
             kernel, shift = self._folded
-            return tc.shift_channels(tc.conv2d(x, kernel, self._stride, self._pad), shift, relu, residual, pool)
+            y = tc.conv2d(x, kernel, self._stride, self._pad)
+            return tc.shift_channels(tc.maxpool2d(y, pool) if pool > 1 else y, shift, relu, residual)
         y = self._bn(tc.conv2d(x, self.weight, self._stride, self._pad))
+        if pool > 1:
+            y = tc.maxpool2d(y, pool)
         if residual is not None:
             y = tc.add(y, residual)
-        if relu:
-            y = tc.relu(y)
-        return tc.maxpool2d(y, pool) if pool > 1 else y
+        return tc.relu(y) if relu else y
 
 
 def conv_bn(cin, cout, ksize, stride=1, pad=0, init_rng=None, zero_init=False) -> tuple:

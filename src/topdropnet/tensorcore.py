@@ -20,9 +20,8 @@ either way, so evaluation-mode code pays no graph cost. Batch norm runs
 only in train mode: at inference the network folds each batch norm into
 the weights of the layer before it, and :func:`shift_channels` ends a
 folded conv, forward only: its per-channel shift, a residual add and the
-relu in place on the conv's output, or for the stem a max-pool of the
-raw output first and the shift and relu on the pooled values, to the
-bytes of the separate ops.
+relu in place on the conv's output (or on the stem's pooled output), to
+the bytes of the separate ops.
 
 Convolution, batch norm, relu, max-pooling and :func:`shift_channels`
 work on a batch of at least ``blocks.SPLIT_VALUES`` values and 2 images
@@ -35,10 +34,11 @@ batch-norm statistics add up per-image channel sums in image order,
 numpy's own order, except for one channel, whose statistics stay
 whole-batch reductions. So the bytes do not depend on the split.
 
-Max-pooling takes only an input with no sign bit and no NaN, as a relu
-output is, and pools by a running maximum of the values' unsigned bit
-patterns; any other input raises :class:`TensorError`. Convolution pads
-by one copy into a zeroed buffer.
+Max-pooling takes any input and pools by a running float maximum; a NaN
+in a pooled window raises :class:`TensorError`. relu and a shift are
+non-decreasing, so they commute with a window maximum, and the network
+pools before them in both modes. Convolution pads by one copy into a
+zeroed buffer.
 
 Gradient conventions: ``abs`` uses subgradient 0 at 0, max-pooling routes
 the gradient to the lowest linear index among tied maxima, and elementwise
@@ -477,23 +477,32 @@ def _window_planes(arr: np.ndarray, window: int) -> list:
     return [arr[:, :, i:h:window, j:w:window] for i in range(window) for j in range(window)]
 
 
+def _running_max(dst: np.ndarray, planes: list) -> None:
+    """``dst`` = the elementwise maximum of ``planes``, taken in order."""
+    if len(planes) == 1:
+        np.copyto(dst, planes[0])
+        return
+    np.maximum(planes[0], planes[1], out=dst)
+    for src in planes[2:]:
+        np.maximum(dst, src, out=dst)
+
+
 def maxpool2d(x: Tensor, window: int) -> Tensor:
-    """Max pooling of a relu output over ``window`` x ``window`` windows
-    that tile the input (the stride is the window); the rows and columns
-    past the last whole window are cropped. The gradient goes to the
-    lowest linear index among ties.
+    """Max pooling over ``window`` x ``window`` windows that tile the input
+    (the stride is the window); the rows and columns past the last whole
+    window are cropped. The gradient goes to the lowest linear index among
+    tied maxima, -0.0 and +0.0 counted equal.
 
-    The input must hold no sign bit and no NaN, as a relu output does not
-    (relu writes +0.0, never -0.0): every value's unsigned bit pattern is
-    at most that of +inf, else :class:`TensorError`. Each half checks its
-    own images before it pools them, and the error is raised once both
-    halves are done, so nothing is recorded. For such values unsigned
-    order is float order and equal values have equal bits, so a running
-    ``np.maximum`` of the unsigned bit patterns of one strided plane per
-    window offset gives each window's first maximum.
+    Each half runs a float ``np.maximum`` down each window's rows into a
+    half-size scratch, whose inner loops are contiguous, then across the
+    columns of the scratch. The maximum's value does not depend on that
+    order; only the sign of a zero may, as ``np.maximum`` does not order
+    -0.0 against +0.0. A NaN in a pooled window raises
+    :class:`TensorError` once both halves are done, so nothing is
+    recorded; a NaN past the last whole window does not reach the output.
 
-    The backward keeps no index: it reads the window's first maximum back
-    from the output. The first offset whose bits equal the output's gets
+    The backward keeps no index: it reads the window's maximum back from
+    the output. The first offset whose value equals the output's gets
     ``g``, and every other offset gets +0.0.
     """
     if x.data.ndim != 4:
@@ -502,24 +511,21 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     n, c, h, w = x.shape
     if not 1 <= window <= min(h, w):
         raise TensorError(f"maxpool2d: window {window} must be at least 1 and fit the input {h}x{w}")
-    bits = np.dtype(f"u{x.data.dtype.itemsize}")  # unsigned integers of the values' width
-    xbits = x.data.view(bits)
-    inf_bits = np.array(np.inf, x.data.dtype).view(bits)
-    val = np.empty((n, c, h // window, w // window), dtype=x.data.dtype)
-    vbits = val.view(bits)
+    ho, wo = h // window, w // window
+    val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
+    rows = np.empty((n, c, ho, w), dtype=x.data.dtype)  # each row window's maximum
 
-    def running_max(b):
-        vb, xb = vbits[b], xbits[b]
-        if xb.max(initial=0) > inf_bits:
-            raise TensorError("maxpool2d pools relu outputs: its input holds a sign bit (-0.0 or a negative value) or a NaN")
-        first, *rest = _window_planes(xb, window)
-        vb[...] = first
-        for plane in rest:
-            np.maximum(vb, plane, out=vb)
+    def forward(b):
+        xb, rb, vb = x.data[b], rows[b], val[b]
+        _running_max(rb, [xb[:, :, i : ho * window : window] for i in range(window)])
+        _running_max(vb, [rb[:, :, :, j : wo * window : window] for j in range(window)])
+        if np.isnan(vb.max(initial=-np.inf)):
+            raise TensorError("maxpool2d: a pooled window holds a NaN")
 
-    blocks.halves(running_max, val)
+    blocks.halves(forward, val)
 
     def back(g):
+        bits = np.dtype(f"u{g.dtype.itemsize}")  # unsigned integers of the values' width
         gx = np.empty_like(x.data)
         routed = np.empty(g.shape, dtype=bits)
         unrouted = g.view(bits).copy()  # the +0.0 bits once routed
@@ -527,10 +533,10 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
         def backward(b):
             gxb, rb, ub = gx[b], routed[b], unrouted[b]
             gxb.fill(0)
-            for xplane, gplane in zip(_window_planes(xbits[b], window), _window_planes(gxb, window)):
-                # The unrouted g where this offset holds the output's bits,
+            for xplane, gplane in zip(_window_planes(x.data[b], window), _window_planes(gxb, window)):
+                # The unrouted g where this offset holds the output's value,
                 # else the bits of +0.0.
-                np.equal(xplane, vbits[b], out=rb)
+                np.equal(xplane, val[b], out=rb)
                 np.negative(rb, out=rb)
                 np.bitwise_and(rb, ub, out=rb)
                 np.bitwise_xor(ub, rb, out=ub)
@@ -713,22 +719,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, 
     return record_op(out, (x, gamma, beta), back)
 
 
-def shift_channels(x: Tensor, shift: Tensor, relu: bool = False, residual: Tensor = None, pool: int = 1) -> Tensor:
+def shift_channels(x: Tensor, shift: Tensor, relu: bool = False, residual: Tensor = None) -> Tensor:
     """The rest of a convolution whose kernel has a batch norm folded into
     it, forward only: ``x[:, c] += shift[c]`` over (n, c, h, w), then
     ``x += residual`` if given, then ``max(x, 0)`` if ``relu``, in place in
     one pass; returns ``x``. ``residual`` is only read.
-
-    With ``pool > 1``, which needs ``relu`` and no ``residual``, it returns
-    the bytes of ``maxpool2d(relu(x + shift), pool)`` in a new array, and
-    ``x`` is only read: a running float ``np.maximum`` of ``x`` down each
-    window's rows, then across its columns, then the shift and the relu on
-    the pooled values only. Adding a finite shift and taking ``max(·, 0)``
-    are non-decreasing, so they commute with the window maximum; the
-    maximum's value does not depend on the order, only the sign of a zero
-    may, and the relu writes every zero as +0.0. A non-finite shift, or a
-    NaN in a pooled window, raises :class:`TensorError`; the values past
-    the last whole window do not reach the output.
 
     ``x`` must be an output no tape recorded, as a call that would record
     raises :class:`TensorError`. The shift is spread over a whole image,
@@ -742,42 +737,18 @@ def shift_channels(x: Tensor, shift: Tensor, relu: bool = False, residual: Tenso
     _same_dtype("shift_channels", *operands)
     if will_record(*operands):
         raise TensorError("shift_channels works in place and never records")
-    n, c, h, w = x.shape
-    pool = int(pool)
-    if not 1 <= pool <= min(h, w) or pool > 1 and (not relu or residual is not None):
-        raise TensorError(f"shift_channels: pool {pool} must be at least 1 and fit {h}x{w}, and above 1 needs relu and no residual")
-    if pool > 1 and not np.isfinite(shift.data).all():
-        raise TensorError("shift_channels: a pooled shift must be finite")
-    ho, wo = h // pool, w // pool
-    out = x.data if pool == 1 else np.empty((n, c, ho, wo), dtype=x.data.dtype)
-    rows = None if pool == 1 else np.empty((n, c, ho, w), dtype=x.data.dtype)  # each row window's maximum
-    plane = np.repeat(shift.data, math.prod(out.shape[2:])).reshape(out.shape[1:])
-
-    def running_max(dst, planes):
-        np.maximum(planes[0], planes[1], out=dst)
-        for src in planes[2:]:
-            np.maximum(dst, src, out=dst)
+    plane = np.repeat(shift.data, math.prod(x.shape[2:])).reshape(x.shape[1:])
 
     def forward(b):
-        ob = out[b]
-        if pool > 1:
-            # Down the rows first, whose inner loops are contiguous, then
-            # across the columns of the smaller array.
-            xb, rb = x.data[b], rows[b]
-            running_max(rb, [xb[:, :, i : ho * pool : pool] for i in range(pool)])
-            running_max(ob, [rb[:, :, :, j : wo * pool : pool] for j in range(pool)])
-        ob += plane
+        xb = x.data[b]
+        xb += plane
         if residual is not None:
-            ob += residual.data[b]
+            xb += residual.data[b]
         if relu:
-            np.maximum(ob, 0.0, out=ob)
-        # Past the relu no value is below +0.0, so the maximum is NaN only
-        # if a value is.
-        if pool > 1 and np.isnan(ob.max(initial=0.0)):
-            raise TensorError("shift_channels: a pooled window holds a NaN")
+            np.maximum(xb, 0.0, out=xb)
 
     blocks.halves(forward, x.data)
-    return x if pool == 1 else Tensor(out)
+    return x
 
 
 def log_softmax(logits: Tensor) -> Tensor:

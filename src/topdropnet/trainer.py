@@ -294,8 +294,12 @@ def _model_json(arrays) -> tuple:
 
 def load_checkpoint(path):
     """Arrays and metadata of a checkpoint, its model description read as
-    (num_classes, ModelConfig); a malformed file raises ValueError."""
+    (num_classes, ModelConfig); a malformed file, or a negative running
+    variance, raises ValueError."""
     arrays = tc.load_arrays(path)
+    for key, arr in arrays.items():
+        if key.startswith("buffer.") and key.endswith(".running_var") and (arr < 0).any():
+            raise ValueError(f"{key} holds a negative variance")
     meta = {
         "epoch": int(_meta(arrays, "epoch")[0]),
         "adam_t": int(_meta(arrays, "adam_t")[0]),

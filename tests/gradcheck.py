@@ -106,8 +106,9 @@ def op_checks(seed):
 
     xm = _distinct(rng, (2, 2, 4, 6))
     wp = _projection(rng, (2, 2, 2, 3))
-    # Max-pool takes a relu output: lifted clear of 0, no -h step gives a negative value.
     results["maxpool2d"] = check(lambda t: tc.sum_all(tc.mul(tc.maxpool2d(t[0], 2), tc.Tensor(wp))), [xm + 1.0])
+    # Max-pool takes any input, as the stem's batch norm writes: centred on 0.
+    results["maxpool2d[signed]"] = check(lambda t: tc.sum_all(tc.mul(tc.maxpool2d(t[0], 2), tc.Tensor(wp))), [xm - xm.mean()])
     wg = _projection(rng, (2, 2))
     results["global_max_pool"] = check(lambda t: tc.sum_all(tc.mul(tc.global_max_pool(t[0]), tc.Tensor(wg))), [xm])
     results["global_avg_pool"] = check(lambda t: tc.sum_all(tc.mul(tc.global_avg_pool(t[0]), tc.Tensor(wg))), [xm])

@@ -296,6 +296,19 @@ class TestEval:
         assert "param.backbone.stem_conv.weight holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["buffer.backbone.stem_bn.running_var", "buffer.refine.0.bn1.running_var"])
+    def test_negative_running_variance_leaves_no_out(self, trained, tmp_path, capsys, key):
+        # Read as is, its fold takes the square root of a negative number.
+        data, ckpt, _ = trained
+        arrays = tc.load_arrays(ckpt)
+        arrays[key].flat[0] = -1.0
+        bad = tmp_path / "negative.ckpt"
+        tc.save_arrays(bad, arrays)
+        out = tmp_path / "o"
+        assert run_cli("eval", "--data", data, "--checkpoint", bad, "--out", out) == 1
+        assert f"{key} holds a negative variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_mismatch_with_checkpoint(self, trained, tmp_path):
         _, ckpt, _ = trained
         other = tmp_path / "otherdata"

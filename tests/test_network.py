@@ -41,12 +41,12 @@ class TestModelDtype:
         assert x.dtype == dtype and x.data.flags.c_contiguous
         assert x.data.tobytes() == expected.tobytes()
 
-    def test_embed_split_pools_the_stem_on_bit_patterns(self, tmp_path):
-        # The eval stem pools the folded conv's output by float maxima, then
+    def test_embed_split_pools_the_stem_before_its_relu(self, tmp_path):
+        # Both modes max-pool the stem before its relu (tc.maxpool2d, which
+        # raises on a NaN): eval pools the folded conv's output and then
         # shifts and takes the relu of the pooled values in shift_channels,
-        # which raises on a NaN. Training pools relu outputs on bit patterns
-        # (tc.maxpool2d); both give these bytes (tests/test_tensorcore.py,
-        # TestShiftTails), and here a split embeds through the eval stem.
+        # to the bytes of shift, relu and max-pool (tests/test_tensorcore.py,
+        # TestShiftTails). Here a split embeds through the eval stem.
         synthdata.generate_dataset(tmp_path, num_ids=4, num_cams=2, imgs_per_id_per_cam=2, size=(64, 32), seed=0)
         dataset = synthdata.load_dataset(tmp_path)
         model = network.ReidModel(4, network.ModelConfig(), seed=0)
@@ -110,17 +110,6 @@ class TestBackbone:
         model = small_model().eval()
         with pytest.raises(tc.TensorError):
             model.backbone_forward(toy_images(size=(16, 16)))
-
-
-class TestConvTails:
-    @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("relu, residual", [(False, False), (True, True)], ids=["no_relu", "residual"])
-    def test_a_conv_that_pools_needs_relu_and_no_residual(self, training, relu, residual):
-        model = small_model().train(training)
-        x = toy_images()
-        shortcut = tc.Tensor(np.zeros((4, 8, 32, 16))) if residual else None
-        with pytest.raises(tc.TensorError, match="needs relu and no residual"):
-            model.backbone.stem_conv(x, relu=relu, residual=shortcut, pool=2)
 
 
 class TestBottleneckPair:
@@ -547,19 +536,24 @@ class TestFoldedInference:
         assert x.data.tobytes() == before.tobytes()
 
     def test_one_embedding_runs_no_whole_array_tail_pass(self, monkeypatch):
-        # Eval mode pools, adds and takes every relu inside shift_channels,
-        # and pads each conv input without np.pad.
-        calls = dict.fromkeys(["maxpool2d", "relu", "add", "pad"], 0)
+        # Eval mode pools the stem once, before its shift, adds and takes
+        # every relu inside shift_channels, and pads each conv input
+        # without np.pad. Training takes the stem's relu on the pooled map.
+        calls = {name: [] for name in ("maxpool2d", "relu", "add", "pad")}
         for owner, name in ((tc, "maxpool2d"), (tc, "relu"), (tc, "add"), (np, "pad")):
             fn = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _n=name, **k: calls.__setitem__(_n, calls[_n] + 1) or _fn(*a, **k))
+            monkeypatch.setattr(owner, name, lambda x, *a, _fn=fn, _n=name, **k: calls[_n].append(x.shape) or _fn(x, *a, **k))
         model = trained_looking("full", "float32").eval()
         x = network.normalize_images(np.random.default_rng(6).integers(0, 256, size=(2, 64, 32, 3), dtype=np.uint8))
         model.inference_embed(x)
-        assert calls == dict.fromkeys(calls, 0)
+        stem_map = (2, model.cfg.backbone.stem_channels, 64, 32)
+        assert calls == {"maxpool2d": [stem_map], "relu": [], "add": [], "pad": []}
+        for shapes in calls.values():
+            shapes.clear()
         model.train()
         model.forward_train(x)
-        assert calls["maxpool2d"] == 1 and calls["relu"] > 0 and calls["add"] > 0 and calls["pad"] == 0
+        assert calls["maxpool2d"] == [stem_map] and calls["add"] and not calls["pad"]
+        assert calls["relu"] and stem_map not in calls["relu"]
 
     def test_default_statistics_fold_to_the_identity_map(self):
         bn = network.BatchNorm(3)

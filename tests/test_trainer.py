@@ -201,8 +201,9 @@ class TestTrainEpoch:
 
     @pytest.mark.parametrize("variant", ["full", "no_drop", "baseline_bdb"])
     def test_a_nan_in_the_stem_stops_the_step_at_the_max_pool(self, tiny_dataset, monkeypatch, variant):
-        # relu passes a NaN on, and the stem's max-pool takes relu outputs
-        # only: every variant stops there, before the mask or the loss.
+        # Batch norm passes a NaN on, and the stem's max-pool rejects a NaN
+        # in a pooled window: every variant stops there, before the mask or
+        # the loss.
         normalize = network.normalize_images
 
         def poisoned(images, dtype):
@@ -211,7 +212,7 @@ class TestTrainEpoch:
             return x
 
         monkeypatch.setattr(network, "normalize_images", poisoned)
-        with pytest.raises(tc.TensorError, match="maxpool2d pools relu outputs"):
+        with pytest.raises(tc.TensorError, match="a pooled window holds a NaN"):
             trainer.fit(quick_config(total_epochs=1, variant=variant), tiny_dataset)
 
     def test_history_columns_match_variant(self, tiny_dataset):
@@ -661,6 +662,19 @@ class TestMalformedCheckpoints:
             readers.append(lambda: trainer.model_from_checkpoint(ckpt))
         for read in readers:
             with pytest.raises(ValueError, match=f"{key} holds a non-finite value"):
+                read()
+
+    @pytest.mark.parametrize("key, value", [("buffer.backbone.stem_bn.running_var", -1.0),
+                                            ("buffer.refine.0.bn1.running_var", -1e-30)])
+    def test_negative_running_variance_rejected(self, tiny_dataset, tmp_path, key, value):
+        cfg = quick_config(total_epochs=2)
+        ckpt = tmp_path / "mid.ckpt"
+        trainer.save_checkpoint(ckpt, trainer.fit(cfg, tiny_dataset, stop_after=1))
+        arrays = tc.load_arrays(ckpt)
+        arrays[key].flat[0] = value
+        tc.save_arrays(ckpt, arrays)
+        for read in (lambda: trainer.fit(cfg, tiny_dataset, resume=ckpt), lambda: trainer.model_from_checkpoint(ckpt)):
+            with pytest.raises(ValueError, match=f"{key} holds a negative variance"):
                 read()
 
     @settings(max_examples=200, deadline=None)

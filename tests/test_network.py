@@ -6,7 +6,14 @@ import pytest
 from topdropnet import blocks, evaluation, network, synthdata, tensorcore as tc, topdrop
 
 import gradcheck
-from oracles import batchnorm_eval_reference, ce_label_smoothing_loops, triplet_batch_hard_loops
+from oracles import (
+    batchnorm_eval_reference,
+    batchnorm_train_reference,
+    ce_label_smoothing_loops,
+    conv2d_reference,
+    maxpool2d_reference,
+    triplet_batch_hard_loops,
+)
 
 
 def small_model(variant="full", seed=0, num_classes=4):
@@ -110,6 +117,35 @@ class TestBackbone:
         model = small_model().eval()
         with pytest.raises(tc.TensorError):
             model.backbone_forward(toy_images(size=(16, 16)))
+
+
+class TestConvTails:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("relu, residual", [(False, False), (True, True)], ids=["no_relu", "residual"])
+    def test_a_conv_that_pools_takes_any_relu_and_residual(self, training, relu, residual):
+        # Conv, batch norm, max-pool, add, relu, in this order in both modes.
+        model = small_model()
+        conv, bn = model.backbone.stem_conv, model.backbone.stem_bn
+        rng = np.random.default_rng(1)
+        bn.running_mean[...] = rng.normal(scale=0.2, size=bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.5, 1.5, size=bn.running_var.shape)
+        model.train(training)
+        x = toy_images()
+        stats = (bn.gamma.data, bn.beta.data, bn.running_mean.copy(), bn.running_var.copy())
+        y, _ = conv2d_reference(x.data, conv.weight.data, 1, 1)
+        if training:
+            y, _ = batchnorm_train_reference(y, *stats, tc.BATCHNORM_MOMENTUM, tc.BATCHNORM_EPS)
+        else:
+            y = batchnorm_eval_reference(y, *stats, tc.BATCHNORM_EPS)
+        y, _ = maxpool2d_reference(y, 2)
+        shortcut = rng.normal(size=y.shape) if residual else None
+        if residual:
+            y = y + shortcut
+        if relu:
+            y = np.maximum(y, 0.0)
+        assert (y < 0).any() != relu
+        out = conv(x, relu=relu, residual=tc.Tensor(shortcut.copy()) if residual else None, pool=2)
+        np.testing.assert_allclose(out.data, y, rtol=1e-12, atol=1e-12)
 
 
 class TestBottleneckPair:

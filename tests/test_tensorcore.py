@@ -511,6 +511,36 @@ class TestShiftTails:
                 assert_same_bytes(conv_out.data, expected)
                 assert_same_bytes(residual.data, shortcut)  # never written
 
+    @pytest.mark.parametrize(
+        "relu, with_residual",
+        [(False, False), (True, True), (False, True)],
+        ids=["pool_without_relu", "pool_with_residual", "pool_with_residual_without_relu"],
+    )
+    def test_a_pooled_map_takes_any_relu_and_residual(self, pool_of, dtype, n, size, relu, with_residual):
+        # The pool runs before shift_channels, so a conv that pools may
+        # skip the relu or add a shortcut of the pooled shape.
+        rng = np.random.default_rng(3)
+        x, shift = shift_input(rng, (n, STEM_CHANNELS) + size, dtype, "ties")
+        pooled, _ = oracles.maxpool2d_reference(x, 2)
+        shortcut = shift_input(rng, pooled.shape, dtype, "ties")[0] if with_residual else None
+        expected = pooled + shift[None, :, None, None]
+        if with_residual:
+            expected = expected + shortcut
+        if relu:
+            expected = np.maximum(expected, 0.0)
+        for threads in (1, 2, 3):
+            pool_of(threads)
+            residual = tc.Tensor(shortcut.copy()) if with_residual else None
+            out = tc.shift_channels(tc.maxpool2d(tc.Tensor(x.copy()), 2), tc.Tensor(shift), relu, residual)
+            assert_same_bytes(out.data, expected)
+            if with_residual:
+                assert_same_bytes(residual.data, shortcut)  # never written
+
+    @pytest.mark.parametrize("window", [0, 64], ids=["pool_zero", "pool_larger_than_the_map"])
+    def test_a_window_outside_the_map_is_rejected(self, dtype, n, size, window):
+        x = shift_input(np.random.default_rng(3), (n, STEM_CHANNELS) + size, dtype, "ties")[0]
+        TestMaxpoolRunningMax.assert_rejected(x, window, f"window {window} must be at least 1 and fit the input")
+
 
 def check_batchnorm_train_bytes(x, rng):
     """Train-mode batch norm of ``x`` gives the reference's output, running

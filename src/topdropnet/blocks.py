@@ -9,17 +9,12 @@ on which thread ran a block, numpy releases the interpreter lock inside
 its loops, and perfbench's single span stack is never touched from a pool
 thread. A worker never submits to the pool.
 
-Tensor operations split by :func:`halves`: two fixed halves of the batch,
-and only for batches big enough to pay for the hand-over. The halves do
-not depend on the CPU count, so neither do the bytes.
+Evaluation's distance and re-ranking passes split by row block; tensor
+operations do not split.
 """
 
 import os
 import threading
-
-# A batch array of at least this many values, and of at least 2 images, is
-# worked on in two halves.
-SPLIT_VALUES = 1 << 17
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -68,18 +63,3 @@ def split(work, starts) -> None:
         future.exception()  # waits for the block
     for future in futures:
         future.result()
-
-
-def halves(work, arr) -> None:
-    """Call ``work(index)`` with indices whose parts of the batch array
-    ``arr`` together cover it. When ``arr`` holds at least
-    ``SPLIT_VALUES`` values and at least 2 images, they are the image
-    slices ``[0, ceil(n/2))`` and ``[ceil(n/2), n)``, run through
-    :func:`split`; otherwise ``work(...)`` runs once on the calling
-    thread."""
-    n = arr.shape[0] if arr.ndim else 0
-    if n < 2 or arr.size < SPLIT_VALUES:
-        work(...)
-        return
-    mid = (n + 1) // 2
-    split(lambda start: work(slice(start, mid if start == 0 else n)), (0, mid))

@@ -331,21 +331,26 @@ def cmd_activations(cfg: dict) -> None:
     for key in ("tau", "alpha"):
         if not 0.0 <= cfg[key] <= 1.0:  # also fails on NaN
             raise ValueError(f"{key} must be in [0, 1], got {cfg[key]}")
+    bases = {}
+    for path in cfg["images"]:
+        base = os.path.splitext(os.path.basename(path))[0]
+        if base in bases:
+            raise ValueError(f"images {bases[base]} and {path} would write the same {base}_* exports")
+        bases[base] = path
     model = trainer.model_from_checkpoint(cfg["checkpoint"]).eval()
     maps = []
-    for path in cfg["images"]:
+    for base, path in bases.items():
         img = ppm.read_ppm(path)
         features = model.backbone_forward(network.normalize_images(img[None], model.dtype)).data[0]
         act = topdrop.activation_map(features, drop_cfg.p)
         dropped = topdrop.top_drop_mask(topdrop.stripe_relevance(act), drop_cfg) if cfg["show-dropmask"] else None
-        maps.append((path, img, act, dropped))
+        maps.append((base, img, act, dropped))
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _echo_config(out, SCHEMAS["activations"], cfg)
 
-    for path, img, act, dropped in maps:
+    for base, img, act, dropped in maps:
         h, w = img.shape[:2]
-        base = os.path.splitext(os.path.basename(path))[0]
 
         act_up = _upscale_nearest(act, h, w)
         ppm.write_pgm(os.path.join(out, f"{base}_activation.pgm"), _to_gray(act_up))

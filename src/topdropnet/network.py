@@ -401,9 +401,9 @@ class ReidModel(tc.Module):
     def forward_train(self, images: tc.Tensor, mask_fn=None) -> dict:
         """All active streams.
 
-        ``mask_fn`` maps the backbone features to the drop stream's
-        dropped rows ((n, h), or (h,) shared by the batch), which are
-        applied to the refined tensor; without it nothing is dropped.
+        ``mask_fn`` maps the backbone features to the drop stream's (n, h)
+        dropped rows, which are applied to the refined tensor; without it
+        nothing is dropped.
         """
         return self._run_streams(images, VARIANTS[self.variant].trained, mask_fn)
 

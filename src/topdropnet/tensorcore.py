@@ -23,16 +23,11 @@ folded conv, forward only: its per-channel shift, a residual add and the
 relu in place on the conv's output (or on the stem's pooled output), to
 the bytes of the separate ops.
 
-Convolution, batch norm, relu, max-pooling and :func:`shift_channels`
-work on a batch of at least ``blocks.SPLIT_VALUES`` values and 2 images
-in two fixed halves of its images, on the process's thread pool
-(:func:`blocks.halves`). The calling thread allocates every output and
-scratch array, and the halves write into them through ``out=``. Convolution works in the NCHW layout of its
-tensors, one product per image forward and backward, with no transposed
-copy, and adds the kernel gradient's per-image parts in image order;
-batch-norm statistics add up per-image channel sums in image order,
-numpy's own order, except for one channel, whose statistics stay
-whole-batch reductions. So the bytes do not depend on the split.
+Every operation runs its passes as whole-array numpy calls on the
+calling thread. Convolution works in the NCHW layout of its tensors, one
+product per image forward and backward, with no transposed copy, and adds
+the kernel gradient's per-image parts in image order, so an image's bytes
+do not depend on the batch around it.
 
 Max-pooling takes any input and pools by a running float maximum; a NaN
 in a pooled window raises :class:`TensorError`. relu and a shift are
@@ -52,8 +47,6 @@ import re
 import threading
 
 import numpy as np
-
-from . import blocks
 
 DEFAULT_DTYPE = np.float64
 
@@ -338,23 +331,13 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    y = np.empty_like(x.data)
-    mask = np.empty(x.shape, dtype=bool) if will_record(x) else None
-
-    def forward(b):
-        np.maximum(x.data[b], 0.0, out=y[b])
-        if mask is not None:
-            np.greater(x.data[b], 0, out=mask[b])
-
-    blocks.halves(forward, y)
-    out = Tensor(y)
-    if mask is None:
+    out = Tensor(np.maximum(x.data, 0.0))
+    if not will_record(x):
         return out
+    mask = np.greater(x.data, 0)
 
     def back(g):
-        gx = np.empty_like(g)
-        blocks.halves(lambda b: np.multiply(g[b], mask[b], out=gx[b]), gx)
-        accumulate_grad(x, gx)
+        accumulate_grad(x, np.multiply(g, mask))
 
     return record_op(out, (x,), back)
 
@@ -429,32 +412,19 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     y = np.empty((n, cout, ho, wo), dtype=dtype)
     if kh == kw == 1 and stride == 1:
         cols = np.ascontiguousarray(xp).reshape(n, ncols, ho * wo)
-        windows = None
     else:
         # im2col, channel-major: cols[b, (c, i, j), (oh, ow)] = xp[b, c, oh*stride + i, ow*stride + j].
         sn, sc, sh, sw = xp.strides
         shape = (n, cin, kh, kw, ho, wo)
         windows = np.lib.stride_tricks.as_strided(xp, shape, (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
         cols = np.empty((n, ncols, ho * wo), dtype=dtype)
-        dst = cols.reshape(shape)
-
-    def forward(b):
-        if windows is not None:
-            dst[b] = windows[b]
-        np.matmul(kmat, cols[b], out=y[b].reshape(-1, cout, ho * wo))
-
-    blocks.halves(forward, y)
+        cols.reshape(shape)[...] = windows
+    np.matmul(kmat, cols, out=y.reshape(n, cout, ho * wo))
     out = Tensor(y)
 
     def back(g):
         if k.requires_grad:
-            parts = np.empty((n, cout, ncols), dtype=dtype)
-
-            def products(b):
-                np.matmul(g[b].reshape(-1, cout, ho * wo), cols[b].transpose(0, 2, 1), out=parts[b])
-
-            # Summed on the calling thread, so no byte depends on the split.
-            blocks.halves(products, g)
+            parts = np.matmul(g.reshape(n, cout, ho * wo), cols.transpose(0, 2, 1))
             accumulate_grad(k, parts.sum(axis=0).reshape(cout, cin, kh, kw))
         if x.requires_grad:
             kcols = k.data.transpose(2, 3, 1, 0).reshape(-1, cout)  # rows in (i, j, c) order
@@ -493,13 +463,13 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     window are cropped. The gradient goes to the lowest linear index among
     tied maxima, -0.0 and +0.0 counted equal.
 
-    Each half runs a float ``np.maximum`` down each window's rows into a
-    half-size scratch, whose inner loops are contiguous, then across the
-    columns of the scratch. The maximum's value does not depend on that
-    order; only the sign of a zero may, as ``np.maximum`` does not order
-    -0.0 against +0.0. A NaN in a pooled window raises
-    :class:`TensorError` once both halves are done, so nothing is
-    recorded; a NaN past the last whole window does not reach the output.
+    A float ``np.maximum`` runs down each window's rows into a half-size
+    scratch, whose inner loops are contiguous, then across the columns of
+    the scratch. The maximum's value does not depend on that order; only
+    the sign of a zero may, as ``np.maximum`` does not order -0.0 against
+    +0.0. A NaN in a pooled window raises :class:`TensorError` before
+    anything is recorded; a NaN past the last whole window does not reach
+    the output.
 
     The backward keeps no index: it reads the window's maximum back from
     the output. The first offset whose value equals the output's gets
@@ -514,36 +484,25 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     ho, wo = h // window, w // window
     val = np.empty((n, c, ho, wo), dtype=x.data.dtype)
     rows = np.empty((n, c, ho, w), dtype=x.data.dtype)  # each row window's maximum
-
-    def forward(b):
-        xb, rb, vb = x.data[b], rows[b], val[b]
-        _running_max(rb, [xb[:, :, i : ho * window : window] for i in range(window)])
-        _running_max(vb, [rb[:, :, :, j : wo * window : window] for j in range(window)])
-        if np.isnan(vb.max(initial=-np.inf)):
-            raise TensorError("maxpool2d: a pooled window holds a NaN")
-
-    blocks.halves(forward, val)
+    _running_max(rows, [x.data[:, :, i : ho * window : window] for i in range(window)])
+    _running_max(val, [rows[:, :, :, j : wo * window : window] for j in range(window)])
+    if np.isnan(val.max(initial=-np.inf)):
+        raise TensorError("maxpool2d: a pooled window holds a NaN")
 
     def back(g):
         bits = np.dtype(f"u{g.dtype.itemsize}")  # unsigned integers of the values' width
-        gx = np.empty_like(x.data)
+        gx = np.zeros_like(x.data)
         routed = np.empty(g.shape, dtype=bits)
         unrouted = g.view(bits).copy()  # the +0.0 bits once routed
-
-        def backward(b):
-            gxb, rb, ub = gx[b], routed[b], unrouted[b]
-            gxb.fill(0)
-            for xplane, gplane in zip(_window_planes(x.data[b], window), _window_planes(gxb, window)):
-                # The unrouted g where this offset holds the output's value,
-                # else the bits of +0.0.
-                np.equal(xplane, val[b], out=rb)
-                np.negative(rb, out=rb)
-                np.bitwise_and(rb, ub, out=rb)
-                np.bitwise_xor(ub, rb, out=ub)
-                # Added into +0.0, not assigned: a -0.0 in g lands as +0.0.
-                np.add(gplane, rb.view(g.dtype), out=gplane)
-
-        blocks.halves(backward, gx)
+        for xplane, gplane in zip(_window_planes(x.data, window), _window_planes(gx, window)):
+            # The unrouted g where this offset holds the output's value,
+            # else the bits of +0.0.
+            np.equal(xplane, val, out=routed)
+            np.negative(routed, out=routed)
+            np.bitwise_and(routed, unrouted, out=routed)
+            np.bitwise_xor(unrouted, routed, out=unrouted)
+            # Added into +0.0, not assigned: a -0.0 in g lands as +0.0.
+            np.add(gplane, routed.view(g.dtype), out=gplane)
         accumulate_grad(x, gx)
 
     return record_op(Tensor(val), (x,), back)
@@ -588,35 +547,6 @@ BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.1
 
 
-class _ChannelSums:
-    """Per-channel sums, over the batch and spatial axes, of ``count`` batch
-    arrays shaped like ``x`` that :func:`blocks.halves` passes write.
-
-    With 4-d input of at least 2 channels, the half that writes an array
-    also sums each of its images' channels (:meth:`add`), and :meth:`total`
-    adds the images in order. That is numpy's own order for
-    ``arr.sum(axis=(0, 2, 3))``: a pairwise sum over each image's ``h*w``
-    run, the images added one after another, so the bytes are the same.
-    With one channel numpy sums the batch and spatial axes as one run, and
-    2-d input has no spatial run: there :meth:`total` sums the whole array
-    after the halves.
-    """
-
-    def __init__(self, x: np.ndarray, count: int):
-        n, c = x.shape[:2]
-        self.axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        # Allocated on the calling thread: pool threads keep what they allocate.
-        self.parts = np.empty((count, n, c), dtype=x.dtype) if x.ndim == 4 and c >= 2 else None
-
-    def add(self, k: int, arr: np.ndarray, b) -> None:
-        if self.parts is not None:
-            part = self.parts[k, b]
-            np.add.reduce(arr[b].reshape(part.shape + (-1,)), axis=2, out=part)
-
-    def total(self, k: int, arr: np.ndarray) -> np.ndarray:
-        return arr.sum(axis=self.axes) if self.parts is None else self.parts[k].sum(axis=0)
-
-
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
     """Train-mode batch normalization over (n,) or (n, h, w) per channel.
 
@@ -628,8 +558,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, 
     before it with the same :data:`BATCHNORM_EPS`.
 
     Every per-channel operand is spread over a whole image first, so each
-    elementwise pass runs one inner loop per image, not one per channel;
-    the statistics are :class:`_ChannelSums` of the arrays the passes write.
+    elementwise pass runs one inner loop per image, not one per channel.
     """
     if x.data.ndim not in (2, 4):
         raise TensorError("batchnorm expects 2-d or 4-d input")
@@ -640,6 +569,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, 
     if x.shape[0] < 2:
         raise TensorError("batchnorm needs batch extent >= 2 (it runs only in train mode)")
 
+    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
     spatial = math.prod(x.shape[2:])
 
     def plane(v):
@@ -648,72 +578,40 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, 
     gplane, bplane = plane(gamma.data), plane(beta.data)
 
     count = x.data.size // cdim
-    sums = _ChannelSums(x.data, 2)
-    blocks.halves(lambda b: sums.add(0, x.data, b), x.data)
-    mean = sums.total(0, x.data) / count
+    mean = x.data.sum(axis=axes) / count
     # One x - mean pass serves the variance and xhat. Summing its
     # square and dividing by the count is what np.var does, bit for bit.
     # y holds the square before the output.
-    mplane = plane(mean)
-    xhat = np.empty_like(x.data)
-    y = np.empty_like(x.data)
-
-    def center(b):
-        np.subtract(x.data[b], mplane, out=xhat[b])
-        np.square(xhat[b], out=y[b])
-        sums.add(1, y, b)
-
-    blocks.halves(center, y)
-    var = sums.total(1, y) / count
+    xhat = np.subtract(x.data, plane(mean))
+    y = np.square(xhat)
+    var = y.sum(axis=axes) / count
     running_mean *= 1.0 - BATCHNORM_MOMENTUM
     running_mean += BATCHNORM_MOMENTUM * mean
     running_var *= 1.0 - BATCHNORM_MOMENTUM
     running_var += BATCHNORM_MOMENTUM * var
     iplane = plane(1.0 / np.sqrt(var + BATCHNORM_EPS))
-
-    def scale(b):
-        np.multiply(xhat[b], iplane, out=xhat[b])
-        np.multiply(xhat[b], gplane, out=y[b])
-        np.add(y[b], bplane, out=y[b])
-
-    blocks.halves(scale, y)
+    xhat *= iplane
+    np.multiply(xhat, gplane, out=y)
+    y += bplane
     out = Tensor(y)
 
     def back(g):
         # gx = (dxhat - s1 / count - xhat * s2 / count) * ivar, each
         # product in that operand order. One scratch array holds g * xhat,
-        # then dxhat * xhat, then xhat * s2 / count: each half sums a
-        # product before the next overwrites it. With whole-array sums
-        # (one channel, 2-d input) dxhat * xhat needs an array of its own.
-        sums = _ChannelSums(g, 4)
-        scratch = np.empty_like(g)
-        dxhat = np.empty_like(g)
-        prod = scratch if sums.parts is not None else np.empty_like(g)
-
-        def products(b):
-            sums.add(0, g, b)
-            np.multiply(g[b], xhat[b], out=scratch[b])
-            sums.add(1, scratch, b)
-            np.multiply(g[b], gplane, out=dxhat[b])
-            sums.add(2, dxhat, b)
-            np.multiply(dxhat[b], xhat[b], out=prod[b])
-            sums.add(3, prod, b)
-
-        blocks.halves(products, g)
-        accumulate_grad(beta, sums.total(0, g))
-        accumulate_grad(gamma, sums.total(1, scratch))
-        mean1 = plane(sums.total(2, dxhat) / count)
-        s2 = plane(sums.total(3, prod))
-
-        def combine(b):
-            db, sb = dxhat[b], prod[b]
-            db -= mean1
-            np.multiply(xhat[b], s2, out=sb)
-            sb /= count
-            db -= sb
-            db *= iplane
-
-        blocks.halves(combine, g)
+        # then dxhat * xhat, then xhat * s2 / count; each of the first two is
+        # summed before the next overwrites it.
+        scratch = np.multiply(g, xhat)
+        accumulate_grad(beta, g.sum(axis=axes))
+        accumulate_grad(gamma, scratch.sum(axis=axes))
+        dxhat = np.multiply(g, gplane)
+        mean1 = plane(dxhat.sum(axis=axes) / count)
+        np.multiply(dxhat, xhat, out=scratch)
+        s2 = plane(scratch.sum(axis=axes))
+        dxhat -= mean1
+        np.multiply(xhat, s2, out=scratch)
+        scratch /= count
+        dxhat -= scratch
+        dxhat *= iplane
         accumulate_grad(x, dxhat)
 
     return record_op(out, (x, gamma, beta), back)
@@ -722,12 +620,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, 
 def shift_channels(x: Tensor, shift: Tensor, relu: bool = False, residual: Tensor = None) -> Tensor:
     """The rest of a convolution whose kernel has a batch norm folded into
     it, forward only: ``x[:, c] += shift[c]`` over (n, c, h, w), then
-    ``x += residual`` if given, then ``max(x, 0)`` if ``relu``, in place in
-    one pass; returns ``x``. ``residual`` is only read.
+    ``x += residual`` if given, then ``max(x, 0)`` if ``relu``, in place;
+    returns ``x``. ``residual`` is only read.
 
     ``x`` must be an output no tape recorded, as a call that would record
     raises :class:`TensorError`. The shift is spread over a whole image,
-    and the pass runs by halves as batch norm's do.
+    as batch norm's per-channel operands are.
     """
     operands = (x, shift) if residual is None else (x, shift, residual)
     if x.data.ndim != 4 or shift.shape != x.shape[1:2]:
@@ -737,17 +635,11 @@ def shift_channels(x: Tensor, shift: Tensor, relu: bool = False, residual: Tenso
     _same_dtype("shift_channels", *operands)
     if will_record(*operands):
         raise TensorError("shift_channels works in place and never records")
-    plane = np.repeat(shift.data, math.prod(x.shape[2:])).reshape(x.shape[1:])
-
-    def forward(b):
-        xb = x.data[b]
-        xb += plane
-        if residual is not None:
-            xb += residual.data[b]
-        if relu:
-            np.maximum(xb, 0.0, out=xb)
-
-    blocks.halves(forward, x.data)
+    x.data += np.repeat(shift.data, math.prod(x.shape[2:])).reshape(x.shape[1:])
+    if residual is not None:
+        x.data += residual.data
+    if relu:
+        np.maximum(x.data, 0.0, out=x.data)
     return x
 
 

@@ -2,13 +2,13 @@
 
 A feature map is collapsed into a spatial activation map (channel sum of
 |F|^p), the activation map into per-row stripe relevances (row means), and
-the rows with the largest relevance are dropped. A drop mask is a boolean
-array of dropped rows: (n, h) with one row set per image, or (h,) for one
-set shared by the batch. It is built from the backbone output and applied
-to the post-bottleneck tensor, zeroing each dropped row across all
-channels and the full width; gradients flow only through kept entries.
+the rows with the largest relevance are dropped. A drop mask is an (n, h)
+boolean array of dropped rows, one row set per image. It is built from the
+backbone output and applied to the post-bottleneck tensor, zeroing each
+dropped row across all channels and the full width; gradients flow only
+through kept entries.
 
-A random contiguous-stripe mask shared by the whole batch is provided as
+A random contiguous stripe, the same rows in every image of the batch, is
 the ablation baseline.
 """
 
@@ -99,15 +99,15 @@ def top_drop_mask(relevance: np.ndarray, cfg: DropConfig) -> np.ndarray:
     return dropped
 
 
-def batch_drop_mask(h: int, height_ratio: float, rng) -> np.ndarray:
-    """Baseline mask: a contiguous block of floor(h * ratio) rows at a
-    uniformly random start drawn from the caller-owned generator ``rng``,
-    shared by the whole batch; returned as (h,).
+def batch_drop_mask(n: int, h: int, height_ratio: float, rng) -> np.ndarray:
+    """Baseline (n, h) mask: a contiguous block of floor(h * ratio) rows at
+    a uniformly random start, one draw from the caller-owned generator
+    ``rng`` for all ``n`` images.
     """
     block = block_rows(h, height_ratio)
     start = int(rng.integers(0, h - block + 1))
-    dropped = np.zeros(h, dtype=bool)
-    dropped[start : start + block] = True
+    dropped = np.zeros((n, h), dtype=bool)
+    dropped[:, start : start + block] = True
     return dropped
 
 
@@ -122,13 +122,12 @@ def masks_from_features(features: np.ndarray, cfg: DropConfig) -> np.ndarray:
 def apply_mask(g: tc.Tensor, dropped: np.ndarray) -> tc.Tensor:
     """Zero dropped rows of a (n, c, h, w) tensor.
 
-    ``dropped`` is an (n, h) boolean array with one row set per image or
-    an (h,) array shared by the batch. The mask is a constant: gradient
-    flows only through kept entries.
+    ``dropped`` is an (n, h) boolean array, one row set per image. The mask
+    is a constant: gradient flows only through kept entries.
     """
     n, _, h, _ = g.shape
     dropped = np.asarray(dropped, dtype=bool)
-    if dropped.shape not in ((n, h), (h,)):
-        raise ValueError(f"mask shape {dropped.shape} matches neither ({n}, {h}) nor ({h},)")
-    keep = (~dropped).astype(g.data.dtype)[..., None, :, None]
+    if dropped.shape != (n, h):
+        raise ValueError(f"mask shape {dropped.shape} does not match ({n}, {h})")
+    keep = (~dropped).astype(g.data.dtype)[:, None, :, None]
     return tc.mul(g, tc.Tensor(np.broadcast_to(keep, g.shape), dtype=g.data.dtype))

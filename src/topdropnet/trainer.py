@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError("milestones must be strictly increasing and < 1")
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be >= 1")
+        if not -(2**63) <= self.seed < 2**63:  # checkpoints store it as int64
+            raise ValueError(f"seed must be in [-2**63, 2**63), got {self.seed}")
 
 
 def config_hash(cfg: TrainConfig, dataset_fingerprint: str) -> str:
@@ -182,7 +184,7 @@ def train_epoch(model, dataset, cfg: TrainConfig, state: AdamState, epoch: int) 
         "top": lambda f: topdrop.masks_from_features(
             f.data, topdrop.DropConfig(cfg.height_ratio, cfg.activation_power)
         ),
-        "random": lambda f: topdrop.batch_drop_mask(f.shape[2], cfg.height_ratio, mask_gen),
+        "random": lambda f: topdrop.batch_drop_mask(f.shape[0], f.shape[2], cfg.height_ratio, mask_gen),
         "none": None,
     }[network.VARIANTS[cfg.variant].mask]
 

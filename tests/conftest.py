@@ -56,3 +56,16 @@ def workers(request, pool_of):
     """Run the block-split passes on a pool of 1, 2 or 3 threads."""
     pool_of(request.param)
     return request.param
+
+
+@pytest.fixture(params=[1, 2, 3])
+def idle_pool(request, pool_of):
+    """Give the process a pool of 1, 2 or 3 threads that the test must leave
+    idle: tensor operations run on the calling thread, so neither their
+    bytes nor their work depend on the pool's width."""
+    pool = pool_of(request.param)
+    submitted = []
+    submit = pool.submit
+    pool.submit = lambda *args, **kwargs: submitted.append(args) or submit(*args, **kwargs)
+    yield request.param
+    assert submitted == [], "a tensor pass reached the process pool"

@@ -364,6 +364,18 @@ class TestActivations:
         assert run_cli("activations", "--checkpoint", ckpt, "--out", out, "--images", f"{first},{second}") == 1
         assert not out.exists()
 
+    def test_two_images_with_one_base_name_leave_no_out(self, trained, tmp_path, capsys):
+        # Both would write x_activation.pgm and the rest: the second would overwrite the first.
+        data, ckpt, _ = trained
+        first, second = tmp_path / "a" / "x.ppm", tmp_path / "b" / "x.ppm"
+        for path in (first, second):
+            path.parent.mkdir()
+            shutil.copy(data / "images" / "000_00_00.ppm", path)
+        out = tmp_path / "act"
+        assert run_cli("activations", "--checkpoint", ckpt, "--out", out, "--images", f"{first},{second}") == 1
+        assert f"images {first} and {second} would write the same x_* exports" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_init_model_yields_all_zero_maps(self, trained, tmp_path):
         data, ckpt, _ = trained
         dataset = synthdata.load_dataset(data)
@@ -472,6 +484,9 @@ class TestConfigMachinery:
         ("ablation", ("--seeds", ","), "seeds needs at least one value"),
         ("train", ("--seeds", "1,1"), "seeds must be distinct, 1 is given twice"),
         ("ablation", ("--seeds", "3,1,3"), "seeds must be distinct, 3 is given twice"),
+        ("train", ("--seed", 2**63), "seed must be in [-2**63, 2**63), got 9223372036854775808"),
+        ("train", ("--seeds", f"1,{-(2**63) - 1}"), "seed must be in [-2**63, 2**63), got -9223372036854775809"),
+        ("ablation", ("--seeds", f"1,{2**63}"), "seed must be in [-2**63, 2**63), got 9223372036854775808"),
         ("activations", ("--height-ratio", 2), "height_ratio must be in (0, 1]"),
         ("activations", ("--power", "nan"), "p must be >= 1"),
         ("activations", ("--images", ","), "images needs at least one value"),

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from topdropnet import blocks, evaluation
+from topdropnet import blocks, evaluation, synthdata, tensorcore as tc, trainer
 
 import oracles
 from oracles import ap_cmc_loops, distances_loops, rerank_transcription
@@ -229,6 +229,23 @@ class TestRowBlockSplit:
         env = dict(os.environ, PYTHONPATH=SRC)
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.strip() == "False"
+
+    def test_only_the_distance_passes_reach_the_pool(self, monkeypatch, tiny_dataset):
+        # Tensor operations run on the calling thread: a training step and
+        # an embedding on 16-image batches of 2^17-value stem maps never
+        # call blocks.split, while re-ranking a 312 x 936 gallery does.
+        assert not hasattr(tc, "blocks")
+        calls = []
+        split = blocks.split
+        monkeypatch.setattr(blocks, "split", lambda work, starts: calls.append(list(starts)) or split(work, starts))
+        cfg = trainer.TrainConfig(total_epochs=1, batch=synthdata.BatchSpec(p=4, k=4), d_global=16, d_drop=16)
+        result = trainer.fit(cfg, tiny_dataset)
+        assert len(tiny_dataset.indices("train")) == 16
+        evaluation.embed_split(result.model, tiny_dataset, "train")
+        assert calls == []
+        rng = np.random.default_rng(8)
+        evaluation.rerank(rng.normal(size=(312, 64)), rng.normal(size=(936, 64)))
+        assert calls and max(len(starts) for starts in calls) > 1
 
 
 class TestEvaluate:

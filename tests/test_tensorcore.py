@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topdropnet import blocks, network, rng as rng_mod, tensorcore as tc
+from topdropnet import network, rng as rng_mod, tensorcore as tc
 
 import gradcheck
 import oracles
@@ -377,32 +377,29 @@ class TestRewrittenOpsMatchReferences:
 
 
 # The default model's stem: the 3 -> 16 conv at full resolution, the
-# batch norm and 2 x 2 max-pool on its output, and the relu. At these batch sizes
-# every other tensor of the default model stays below blocks.SPLIT_VALUES.
+# batch norm and 2 x 2 max-pool on its output, and the relu.
 STEM_CHANNELS = network.BackboneConfig().stem_channels
 STEM_SIZE = network.BackboneConfig().input_size
-# Batch sizes at the default input, and batches of 2 and 3 images whose
-# 128 x 64 stem maps reach the split size and leave a 1-image half.
-SPLIT_BATCHES = [(n, STEM_SIZE) for n in (4, 5, 17, 24, 32, 33)] + [(2, (128, 64)), (3, (128, 64))]
+# Batch sizes at the default input, and batches of 2 and 3 images at 128 x 64.
+STEM_BATCHES = [(n, STEM_SIZE) for n in (4, 5, 17, 24, 32, 33)] + [(2, (128, 64)), (3, (128, 64))]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n, size", SPLIT_BATCHES)
-class TestSplitPassesMatchReferences:
-    """The stem-sized passes, run by halves of the batch on a pool of 1, 2
-    or 3 threads, give the bytes of the whole-batch references in
-    ``oracles``: outputs, running statistics and every gradient."""
+@pytest.mark.parametrize("n, size", STEM_BATCHES)
+class TestStemPassesMatchReferences:
+    """The stem-sized passes, with a pool of 1, 2 or 3 threads left idle,
+    give the bytes of the whole-batch references in ``oracles``: outputs,
+    running statistics and every gradient."""
 
     @staticmethod
     def stem_map(n, size, dtype, seed):
         return np.random.default_rng(seed).normal(size=(n, STEM_CHANNELS) + size).astype(dtype)
 
-    def test_conv2d(self, workers, n, size, dtype):
+    def test_conv2d(self, idle_pool, n, size, dtype):
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 3) + size).astype(dtype)
         k = rng.normal(size=(STEM_CHANNELS, 3, 3, 3)).astype(dtype)
         ref_out, ref_back = oracles.conv2d_reference(x, k, 1, 1)
-        assert ref_out.size >= blocks.SPLIT_VALUES
         g = rng.normal(size=ref_out.shape).astype(dtype)
         inputs = [tc.Tensor(x, requires_grad=True), tc.Tensor(k, requires_grad=True)]
         out, (gx, gk) = run_with_upstream(lambda a, b: tc.conv2d(a, b, 1, 1), inputs, g)
@@ -412,7 +409,7 @@ class TestSplitPassesMatchReferences:
         assert_same_bytes(gk, ref_gk)
         assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k), 1, 1).data, ref_out)
 
-    def test_maxpool2d(self, workers, n, size, dtype):
+    def test_maxpool2d(self, idle_pool, n, size, dtype):
         x = np.maximum(self.stem_map(n, size, dtype, n), 0.0)  # ties at zero, as after the stem relu
         ref_out, ref_back = oracles.maxpool2d_reference(x, 2)
         g = np.random.default_rng(n + 1).normal(size=ref_out.shape).astype(dtype)
@@ -421,10 +418,10 @@ class TestSplitPassesMatchReferences:
         assert_same_bytes(gx, ref_back(g))
         assert_same_bytes(tc.maxpool2d(tc.Tensor(x), 2).data, ref_out)
 
-    def test_batchnorm_train(self, workers, n, size, dtype):
+    def test_batchnorm_train(self, idle_pool, n, size, dtype):
         check_batchnorm_train_bytes(self.stem_map(n, size, dtype, n) * 2 + 1, np.random.default_rng(n))
 
-    def test_shift_channels(self, workers, n, size, dtype):
+    def test_shift_channels(self, idle_pool, n, size, dtype):
         # The folded conv's shift and relu, in place on the conv's output.
         x = self.stem_map(n, size, dtype, n)
         shift = np.random.default_rng(n).normal(size=STEM_CHANNELS).astype(dtype)
@@ -441,7 +438,7 @@ class TestSplitPassesMatchReferences:
             assert len(tape) == 0
             assert_same_bytes(inputs[0].data, x)
 
-    def test_relu(self, workers, n, size, dtype):
+    def test_relu(self, idle_pool, n, size, dtype):
         x = self.stem_map(n, size, dtype, n)
         ref_out, ref_back = oracles.relu_reference(x)
         g = np.random.default_rng(n + 1).normal(size=x.shape).astype(dtype)
@@ -475,48 +472,43 @@ def shift_input(rng, shape, dtype, kind):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-# Odd extents crop a row and a column; 5 images of 63 x 33 split into halves of 3 and 2.
+# Odd extents crop a row and a column.
 @pytest.mark.parametrize("n, size", [(2, (7, 9)), (5, (63, 33))])
 class TestShiftTails:
     """``shift_channels`` ends a folded conv: on the conv's max-pooled
     output it gives the bytes of shift, relu and ``maxpool2d``; with
-    ``residual`` those of shift, ``add`` and relu; on pools of 1, 2 or 3
-    threads."""
+    ``residual`` those of shift, ``add`` and relu."""
 
     @pytest.mark.parametrize("kind", ["ties", "negated_shift", "negative_zero", "subnormal", "inf"])
     @pytest.mark.parametrize("window", [2, 3])
-    def test_pooled_tail_is_shift_relu_maxpool(self, pool_of, dtype, n, size, kind, window):
+    def test_pooled_tail_is_shift_relu_maxpool(self, dtype, n, size, kind, window):
         x, shift = shift_input(np.random.default_rng(window), (n, STEM_CHANNELS) + size, dtype, kind)
         expected, _ = oracles.maxpool2d_reference(np.maximum(x + shift[None, :, None, None], 0.0), window)
         assert not np.signbit(expected).any()
-        for threads in (1, 2, 3):
-            pool_of(threads)
-            conv_out = tc.Tensor(x.copy())
-            assert_same_bytes(tc.shift_channels(tc.maxpool2d(conv_out, window), tc.Tensor(shift), True).data, expected)
-            assert_same_bytes(tc.maxpool2d(tc.shift_channels(tc.Tensor(x.copy()), tc.Tensor(shift), True), window).data, expected)
-            assert_same_bytes(conv_out.data, x)  # only read
+        conv_out = tc.Tensor(x.copy())
+        assert_same_bytes(tc.shift_channels(tc.maxpool2d(conv_out, window), tc.Tensor(shift), True).data, expected)
+        assert_same_bytes(tc.maxpool2d(tc.shift_channels(tc.Tensor(x.copy()), tc.Tensor(shift), True), window).data, expected)
+        assert_same_bytes(conv_out.data, x)  # only read
 
     @pytest.mark.parametrize("kind", ["ties", "negative_zero", "subnormal"])
-    def test_residual_tail_is_shift_add_relu(self, pool_of, dtype, n, size, kind):
+    def test_residual_tail_is_shift_add_relu(self, dtype, n, size, kind):
         rng = np.random.default_rng(n)
         y, shift = shift_input(rng, (n, STEM_CHANNELS) + size, dtype, kind)
         shortcut = shift_input(rng, y.shape, dtype, kind)[0]
         for relu in (True, False):
             summed = tc.add(tc.shift_channels(tc.Tensor(y.copy()), tc.Tensor(shift)), tc.Tensor(shortcut))
             expected = (tc.relu(summed) if relu else summed).data
-            for threads in (1, 2, 3):
-                pool_of(threads)
-                conv_out, residual = tc.Tensor(y.copy()), tc.Tensor(shortcut.copy())
-                assert tc.shift_channels(conv_out, tc.Tensor(shift), relu, residual) is conv_out
-                assert_same_bytes(conv_out.data, expected)
-                assert_same_bytes(residual.data, shortcut)  # never written
+            conv_out, residual = tc.Tensor(y.copy()), tc.Tensor(shortcut.copy())
+            assert tc.shift_channels(conv_out, tc.Tensor(shift), relu, residual) is conv_out
+            assert_same_bytes(conv_out.data, expected)
+            assert_same_bytes(residual.data, shortcut)  # never written
 
     @pytest.mark.parametrize(
         "relu, with_residual",
         [(False, False), (True, True), (False, True)],
         ids=["pool_without_relu", "pool_with_residual", "pool_with_residual_without_relu"],
     )
-    def test_a_pooled_map_takes_any_relu_and_residual(self, pool_of, dtype, n, size, relu, with_residual):
+    def test_a_pooled_map_takes_any_relu_and_residual(self, dtype, n, size, relu, with_residual):
         # The pool runs before shift_channels, so a conv that pools may
         # skip the relu or add a shortcut of the pooled shape.
         rng = np.random.default_rng(3)
@@ -528,13 +520,11 @@ class TestShiftTails:
             expected = expected + shortcut
         if relu:
             expected = np.maximum(expected, 0.0)
-        for threads in (1, 2, 3):
-            pool_of(threads)
-            residual = tc.Tensor(shortcut.copy()) if with_residual else None
-            out = tc.shift_channels(tc.maxpool2d(tc.Tensor(x.copy()), 2), tc.Tensor(shift), relu, residual)
-            assert_same_bytes(out.data, expected)
-            if with_residual:
-                assert_same_bytes(residual.data, shortcut)  # never written
+        residual = tc.Tensor(shortcut.copy()) if with_residual else None
+        out = tc.shift_channels(tc.maxpool2d(tc.Tensor(x.copy()), 2), tc.Tensor(shift), relu, residual)
+        assert_same_bytes(out.data, expected)
+        if with_residual:
+            assert_same_bytes(residual.data, shortcut)  # never written
 
     @pytest.mark.parametrize("window", [0, 64], ids=["pool_zero", "pool_larger_than_the_map"])
     def test_a_window_outside_the_map_is_rejected(self, dtype, n, size, window):
@@ -569,78 +559,22 @@ def check_batchnorm_train_bytes(x, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_one_channel_batchnorm_train_by_halves(workers, n, dtype):
-    # One channel: the statistics are whole-batch sums, while the
-    # elementwise passes still run by halves.
+def test_one_channel_batchnorm_train(idle_pool, n, dtype):
+    # One channel: numpy sums the batch and spatial axes as one run.
     x = np.random.default_rng(n).normal(1.0, 2.0, size=(n, 1, 256, 256)).astype(dtype)
-    assert x.size >= blocks.SPLIT_VALUES
     check_batchnorm_train_bytes(x, np.random.default_rng(n + 1))
-
-
-class TestPerImageChannelSums:
-    """Batch-norm statistics add per-image channel sums in image order. For
-    at least 2 channels that is numpy's own order for a whole-batch sum: a
-    pairwise sum over each image's h*w run, then the images one after
-    another. With one channel numpy sums the batch and spatial axes as one
-    run, so the statistics stay whole-batch sums there."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_halves_sum_as_the_whole_batch(self, dtype):
-        rng = np.random.default_rng(20)
-        for _ in range(400):
-            n, c = int(rng.integers(2, 10)), int(rng.integers(1, 20))  # train mode needs 2 images
-            h, w = int(rng.integers(1, 70)), int(rng.integers(1, 40))
-            x = (rng.normal(size=(n, c, h, w)) * rng.uniform(0.1, 100)).astype(dtype)
-            sums = tc._ChannelSums(x, 1)
-            mid = (n + 1) // 2
-            for b in (slice(0, mid), slice(mid, n)):
-                sums.add(0, x, b)
-            assert_same_bytes(sums.total(0, x), x.sum(axis=(0, 2, 3)))
-
-    def test_only_one_channel_sums_the_whole_batch(self):
-        assert tc._ChannelSums(np.ones((2, 1, 3, 3)), 1).parts is None
-        assert tc._ChannelSums(np.ones((2, 3)), 1).parts is None
-        assert tc._ChannelSums(np.ones((2, 2, 3, 3)), 1).parts.shape == (1, 2, 2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_wide_conv_of_few_images(workers, n, dtype):
+def test_wide_conv_of_few_images(idle_pool, n, dtype):
     # One output pixel and 2^16 channels per image: each image is a
-    # matrix-vector product, so the 1-image halves of a batch of 2 or 3
-    # images keep the bytes of one product per image.
+    # matrix-vector product, and keeps the bytes of one product per image.
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 1, 4, 4)).astype(dtype)
     k = rng.normal(size=(1 << 16, 1, 3, 3)).astype(dtype)
     ref_out, _ = oracles.conv2d_reference(x, k, 2, 0)
-    assert ref_out.size >= blocks.SPLIT_VALUES
     assert_same_bytes(tc.conv2d(tc.Tensor(x), tc.Tensor(k), 2).data, ref_out)
-
-
-class TestSmallBatchesStayOnTheCallingThread:
-    class NoPool:
-        def submit(self, *args):
-            raise AssertionError("a pass below the split size reached the pool")
-
-    # (n, c, h, w): just under 2^17 values in 3 images, and one image of 2^18.
-    @pytest.mark.parametrize("shape", [(3, 1, 43690, 1), (3, 16, 64, 32), (1, 16, 128, 128)])
-    def test_no_pass_touches_the_pool(self, monkeypatch, shape):
-        monkeypatch.setattr(blocks, "_pool", self.NoPool())
-        rng = np.random.default_rng(0)
-        n, c = shape[:2]
-        x = tc.Tensor(rng.normal(size=shape), requires_grad=True)
-        k = tc.Tensor(rng.normal(size=(c, c, 3, 3)), requires_grad=True)
-        gamma, beta = tc.Tensor(np.ones(c), requires_grad=True), tc.Tensor(np.zeros(c), requires_grad=True)
-        stats = np.zeros(c), np.ones(c)
-        with tc.Tape() as tape:
-            y = tc.conv2d(x, k, 1, 1)
-            if n > 1:  # train mode needs 2 images
-                y = tc.batchnorm(y, gamma, beta, *stats)
-            y = tc.maxpool2d(tc.relu(y), 1)
-            loss = tc.sum_all(y)
-        tc.backward(loss, tape)
-        tc.shift_channels(tc.Tensor(x.data.copy()), tc.Tensor(np.ones(c)), relu=True)
-        assert y.size < blocks.SPLIT_VALUES or n < 2
 
 
 class TestSoftmaxAndNorms:
@@ -1145,8 +1079,7 @@ class TestConvShapesMatchReference:
                 assert_same_bytes(actual, expected)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_conv2d_matches_reference(self, workers, dtype):
-        # n = 32 at this size reaches the split, so the images go by halves.
+    def test_conv2d_matches_reference(self, idle_pool, dtype):
         rng = np.random.default_rng(3)
         for kw, stride, pad, n in itertools.product(range(1, 6), range(1, 4), range(3), (1, 4, 5, 32)):
             x = rng.normal(size=(n, 3, 20, 16)).astype(dtype)
@@ -1165,13 +1098,12 @@ class TestConvShapesMatchReference:
 class TestOneProductPerImage:
     """conv2d multiplies each image's columns on their own, forward and
     backward, so an image's output and input gradient have the same bytes
-    alone as in any batch, whole or halved, and a batch's kernel gradient
+    alone as in any batch, and a batch's kernel gradient
     is the in-order sum of its images' own."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (3, 5)])
-    def test_each_image_equals_its_rows_in_the_batch(self, workers, dtype, kh, kw):
-        # n = 32 at stride 1 reaches the split, so the batch goes by halves.
+    def test_each_image_equals_its_rows_in_the_batch(self, idle_pool, dtype, kh, kw):
         rng = np.random.default_rng(kh * kw)
         k = rng.normal(size=(16, 3, kh, kw)).astype(dtype)
         for n, stride, pad in itertools.product((1, 2, 3, 5, 32), range(1, 4), range(3)):
@@ -1182,8 +1114,7 @@ class TestOneProductPerImage:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3)])
-    def test_kernel_gradient_is_the_in_order_sum_of_one_image_gradients(self, workers, dtype, kh, kw):
-        # n = 32 at stride 1 reaches the split, so the parts go by halves.
+    def test_kernel_gradient_is_the_in_order_sum_of_one_image_gradients(self, idle_pool, dtype, kh, kw):
         rng = np.random.default_rng(10 + kh)
         k = rng.normal(size=(16, 3, kh, kw)).astype(dtype)
         for n, stride, pad in itertools.product((1, 2, 3, 32), (1, 2), (0, 1)):
@@ -1204,14 +1135,13 @@ class TestOneProductPerImage:
             assert_same_bytes(gk, total)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_pixel_output(self, workers, dtype):
-        # A 1 x 1 output makes each image's product a matrix-vector one; at
-        # 2^15 channels 5 images reach the split.
+    def test_one_pixel_output(self, idle_pool, dtype):
+        # A 1 x 1 output makes each image's product a matrix-vector one.
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 2, 5, 5)).astype(dtype)
         k = rng.normal(size=(1 << 15, 2, 5, 5)).astype(dtype)
         batch = tc.conv2d(tc.Tensor(x), tc.Tensor(k)).data
-        assert batch.shape == (5, 1 << 15, 1, 1) and batch.size >= blocks.SPLIT_VALUES
+        assert batch.shape == (5, 1 << 15, 1, 1)
         assert_same_bytes(batch, oracles.conv2d_reference(x, k, 1, 0)[0])
         for i in range(5):
             assert_same_bytes(tc.conv2d(tc.Tensor(x[i : i + 1]), tc.Tensor(k)).data, batch[i : i + 1])
@@ -1241,7 +1171,7 @@ class TestMaxpoolRunningMax:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["relu", "zeros", "inf"])
     @pytest.mark.parametrize("n, size", [(2, (7, 6)), (32, STEM_SIZE)])
-    def test_running_max_matches_reference(self, workers, dtype, kind, n, size):
+    def test_running_max_matches_reference(self, idle_pool, dtype, kind, n, size):
         rng = np.random.default_rng(n)
         x = np.maximum(rng.normal(size=(n, STEM_CHANNELS) + size), 0.0)
         if kind == "zeros":
@@ -1255,7 +1185,7 @@ class TestMaxpoolRunningMax:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n, size", [(2, (7, 6)), (32, STEM_SIZE)])
-    def test_a_recorded_pass_over_a_relu_output_matches_reference(self, workers, dtype, n, size):
+    def test_a_recorded_pass_over_a_relu_output_matches_reference(self, idle_pool, dtype, n, size):
         rng = np.random.default_rng(6)
         x = tc.relu(tc.Tensor(rng.normal(size=(n, STEM_CHANNELS) + size).astype(dtype))).data
         ref_out, ref_back = oracles.maxpool2d_reference(x, 2)
@@ -1278,9 +1208,9 @@ class TestMaxpoolRunningMax:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["equal", "subnormal", "ints", "relu", "inf"])
     @pytest.mark.parametrize("window", [2, 3])
-    def test_recorded_gradient_goes_to_each_windows_first_maximum(self, pool_of, dtype, kind, window):
+    def test_recorded_gradient_goes_to_each_windows_first_maximum(self, dtype, kind, window):
         rng = np.random.default_rng(window)
-        shape = (16 if window == 2 else 40, STEM_CHANNELS) + STEM_SIZE  # both passes split into halves
+        shape = (16 if window == 2 else 40, STEM_CHANNELS) + STEM_SIZE
         if kind == "inf":  # ties of +inf among ties of zeros
             x = np.maximum(rng.normal(size=shape), 0.0)
             x[rng.random(shape) < 0.3] = np.inf
@@ -1288,37 +1218,29 @@ class TestMaxpoolRunningMax:
             x = pool_input(rng, shape, kind)
         x = x.astype(dtype)
         expected_out, back = oracles.maxpool2d_reference(x, window)
-        assert expected_out.size >= blocks.SPLIT_VALUES
         g = rng.normal(size=expected_out.shape).astype(dtype)
-        expected_gx = back(g)
-        for threads in (1, 2, 3):
-            pool_of(threads)
-            out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window), [tc.Tensor(x, requires_grad=True)], g)
-            assert_same_bytes(out, expected_out)
-            assert_same_bytes(gx, expected_gx)
+        out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window), [tc.Tensor(x, requires_grad=True)], g)
+        assert_same_bytes(out, expected_out)
+        assert_same_bytes(gx, back(g))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["ties", "negative_zero", "subnormal", "inf"])
     @pytest.mark.parametrize("window", [2, 3])
-    def test_signed_input_matches_reference(self, pool_of, dtype, kind, window):
+    def test_signed_input_matches_reference(self, dtype, kind, window):
         # Negative values, ties of -0.0 and +0.0, and +-inf, as the stem's
         # batch norm output may hold. np.maximum does not order -0.0
         # against +0.0, so the forward bytes are compared after + 0.0; the
         # gradient goes to the first offset equal to the maximum, as the
         # reference's argmax sends it.
         rng = np.random.default_rng(window)
-        shape = (16 if window == 2 else 40, STEM_CHANNELS) + STEM_SIZE  # both passes split into halves
+        shape = (16 if window == 2 else 40, STEM_CHANNELS) + STEM_SIZE
         x = shift_input(rng, shape, dtype, kind)[0]
         assert np.signbit(x).any()
         expected_out, back = oracles.maxpool2d_reference(x, window)
-        assert expected_out.size >= blocks.SPLIT_VALUES
         g = rng.normal(size=expected_out.shape).astype(dtype)
-        expected_gx = back(g)
-        for threads in (1, 2, 3):
-            pool_of(threads)
-            out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window), [tc.Tensor(x, requires_grad=True)], g)
-            assert_same_bytes(out + 0.0, expected_out + 0.0)
-            assert_same_bytes(gx, expected_gx)
+        out, (gx,) = run_with_upstream(lambda t: tc.maxpool2d(t, window), [tc.Tensor(x, requires_grad=True)], g)
+        assert_same_bytes(out + 0.0, expected_out + 0.0)
+        assert_same_bytes(gx, back(g))
 
     @staticmethod
     def assert_rejected(x, window, match):
@@ -1343,14 +1265,10 @@ class TestMaxpoolRunningMax:
         assert np.signbit(x[1, 2, 5, 5]) == np.signbit(value)
         self.assert_rejected(x, 2, "a pooled window holds a NaN")
 
-    def test_a_nan_in_the_second_half_is_rejected(self, pool_of):
-        # Each half checks its own images; the error comes once both are done.
+    def test_a_nan_in_the_last_image_of_a_stem_batch_is_rejected(self):
         x = np.random.default_rng(9).normal(size=(16, STEM_CHANNELS) + STEM_SIZE)
         x[-1, -1, -1, -1] = np.nan
-        assert x.size // 4 >= blocks.SPLIT_VALUES  # the pass splits: the last image is the second half's
-        for threads in (1, 2, 3):
-            pool_of(threads)
-            self.assert_rejected(x.astype(np.float32), 2, "a pooled window holds a NaN")
+        self.assert_rejected(x.astype(np.float32), 2, "a pooled window holds a NaN")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n, size", [(2, (7, 9)), (5, (63, 33))])  # odd extents crop a row and a column

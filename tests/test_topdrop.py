@@ -123,16 +123,14 @@ class TestApplyMask:
 
     def test_all_ones_mask_is_identity(self):
         g = tc.astensor(np.random.default_rng(0).normal(size=(2, 3, 4, 4)))
-        for shape in ((2, 4), (4,)):
-            np.testing.assert_array_equal(topdrop.apply_mask(g, np.zeros(shape, dtype=bool)).data, g.data)
+        np.testing.assert_array_equal(topdrop.apply_mask(g, np.zeros((2, 4), dtype=bool)).data, g.data)
 
-    def test_shared_mask_equals_per_image_application(self):
+    def test_batch_mask_equals_per_image_application(self):
         g = tc.astensor(np.random.default_rng(6).normal(size=(3, 2, 6, 4)))
-        shared = row_mask(6, {2, 3})
-        batched = topdrop.apply_mask(g, shared).data
-        np.testing.assert_array_equal(batched, topdrop.apply_mask(g, np.tile(shared, (3, 1))).data)
+        masks = np.stack([row_mask(6, {2, 3}), row_mask(6, {0}), row_mask(6, {2, 3})])
+        batched = topdrop.apply_mask(g, masks).data
         for i in range(3):
-            alone = topdrop.apply_mask(tc.astensor(g.data[i : i + 1]), shared).data[0]
+            alone = topdrop.apply_mask(tc.astensor(g.data[i : i + 1]), masks[i : i + 1]).data[0]
             np.testing.assert_array_equal(batched[i], alone)
 
     def test_dropped_rows_have_zero_relevance_after_masking(self):
@@ -145,19 +143,17 @@ class TestApplyMask:
             assert np.all(relevance[mask] == 0.0)
 
     def test_gradient_blocked_on_dropped_rows(self):
-        mask = row_mask(4, {0, 2})
-        for dropped in (mask[None], mask):
-            g = tc.parameter(np.random.default_rng(2).normal(size=(1, 2, 4, 3)))
-            with tc.Tape() as tape:
-                loss = tc.sum_all(topdrop.apply_mask(g, dropped))
-            tc.backward(loss, tape)
-            assert np.all(g.grad[0, :, [0, 2], :] == 0)
-            assert np.all(g.grad[0, :, [1, 3], :] == 1)
+        g = tc.parameter(np.random.default_rng(2).normal(size=(1, 2, 4, 3)))
+        with tc.Tape() as tape:
+            loss = tc.sum_all(topdrop.apply_mask(g, row_mask(4, {0, 2})[None]))
+        tc.backward(loss, tape)
+        assert np.all(g.grad[0, :, [0, 2], :] == 0)
+        assert np.all(g.grad[0, :, [1, 3], :] == 1)
 
     def test_mask_shape_mismatch_rejected(self):
         g = tc.astensor(np.zeros((1, 2, 4, 3)))
-        # wrong h (per-image and shared), wrong n, extra axis
-        for shape in ((1, 5), (5,), (2, 4), (3,), (1, 1, 4)):
+        # wrong h, wrong n, extra axis, and one (h,) row set for the batch
+        for shape in ((1, 5), (2, 4), (1, 1, 4), (4,)):
             with pytest.raises(ValueError):
                 topdrop.apply_mask(g, np.zeros(shape, dtype=bool))
 
@@ -196,28 +192,37 @@ class TestApplyMask:
 
 class TestBatchDropMask:
     def test_h3_third_drops_one_contiguous_row(self):
-        mask = topdrop.batch_drop_mask(3, 1 / 3, rng_mod.generator(0, "t"))
-        assert mask.shape == (3,) and mask.dtype == bool
+        mask = topdrop.batch_drop_mask(1, 3, 1 / 3, rng_mod.generator(0, "t"))
+        assert mask.shape == (1, 3) and mask.dtype == bool
         assert mask.sum() == 1
 
     def test_h24_block_and_start_range(self):
         for seed in range(50):
-            mask = topdrop.batch_drop_mask(24, 0.3, rng_mod.generator(seed, "t"))
-            dropped = sorted(rows(mask))
+            mask = topdrop.batch_drop_mask(4, 24, 0.3, rng_mod.generator(seed, "t"))
+            assert mask.shape == (4, 24) and (mask == mask[0]).all()  # one draw for the batch
+            dropped = sorted(rows(mask[0]))
             assert len(dropped) == 7  # floor(7.2)
             assert dropped == list(range(dropped[0], dropped[0] + 7))
             assert 0 <= dropped[0] <= 17
 
+    def test_one_draw_whatever_the_batch(self):
+        # The batch size changes neither the rows nor the generator's state.
+        gens = [rng_mod.generator(5, "t") for _ in range(2)]
+        one = topdrop.batch_drop_mask(1, 24, 0.3, gens[0])
+        many = topdrop.batch_drop_mask(32, 24, 0.3, gens[1])
+        np.testing.assert_array_equal(many, np.tile(one, (32, 1)))
+        assert gens[0].integers(1 << 62) == gens[1].integers(1 << 62)
+
     def test_block_taller_than_map_rejected(self):
         with pytest.raises(ValueError):
-            topdrop.batch_drop_mask(3, 1.0, rng_mod.generator(0, "t"))
+            topdrop.batch_drop_mask(2, 3, 1.0, rng_mod.generator(0, "t"))
 
     def test_start_positions_uniform(self):
         # 18 valid starts for h=24, ratio 0.3; 10000 draws; 3 sigma band.
         counts = np.zeros(18)
         for seed in range(10000):
-            mask = topdrop.batch_drop_mask(24, 0.3, rng_mod.generator(seed, "u"))
-            counts[np.argmax(mask)] += 1
+            mask = topdrop.batch_drop_mask(1, 24, 0.3, rng_mod.generator(seed, "u"))
+            counts[np.argmax(mask[0])] += 1
         expected = 10000 / 18
         sigma = np.sqrt(10000 * (1 / 18) * (17 / 18))
         assert np.all(np.abs(counts - expected) <= 3 * sigma + 1)
@@ -229,7 +234,7 @@ class TestMaskRows:
 
     BUILDERS = {
         "top": lambda h, ratio: topdrop.top_drop_mask(np.arange(h, dtype=float), topdrop.DropConfig(ratio)),
-        "random": lambda h, ratio: topdrop.batch_drop_mask(h, ratio, rng_mod.generator(0, "t")),
+        "random": lambda h, ratio: topdrop.batch_drop_mask(1, h, ratio, rng_mod.generator(0, "t"))[0],
     }
 
     @pytest.mark.parametrize("kind", ["top", "random"])

@@ -104,10 +104,19 @@ class TestSchedule:
         ("warmup_fraction", np.nan, "fractions must be finite"),
         ("decay_milestones", (0.5, np.nan), "fractions must be finite"),
         ("decay_milestones", (0.5, np.inf), "fractions must be finite"),
+        ("seed", 2**63, r"seed must be in \[-2\*\*63, 2\*\*63\)"),
+        ("seed", -(2**63) - 1, r"seed must be in \[-2\*\*63, 2\*\*63\)"),
     ])
     def test_bad_setting_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             trainer.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_extreme_seeds_survive_a_checkpoint(self, tmp_path, seed):
+        model = network.ReidModel(3, network.ModelConfig())
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(path, trainer.FitResult(model, [], trainer.AdamState(), 0, trainer.TrainConfig(seed=seed)))
+        assert trainer.load_checkpoint(path)[1]["seed"] == seed
 
 
 class TestAdam:
